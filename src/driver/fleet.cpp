@@ -130,9 +130,11 @@ void record_from_stanza(const json::Value& doc, const json::Value& stanza,
 }
 
 /// Runs the execution phase against `image`, accumulating into `record`.
+/// An armed monitor deepens the job's flow `facts` to the depth its spec
+/// needs, and no further.
 void run_exec_phase(const FleetUnit& unit, const mach::Image& image,
                     std::uint64_t input_seed, const FleetOptions& options,
-                    FleetRecord* record) {
+                    wcet::FlowFacts* facts, FleetRecord* record) {
   const auto t_exec = Clock::now();
   const minic::Function* fn = unit.program->find_function(unit.entry);
   if (fn == nullptr)
@@ -142,13 +144,12 @@ void run_exec_phase(const FleetUnit& unit, const mach::Image& image,
   Rng rng(input_seed);
   machine::Machine m(image);
   // The monitored fact base (CFG edges, annotation claims, loop-bound rows)
-  // is per image+function; the armed monitor checks every step below.
+  // comes from the job's flow facts; the armed monitor checks every step
+  // below.
   machine::MonitorSpec monitor_spec;
   if (options.monitor != machine::MonitorMode::Off) {
-    wcet::WcetOptions wopts;
-    wopts.use_annotations = options.use_annotations;
-    monitor_spec = wcet::build_monitor_spec(image, unit.entry, options.monitor,
-                                            wopts);
+    wcet::deepen_flow_facts(image, wcet::monitor_depth(options.monitor), facts);
+    monitor_spec = wcet::build_monitor_spec(image, *facts, options.monitor);
     m.arm_monitor(monitor_spec, options.monitor);
   }
   try {
@@ -193,14 +194,16 @@ void run_exec_phase(const FleetUnit& unit, const mach::Image& image,
 }
 
 /// Runs the WCET phase against `image`, filling `record`'s bound fields.
-void run_wcet_phase(const FleetUnit& unit, const mach::Image& image,
-                    const FleetOptions& options, FleetRecord* record) {
+/// Every bound reuses the job's flow `facts`.
+void run_wcet_phase(const mach::Image& image, const FleetOptions& options,
+                    wcet::FlowFacts* facts, FleetRecord* record) {
   const auto t_wcet = Clock::now();
+  wcet::deepen_flow_facts(image, wcet::FlowDepth::Bounds, facts);
   wcet::WcetOptions wopts;
   wopts.use_annotations = options.use_annotations;
   if (options.wcet) {
     wopts.engine = options.wcet_engine;
-    const wcet::WcetResult r = wcet::analyze_wcet(image, unit.entry, wopts);
+    const wcet::WcetResult r = wcet::analyze_wcet(image, *facts, wopts);
     // wcet_cycles carries the engine the caller selected: structural when
     // it ran (back-compatible with every existing consumer), else IPET.
     record->wcet_cycles =
@@ -215,7 +218,7 @@ void run_wcet_phase(const FleetUnit& unit, const mach::Image& image,
     wopts.cache_analysis = false;
     wopts.engine = wcet::WcetEngine::Structural;  // cache ablation only
     record->wcet_nocache_cycles =
-        wcet::analyze_wcet(image, unit.entry, wopts).wcet_cycles;
+        wcet::analyze_wcet(image, *facts, wopts).wcet_cycles;
   }
   record->wcet_seconds = seconds_since(t_wcet);
 }
@@ -296,10 +299,15 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
         unit.entry.empty() ? image.code_size_bytes()
                            : image.code_size_of(unit.entry);
 
+    // The job's flow facts (CFG, value analysis, loop bounds), computed
+    // once and shared by the monitor spec and every WCET bound. Each phase
+    // computes only the depth it needs, so an analysis error surfaces in
+    // the same phase whichever consumers the job runs.
+    wcet::FlowFacts facts(unit.entry, options.use_annotations);
     if (options.exec_cycles > 0)
-      run_exec_phase(unit, image, input_seed, options, record);
+      run_exec_phase(unit, image, input_seed, options, &facts, record);
     if (options.wcet || options.wcet_nocache)
-      run_wcet_phase(unit, image, options, record);
+      run_wcet_phase(image, options, &facts, record);
     record->ok = true;
 
     if (store != nullptr) {

@@ -12,7 +12,10 @@
 //     --target=<ppc|rv32>            target ISA (default ppc); strict: an
 //                                    unknown or empty name is a usage error
 //     --emit-asm                     print the disassembly listing
-//     --wcet=<function>              print the WCET bound of <function>
+//     --wcet=<function>              print the WCET bound of <function>;
+//                                    a name the image does not define is a
+//                                    usage error (exit 2) listing its
+//                                    functions
 //     --wcet-engine=<structural|ipet|both>
 //                                    path-analysis backend for --wcet:
 //                                    structural longest-path (default), the
@@ -503,13 +506,18 @@ int main(int argc, char** argv) {
 
     if (emit_asm) std::fputs(compiled.image.disassemble().c_str(), stdout);
 
+    // Flow facts (CFG, value analysis, loop bounds) of the --wcet function,
+    // reused by the --run monitor when it checks the same function.
+    wcet::FlowFacts facts;
     if (!wcet_fn.empty()) {
       wcet::WcetOptions options;
       options.use_annotations = use_annotations;
       options.engine = wcet_engine;
       wcet::WcetResult r;
       measure("wcet", [&] {
-        r = wcet::analyze_wcet(compiled.image, wcet_fn, options);
+        facts = wcet::flow_facts(compiled.image, wcet_fn,
+                                 wcet::FlowDepth::Bounds, use_annotations);
+        r = wcet::analyze_wcet(compiled.image, facts, options);
       });
       std::fputs(wcet::format_report(compiled.image, wcet_fn, r).c_str(),
                  stdout);
@@ -533,11 +541,12 @@ int main(int argc, char** argv) {
       machine::MonitorSpec monitor_spec;  // outlives the machine's monitor
       machine::Machine m(compiled.image);
       if (monitor_mode != machine::MonitorMode::Off) {
-        wcet::WcetOptions wopts;
-        wopts.use_annotations = use_annotations;
+        if (facts.function != fn_name)
+          facts = wcet::FlowFacts(fn_name, use_annotations);
+        wcet::deepen_flow_facts(compiled.image,
+                                wcet::monitor_depth(monitor_mode), &facts);
         monitor_spec =
-            wcet::build_monitor_spec(compiled.image, fn_name, monitor_mode,
-                                     wopts);
+            wcet::build_monitor_spec(compiled.image, facts, monitor_mode);
         m.arm_monitor(monitor_spec, monitor_mode);
       }
       minic::Value result;
@@ -572,6 +581,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(ws.arena.peak_bytes()),
                   ws.arena.chunk_count());
     }
+  } catch (const wcet::UnknownFunctionError& e) {
+    std::fprintf(stderr, "vcc: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "vcc: %s\n", e.what());
     return 1;

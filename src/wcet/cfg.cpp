@@ -100,9 +100,22 @@ bool dominates(const std::vector<int>& idom, int a, int b) {
 
 }  // namespace
 
+std::pair<std::uint32_t, std::uint32_t> function_range(
+    const mach::Image& image, const std::string& fn_name) {
+  const auto entry = image.fn_entry.find(fn_name);
+  const auto end = image.fn_end.find(fn_name);
+  if (entry == image.fn_entry.end() || end == image.fn_end.end()) {
+    std::string known;
+    for (const auto& [name, addr] : image.fn_entry)
+      known += (known.empty() ? "" : ", ") + name;
+    throw UnknownFunctionError("no function '" + fn_name +
+                               "' in the image (functions: " + known + ")");
+  }
+  return {entry->second, end->second};
+}
+
 Cfg build_cfg(const mach::Image& image, const std::string& fn_name) {
-  const std::uint32_t lo = image.fn_entry.at(fn_name);
-  const std::uint32_t hi = image.fn_end.at(fn_name);
+  const auto [lo, hi] = function_range(image, fn_name);
 
   // Decode and find leaders.
   std::set<std::uint32_t> leaders{lo};

@@ -8,11 +8,35 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mach/program.hpp"
 
 namespace vc::wcet {
+
+/// A named analysis failure: a loop without any usable bound, an unknown
+/// function, an IPET system the solver or its checker rejects.
+class WcetError : public std::runtime_error {
+ public:
+  explicit WcetError(const std::string& message)
+      : std::runtime_error(message) {}
+};
+
+/// The analyzed function is not in the image; the message lists the
+/// functions the image does define.
+class UnknownFunctionError : public WcetError {
+ public:
+  explicit UnknownFunctionError(const std::string& message)
+      : WcetError(message) {}
+};
+
+/// The code range [entry, end) of `fn_name` in the image — the one place
+/// the analyzer resolves a function name. Throws UnknownFunctionError.
+std::pair<std::uint32_t, std::uint32_t> function_range(
+    const mach::Image& image, const std::string& fn_name);
 
 struct MachineBlock {
   std::uint32_t start = 0;  // address of first instruction
@@ -49,8 +73,11 @@ struct Cfg {
   [[nodiscard]] bool loop_within(int inner, int outer) const;
 };
 
-/// Reconstructs the CFG of `fn_name` from the image. Throws CompileError on
-/// malformed code (branch outside the function, irreducible loops).
+/// Reconstructs the CFG of `fn_name` from the image. Throws
+/// UnknownFunctionError for a name the image does not define, and
+/// CompileError on malformed code (a branch outside the function, a block
+/// falling through into a leader). Irreducible flow is not rejected here:
+/// the structural fold reports it as a cycle in a collapsed region.
 Cfg build_cfg(const mach::Image& image, const std::string& fn_name);
 
 }  // namespace vc::wcet

@@ -1,21 +1,33 @@
 #include "wcet/monitor_spec.hpp"
 
 #include "mach/isa.hpp"
-#include "wcet/cfg.hpp"
+#include "support/diagnostics.hpp"
 
 namespace vc::wcet {
 
-machine::MonitorSpec build_monitor_spec(const mach::Image& image,
-                                        const std::string& fn_name,
-                                        machine::MonitorMode mode,
-                                        const WcetOptions& options) {
-  machine::MonitorSpec spec;
-  spec.function = fn_name;
-  if (mode == machine::MonitorMode::Off) return spec;
-  spec.lo = image.fn_entry.at(fn_name);
-  spec.hi = image.fn_end.at(fn_name);
+FlowDepth monitor_depth(machine::MonitorMode mode) {
+  switch (mode) {
+    case machine::MonitorMode::Off:
+      return FlowDepth::None;
+    case machine::MonitorMode::Cfg:
+      return FlowDepth::Cfg;
+    case machine::MonitorMode::Full:
+      return FlowDepth::Reducible;
+  }
+  return FlowDepth::Reducible;
+}
 
-  const Cfg cfg = build_cfg(image, fn_name);
+machine::MonitorSpec build_monitor_spec(const mach::Image& image,
+                                        const FlowFacts& facts,
+                                        machine::MonitorMode mode) {
+  check(facts.depth >= monitor_depth(mode),
+        "build_monitor_spec: flow facts not computed to the mode's depth");
+  machine::MonitorSpec spec;
+  spec.function = facts.function;
+  if (mode == machine::MonitorMode::Off) return spec;
+  spec.lo = facts.lo;
+  spec.hi = facts.hi;
+  const Cfg& cfg = facts.cfg;
 
   // Legal transfers per branch instruction. A blr leaves the harness frame
   // (the simulator jumps to the stop address); every other branch must land
@@ -46,13 +58,10 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
   // Loop-bound rows: what the path analyses consume (annotation bounds
   // refined by automatic derivation), one row per natural loop, with the
   // loop body as address ranges so the monitor can classify back edges.
-  WcetOptions wopts = options;
-  wopts.engine = WcetEngine::Structural;
-  const WcetResult result = analyze_wcet(image, fn_name, wopts);
-  for (std::size_t l = 0; l < result.loops.size(); ++l) {
+  for (std::size_t l = 0; l < facts.loops.size(); ++l) {
     machine::MonitorLoopRow row;
-    row.header_pc = result.loops[l].header_addr;
-    row.bound = result.loops[l].bound;
+    row.header_pc = facts.loops[l].header_addr;
+    row.bound = facts.loops[l].bound;
     for (const int b : cfg.loops[l].blocks) {
       const MachineBlock& block = cfg.blocks[static_cast<std::size_t>(b)];
       row.body.emplace_back(block.start, block.end());
@@ -60,6 +69,16 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
     spec.loops.push_back(std::move(row));
   }
   return spec;
+}
+
+machine::MonitorSpec build_monitor_spec(const mach::Image& image,
+                                        const std::string& fn_name,
+                                        machine::MonitorMode mode,
+                                        const WcetOptions& options) {
+  return build_monitor_spec(
+      image,
+      flow_facts(image, fn_name, monitor_depth(mode), options.use_annotations),
+      mode);
 }
 
 }  // namespace vc::wcet

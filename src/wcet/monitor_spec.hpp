@@ -1,8 +1,9 @@
 // Builds a machine::MonitorSpec — the fact base the runtime execution
-// monitor holds a simulation to — from the static artifacts of one function:
-// the reconstructed CFG (legal control transfers), the image's raw
-// annotation table (live-value interval claims), and, in Full mode, the
-// loop-bound rows the WCET path analyses consume.
+// monitor holds a simulation to — from the flow facts of one function
+// (wcet.hpp): the reconstructed CFG (legal control transfers), the image's
+// raw annotation table (live-value interval claims), and, in Full mode, the
+// facts' loop bounds — the same per-job object both path engines consume,
+// computed once per job.
 //
 // This is deliberately the *only* coupling point between the monitor and the
 // analyzer: the facts come from here (they are what is being checked), the
@@ -17,15 +18,26 @@
 
 namespace vc::wcet {
 
-/// Builds the monitor fact base for `fn_name`:
+/// The flow-fact depth a spec of `mode` needs: none for Off, the CFG for
+/// Cfg, and for Full the loop bounds plus the reducibility check, so an
+/// unbounded loop or irreducible flow fails the job before execution.
+FlowDepth monitor_depth(machine::MonitorMode mode);
+
+/// Builds the monitor fact base from `facts` (computed from `image` to at
+/// least monitor_depth(mode)); runs no analysis of its own:
 ///   - Cfg and Full: the legal transfer targets of every branch instruction,
 ///     straight from the reconstructed CFG's successor lists (blr maps to
 ///     the stop address);
 ///   - Full only: value checks from the image's annotation entries inside
-///     the function, and loop-bound rows from analyze_wcet's structural
-///     engine (exactly the rows IPET consumes). `options` controls the
-///     annotation/cache knobs of that analysis; its engine field is ignored.
-/// Throws like build_cfg / analyze_wcet on malformed code or unbounded loops.
+///     the function, and one loop-bound row per natural loop from the
+///     facts' loop bounds (exactly the rows both path engines consume).
+machine::MonitorSpec build_monitor_spec(const mach::Image& image,
+                                        const FlowFacts& facts,
+                                        machine::MonitorMode mode);
+
+/// Computes the flow facts of `fn_name` to monitor_depth(mode), under
+/// `options.use_annotations` (its other fields are ignored), and builds the
+/// spec from them. Throws like deepen_flow_facts.
 machine::MonitorSpec build_monitor_spec(const mach::Image& image,
                                         const std::string& fn_name,
                                         machine::MonitorMode mode,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "mach/target.hpp"
 #include "support/strings.hpp"
@@ -361,25 +362,113 @@ std::uint64_t loop_wcet(const PathContext& ctx, int loop_index) {
          ctx.loop_ps_charge[static_cast<std::size_t>(loop_index)];
 }
 
+/// Loop bounds: annotations take effect on the innermost loop containing
+/// the annotation point; automatic derivation refines them. Throws WcetError
+/// for a loop left without any bound.
+void bound_loops(FlowFacts* facts) {
+  const Cfg& cfg = facts->cfg;
+  std::vector<std::int64_t> loop_bound(cfg.loops.size(), -1);
+  std::vector<bool> bound_from_annot(cfg.loops.size(), false);
+  std::vector<bool> bound_derived(cfg.loops.size(), false);
+  for (const auto& [addr, n] : facts->annots.loop_bounds) {
+    const int b = cfg.block_containing(addr);
+    if (b < 0) continue;
+    const int l = cfg.loop_of[static_cast<std::size_t>(b)];
+    if (l < 0) {
+      facts->warnings.push_back("loop annotation at " + hex32(addr) +
+                                " is outside any loop");
+      continue;
+    }
+    auto& bound = loop_bound[static_cast<std::size_t>(l)];
+    if (bound < 0 || n < bound) {
+      bound = n;
+      bound_from_annot[static_cast<std::size_t>(l)] = true;
+    }
+  }
+  for (std::size_t l = 0; l < cfg.loops.size(); ++l) {
+    const auto derived = derive_bound(cfg, facts->values, cfg.loops[l]);
+    if (derived) {
+      bound_derived[l] = true;
+      if (loop_bound[l] < 0 || *derived < loop_bound[l]) {
+        loop_bound[l] = *derived;
+        bound_from_annot[l] = false;
+      }
+    }
+  }
+  for (std::size_t l = 0; l < cfg.loops.size(); ++l) {
+    if (loop_bound[l] < 0)
+      throw WcetError(
+          "no bound for loop headed at " +
+          hex32(cfg.blocks[static_cast<std::size_t>(cfg.loops[l].header)]
+                    .start) +
+          " in " + facts->function + " (annotation required)");
+    LoopBoundInfo info;
+    info.header_addr =
+        cfg.blocks[static_cast<std::size_t>(cfg.loops[l].header)].start;
+    info.bound = loop_bound[l];
+    info.from_annotation = bound_from_annot[l];
+    info.derived = bound_derived[l];
+    facts->loops.push_back(info);
+  }
+}
+
+const mach::TargetDesc& target_of(const mach::Image& image) {
+  return mach::target_by_name(image.target.empty() ? mach::default_target_name()
+                                                   : image.target);
+}
+
 }  // namespace
 
-WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
-                        const WcetOptions& options) {
-  WcetResult result;
+FlowFacts flow_facts(const mach::Image& image, const std::string& fn_name,
+                     FlowDepth depth, bool use_annotations) {
+  FlowFacts facts(fn_name, use_annotations);
+  deepen_flow_facts(image, depth, &facts);
+  return facts;
+}
 
-  const mach::TargetDesc& desc = mach::target_by_name(
-      image.target.empty() ? mach::default_target_name() : image.target);
+void deepen_flow_facts(const mach::Image& image, FlowDepth depth,
+                       FlowFacts* facts) {
+  FlowFacts& f = *facts;
+  if (f.depth < FlowDepth::Cfg && depth >= FlowDepth::Cfg) {
+    std::tie(f.lo, f.hi) = function_range(image, f.function);
+    f.cfg = build_cfg(image, f.function);
+    f.depth = FlowDepth::Cfg;
+  }
+  if (f.depth < FlowDepth::Bounds && depth >= FlowDepth::Bounds) {
+    if (f.use_annotations) f.annots = index_annotations(image, f.lo, f.hi);
+    f.warnings = f.annots.warnings;
+    f.values = analyze_values(f.cfg, f.annots, target_of(image));
+    bound_loops(&f);
+    f.depth = FlowDepth::Bounds;
+  }
+  if (f.depth < FlowDepth::Reducible && depth >= FlowDepth::Reducible) {
+    // The fold's visits and its cycle check depend only on the CFG, never
+    // on costs or bounds, so a fold over zeros throws exactly when the real
+    // fold would.
+    const std::vector<std::uint64_t> block_cost(f.cfg.blocks.size(), 0);
+    const std::vector<std::int64_t> loop_bound(f.cfg.loops.size(), 0);
+    const std::vector<std::uint64_t> loop_ps_charge(f.cfg.loops.size(), 0);
+    (void)longest_paths({f.cfg, block_cost, loop_bound, loop_ps_charge}, -1,
+                        0);
+    f.depth = FlowDepth::Reducible;
+  }
+}
+
+WcetResult analyze_wcet(const mach::Image& image, const FlowFacts& facts,
+                        const WcetOptions& options) {
+  check(facts.depth >= FlowDepth::Bounds,
+        "analyze_wcet: flow facts not computed to their loop bounds");
+  check(facts.use_annotations == options.use_annotations,
+        "analyze_wcet: flow facts computed under other annotation settings");
+  WcetResult result;
+  result.loops = facts.loops;
+  result.warnings = facts.warnings;
+
+  const mach::TargetDesc& desc = target_of(image);
   const mach::MachineConfig machine =
       options.machine ? *options.machine : desc.machine;
-
-  const Cfg cfg = build_cfg(image, fn_name);
-  AnnotIndex annots;
-  if (options.use_annotations)
-    annots = index_annotations(image, image.fn_entry.at(fn_name),
-                               image.fn_end.at(fn_name));
-  result.warnings = annots.warnings;
-
-  const ValueAnalysisResult values = analyze_values(cfg, annots, desc);
+  const Cfg& cfg = facts.cfg;
+  const ValueAnalysisResult& values = facts.values;
 
   CacheAnalysisResult caches;
   if (options.cache_analysis) {
@@ -408,51 +497,9 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
                           AccessClass{CacheClass::Miss, -1});
   }
 
-  // Loop bounds: annotations take effect on the innermost loop containing
-  // the annotation point; automatic derivation refines them.
-  std::vector<std::int64_t> loop_bound(cfg.loops.size(), -1);
-  std::vector<bool> bound_from_annot(cfg.loops.size(), false);
-  std::vector<bool> bound_derived(cfg.loops.size(), false);
-  for (const auto& [addr, n] : annots.loop_bounds) {
-    const int b = cfg.block_containing(addr);
-    if (b < 0) continue;
-    const int l = cfg.loop_of[static_cast<std::size_t>(b)];
-    if (l < 0) {
-      result.warnings.push_back("loop annotation at " + hex32(addr) +
-                                " is outside any loop");
-      continue;
-    }
-    auto& bound = loop_bound[static_cast<std::size_t>(l)];
-    if (bound < 0 || n < bound) {
-      bound = n;
-      bound_from_annot[static_cast<std::size_t>(l)] = true;
-    }
-  }
-  for (std::size_t l = 0; l < cfg.loops.size(); ++l) {
-    const auto derived = derive_bound(cfg, values, cfg.loops[l]);
-    if (derived) {
-      bound_derived[l] = true;
-      if (loop_bound[l] < 0 || *derived < loop_bound[l]) {
-        loop_bound[l] = *derived;
-        bound_from_annot[l] = false;
-      }
-    }
-  }
-  for (std::size_t l = 0; l < cfg.loops.size(); ++l) {
-    if (loop_bound[l] < 0)
-      throw WcetError(
-          "no bound for loop headed at " +
-          hex32(cfg.blocks[static_cast<std::size_t>(cfg.loops[l].header)]
-                    .start) +
-          " in " + fn_name + " (annotation required)");
-    LoopBoundInfo info;
-    info.header_addr =
-        cfg.blocks[static_cast<std::size_t>(cfg.loops[l].header)].start;
-    info.bound = loop_bound[l];
-    info.from_annotation = bound_from_annot[l];
-    info.derived = bound_derived[l];
-    result.loops.push_back(info);
-  }
+  std::vector<std::int64_t> loop_bound;
+  for (const LoopBoundInfo& info : facts.loops)
+    loop_bound.push_back(info.bound);
 
   // Per-block base costs plus per-execution (Miss) cache charges; collect
   // persistence charges per scope.
@@ -496,13 +543,22 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
   }
   if (options.engine != WcetEngine::Structural) {
     result.ipet = analyze_ipet(cfg, values, loop_bound, block_cost,
-                               loop_ps_charge, function_ps_charge, fn_name);
+                               loop_ps_charge, function_ps_charge,
+                               facts.function);
     // The IPET bound is the selected bound whenever it ran: it is exact for
     // the constraint system, so it is never looser than the structural
     // over-approximation of the same system.
     result.wcet_cycles = result.ipet->wcet_cycles;
   }
   return result;
+}
+
+WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
+                        const WcetOptions& options) {
+  return analyze_wcet(
+      image,
+      flow_facts(image, fn_name, FlowDepth::Bounds, options.use_annotations),
+      options);
 }
 
 }  // namespace vc::wcet

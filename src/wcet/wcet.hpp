@@ -1,11 +1,16 @@
 // The static WCET analyzer facade (the aiT stand-in of the reproduction).
 //
 // Phases, mirroring Gebhard et al.'s description of aiT in the same
-// proceedings: decode + CFG reconstruction (cfg.hpp), value analysis
-// (value_analysis.hpp), loop bound analysis (annotations + automatic
-// derivation of canonical counted loops), cache analysis (cache.hpp),
-// per-block pipeline timing via the shared IssueModel, and a structural
-// IPET-style longest-path computation over the loop nest.
+// proceedings, in two stages:
+//   - flow facts (FlowFacts): decode + CFG reconstruction (cfg.hpp), value
+//     analysis (value_analysis.hpp), and loop bound analysis (annotations +
+//     automatic derivation of canonical counted loops). They depend on
+//     neither the cache configuration nor the path engine, so a job computes
+//     them once and shares them between the runtime monitor's spec and every
+//     bound it asks for;
+//   - timing and path analysis (analyze_wcet over FlowFacts): cache analysis
+//     (cache.hpp), per-block pipeline timing via the shared IssueModel, and
+//     the structural longest-path fold over the loop nest and/or IPET.
 //
 // Soundness contract (enforced by property tests against the simulator):
 // for every input, analyze_wcet(...).wcet_cycles >= observed cycles.
@@ -14,11 +19,15 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mach/program.hpp"
 #include "mach/timing.hpp"
+#include "wcet/annotations.hpp"
+#include "wcet/cfg.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/value_analysis.hpp"
 
 namespace vc::wcet {
 
@@ -78,13 +87,68 @@ struct WcetResult {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> block_costs;
 };
 
-/// A loop without any usable bound makes WCET computation impossible.
-class WcetError : public std::runtime_error {
- public:
-  explicit WcetError(const std::string& message)
-      : std::runtime_error(message) {}
+/// How far a FlowFacts value is computed; each depth includes the ones
+/// before it. A job computes only the depth its next consumer needs, so
+/// every error surfaces in the phase that first needs the failing fact.
+enum class FlowDepth {
+  None,
+  /// The code range and the reconstructed CFG (a Cfg-mode monitor spec).
+  Cfg,
+  /// Plus the annotation index, the value analysis, and one bound per
+  /// natural loop; a loop without any bound throws WcetError here. This is
+  /// what both path engines consume.
+  Bounds,
+  /// Plus the check that the loop nest covers every cycle the structural
+  /// fold visits (the fold, run over zero costs, throws its "cycle in
+  /// collapsed region graph" WcetError on irreducible flow). A Full-mode
+  /// monitor spec requires it, so irreducible code fails before execution.
+  Reducible,
 };
 
+/// The flow facts of one function of one image: the first stage of the
+/// analyzer.
+struct FlowFacts {
+  FlowFacts() = default;
+  FlowFacts(std::string fn_name, bool annotations)
+      : function(std::move(fn_name)), use_annotations(annotations) {}
+
+  std::string function;
+  /// Whether the image's annotation table is consulted (§3.4 flow).
+  bool use_annotations = true;
+  FlowDepth depth = FlowDepth::None;
+  /// Depth Cfg: the function's code range [lo, hi) and its CFG.
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  Cfg cfg;
+  /// Depth Bounds: the annotation index (empty without annotations), the
+  /// value analysis, the loop bounds (index-aligned with cfg.loops), and the
+  /// annotation warnings.
+  AnnotIndex annots;
+  ValueAnalysisResult values;
+  std::vector<LoopBoundInfo> loops;
+  std::vector<std::string> warnings;
+};
+
+/// Computes the flow facts of `fn_name` up to `depth`. Throws
+/// UnknownFunctionError, CompileError (malformed code) or WcetError
+/// (unbounded loop, irreducible flow) at the first depth that hits one.
+FlowFacts flow_facts(const mach::Image& image, const std::string& fn_name,
+                     FlowDepth depth, bool use_annotations = true);
+
+/// Extends `facts`, computed from `image`, to `depth`; depths already
+/// computed are kept as they are.
+void deepen_flow_facts(const mach::Image& image, FlowDepth depth,
+                       FlowFacts* facts);
+
+/// The timing and path stage over shared flow facts (at least depth Bounds,
+/// computed from `image` with options.use_annotations): cache analysis (or
+/// the all-miss ablation), block costs and persistence charges, then the
+/// selected path engine(s).
+WcetResult analyze_wcet(const mach::Image& image, const FlowFacts& facts,
+                        const WcetOptions& options = {});
+
+/// Both stages for one function: flow_facts to depth Bounds, then the
+/// timing and path stage.
 WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
                         const WcetOptions& options = {});
 

@@ -9,14 +9,19 @@
 //     sequential one (jobs=1): worker scheduling may not leak into records;
 //   * the two targets genuinely differ (the rv32 campaign is NOT the ppc
 //     one re-labeled), while every record of both stays fully validated,
-//     monitored and certified.
+//     monitored and certified;
+//   * on every function of the reference suite, one shared set of WCET flow
+//     facts gives each engine and the nocache ablation exactly what the
+//     self-contained analyze_wcet computes.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
 
 #include "reference_campaign.hpp"
+#include "wcet/wcet.hpp"
 
 namespace vc::bench {
 namespace {
@@ -107,6 +112,76 @@ TEST(CrossTarget, TargetsProduceDistinctCode) {
     return out;
   };
   EXPECT_NE(records("ppc"), records("rv32"));
+}
+
+/// analyze_wcet(image, fn, options), or the error it throws.
+std::variant<wcet::WcetResult, std::string> wrapper_result(
+    const mach::Image& image, const std::string& fn,
+    const wcet::WcetOptions& options) {
+  try {
+    return wcet::analyze_wcet(image, fn, options);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
+void expect_same_result(const wcet::WcetResult& a, const wcet::WcetResult& b) {
+  EXPECT_EQ(a.wcet_cycles, b.wcet_cycles);
+  EXPECT_EQ(a.structural_cycles, b.structural_cycles);
+  ASSERT_EQ(a.ipet.has_value(), b.ipet.has_value());
+  if (a.ipet) {
+    EXPECT_EQ(a.ipet->wcet_cycles, b.ipet->wcet_cycles);
+    EXPECT_EQ(a.ipet->lp_vars, b.ipet->lp_vars);
+    EXPECT_EQ(a.ipet->lp_constraints, b.ipet->lp_constraints);
+    EXPECT_EQ(a.ipet->simplex_pivots, b.ipet->simplex_pivots);
+    EXPECT_EQ(a.ipet->bnb_nodes, b.ipet->bnb_nodes);
+    EXPECT_EQ(a.ipet->capped_edges, b.ipet->capped_edges);
+    EXPECT_EQ(a.ipet->certificate_verified, b.ipet->certificate_verified);
+    EXPECT_EQ(a.ipet->block_freq, b.ipet->block_freq);
+  }
+  ASSERT_EQ(a.loops.size(), b.loops.size());
+  for (std::size_t l = 0; l < a.loops.size(); ++l) {
+    EXPECT_EQ(a.loops[l].header_addr, b.loops[l].header_addr);
+    EXPECT_EQ(a.loops[l].bound, b.loops[l].bound);
+    EXPECT_EQ(a.loops[l].from_annotation, b.loops[l].from_annotation);
+    EXPECT_EQ(a.loops[l].derived, b.loops[l].derived);
+  }
+  EXPECT_EQ(a.warnings, b.warnings);
+  EXPECT_EQ(a.block_costs, b.block_costs);
+}
+
+// One FlowFacts value feeding every engine and the nocache ablation gives
+// exactly what the self-contained wrapper computes for each: every function
+// of the reference suite, on both targets.
+TEST(WcetFlowFacts, SharedFactsMatchTheWrapperOnTheReferenceSuite) {
+  std::vector<wcet::WcetOptions> variants(4);
+  variants[1].engine = wcet::WcetEngine::Ipet;
+  variants[2].engine = wcet::WcetEngine::Both;
+  variants[3].cache_analysis = false;
+  int analyzed = 0;
+  for (const char* target : {"ppc", "rv32"}) {
+    driver::CompileOptions copts;
+    copts.target = target;
+    for (const bench::NodeBundle& b : reference_suite()) {
+      const driver::Compiled compiled =
+          driver::compile_program(b.program, driver::Config::Verified, copts);
+      for (const minic::Function& fn : b.program.functions) {
+        SCOPED_TRACE(std::string(target) + " " + b.program.name + "/" + fn.name);
+        const wcet::FlowFacts facts = wcet::flow_facts(
+            compiled.image, fn.name, wcet::FlowDepth::Bounds);
+        for (const wcet::WcetOptions& options : variants) {
+          const auto want = wrapper_result(compiled.image, fn.name, options);
+          ASSERT_TRUE(std::holds_alternative<wcet::WcetResult>(want))
+              << std::get<std::string>(want);
+          expect_same_result(
+              wcet::analyze_wcet(compiled.image, facts, options),
+              std::get<wcet::WcetResult>(want));
+          ++analyzed;
+        }
+      }
+    }
+  }
+  EXPECT_GE(analyzed, 2 * 41 * 4);
 }
 
 }  // namespace

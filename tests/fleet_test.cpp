@@ -1,12 +1,16 @@
 // Fleet runner: thread-count invariance (the determinism contract — any
 // worker count produces bit-identical per-node stats and WCET bounds),
-// record ordering, per-job failure isolation, and the thread pool itself.
+// record ordering, per-job failure isolation, the phase each failure
+// surfaces in, and the thread pool itself.
 #include <atomic>
 #include <gtest/gtest.h>
 
 #include "dataflow/acg.hpp"
 #include "dataflow/generator.hpp"
 #include "driver/fleet.hpp"
+#include "mach/isa.hpp"
+#include "mach/program.hpp"
+#include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
 #include "support/threadpool.hpp"
 #include "validate/validate.hpp"
@@ -184,6 +188,137 @@ TEST(FleetTest, JobFailureIsIsolated) {
     EXPECT_FALSE(report.at(0, c).error.empty());
     EXPECT_TRUE(report.at(1, c).ok) << report.at(1, c).error;
   }
+}
+
+/// Runs `source`'s `f` as a one-unit Verified campaign: 3 exec cycles
+/// under `monitor`, then the structural WCET bound.
+driver::FleetRecord run_one(const char* source, machine::MonitorMode monitor) {
+  minic::Program program = minic::parse_program(source);
+  minic::type_check(program);
+  driver::FleetOptions options;
+  options.jobs = 1;
+  options.configs = {driver::Config::Verified};
+  options.exec_cycles = 3;
+  options.wcet = true;
+  options.monitor = monitor;
+  driver::FleetReport report =
+      driver::run_fleet({{"u", &program, "f", std::nullopt}}, options);
+  return std::move(report.records.front());
+}
+
+// A failed record still carries `error` and `monitored_steps` in its core
+// JSON, so the phase in which each error surfaces is part of the record.
+// The job's flow facts are shared by the monitor spec and the WCET phase;
+// these pins hold each fact to being computed in the first phase that
+// needs it, and no earlier.
+TEST(FleetTest, FailedRecordsPinErrorPhase) {
+  // Steps by 2, so no bound is derived, and carries no annotation.
+  constexpr const char* kUnbounded = R"(
+    func i32 f(i32 n) {
+      local i32 i;
+      local i32 acc;
+      i = 0;
+      acc = 0;
+      while (i < n) {
+        acc = acc + i;
+        i = i + 2;
+      }
+      return acc;
+    }
+  )";
+  const std::string no_bound =
+      "no bound for loop headed at 0x00001010 in f (annotation required)";
+  // Full mode needs the loop bounds before execution: the job fails before
+  // a single step runs.
+  const driver::FleetRecord full =
+      run_one(kUnbounded, machine::MonitorMode::Full);
+  EXPECT_FALSE(full.ok);
+  EXPECT_EQ(full.error, no_bound);
+  EXPECT_EQ(full.monitored_steps, 0u);
+  // Cfg mode needs only the CFG: execution runs under the monitor, and the
+  // same error surfaces afterwards, from the WCET phase.
+  const driver::FleetRecord cfg = run_one(kUnbounded, machine::MonitorMode::Cfg);
+  EXPECT_EQ(
+      driver::record_core_json(cfg).dump(),
+      "{\"code_bytes\":60,\"config\":\"verified\",\"error\":\"" + no_bound +
+          "\",\"exec\":{\"cycles\":0,\"dcache_read_misses\":0,"
+          "\"dcache_reads\":0,\"dcache_write_misses\":0,\"dcache_writes\":0,"
+          "\"ifetch_line_misses\":0,\"instructions\":0,\"taken_branches\":0},"
+          "\"monitor_violations\":0,\"monitored_steps\":27,\"name\":\"u\","
+          "\"observed_max_cycles\":0,\"ok\":false,\"wcet_cycles\":0,"
+          "\"wcet_ipet_capped_edges\":0,\"wcet_ipet_certified\":false,"
+          "\"wcet_ipet_cycles\":0,\"wcet_nocache_cycles\":0}");
+}
+
+/// A hand-assembled `f(n)` whose cycle A -> C -> B -> A is entered at A
+/// and at B: no block of it dominates the others, so it forms no natural
+/// loop and the structural fold finds a cycle in its region graph. Runs
+/// 2 to 3 times around the cycle and returns r4.
+mach::Image irreducible_image() {
+  const auto instr = [](mach::MOp op, int rd, int ra, std::int32_t imm) {
+    mach::MInstr m;
+    m.op = op;
+    m.rd = static_cast<std::uint8_t>(rd);
+    m.ra = static_cast<std::uint8_t>(ra);
+    m.imm = imm;
+    return m;
+  };
+  const auto branch = [](mach::MOp op, std::int32_t disp, int crbit = 0) {
+    mach::MInstr m;
+    m.op = op;
+    m.disp = disp;
+    m.crbit = static_cast<std::uint8_t>(crbit);
+    m.expect = true;
+    return m;
+  };
+  mach::MachineFunction fn;
+  fn.name = "f";
+  fn.code = {
+      instr(mach::MOp::Li, 4, 0, 0),           // 0
+      instr(mach::MOp::Cmpwi, 0, 3, 0),        // 1
+      branch(mach::MOp::Bc, 5, mach::kEq),     // 2: n == 0 -> B
+      instr(mach::MOp::Addi, 4, 4, 1),         // 3: A
+      instr(mach::MOp::Cmpwi, 0, 4, 5),        // 4
+      branch(mach::MOp::Bc, 4, mach::kGt),     // 5: r4 > 5 -> exit
+      branch(mach::MOp::B, 1),                 // 6: C -> B
+      instr(mach::MOp::Addi, 4, 4, 2),         // 7: B
+      branch(mach::MOp::B, -5),                // 8: B -> A
+      instr(mach::MOp::Mr, 3, 4, 0),           // 9: exit
+      branch(mach::MOp::Blr, 0),               // 10
+  };
+  const minic::Program empty;
+  return mach::link({fn}, mach::DataLayout(empty));
+}
+
+// build_cfg does not reject irreducible flow; the structural fold reports
+// it. A Full-mode monitor spec runs that check before execution, a Cfg-mode
+// one does not, and the records say so.
+TEST(FleetTest, IrreducibleFlowFailsInThePhaseThatFoldsIt) {
+  minic::Program program = minic::parse_program("func i32 f(i32 n) { return n; }");
+  minic::type_check(program);
+  driver::FleetOptions options;
+  options.jobs = 1;
+  options.configs = {driver::Config::Verified};
+  options.exec_cycles = 3;
+  options.wcet = true;
+  options.compile_override = [](const minic::Program&, driver::Config config,
+                                const driver::CompileOptions&) {
+    driver::Compiled compiled;
+    compiled.config = config;
+    compiled.image = irreducible_image();
+    return compiled;
+  };
+  const std::string cycle = "cycle in collapsed region graph (irreducible flow?)";
+  options.monitor = machine::MonitorMode::Full;
+  const driver::FleetReport full =
+      driver::run_fleet({{"u", &program, "f", std::nullopt}}, options);
+  EXPECT_EQ(full.records[0].error, cycle);
+  EXPECT_EQ(full.records[0].monitored_steps, 0u);
+  options.monitor = machine::MonitorMode::Cfg;
+  const driver::FleetReport cfg =
+      driver::run_fleet({{"u", &program, "f", std::nullopt}}, options);
+  EXPECT_EQ(cfg.records[0].error, cycle);
+  EXPECT_EQ(cfg.records[0].monitored_steps, 48u);
 }
 
 TEST(FleetTest, JobSeedIsPureFunctionOfSuiteSeedAndIndex) {

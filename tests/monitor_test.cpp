@@ -9,7 +9,8 @@
 //
 // Also here: the FuelExhausted error taxonomy (a truncated run is not an
 // observation), the fleet's discard-on-failure audit, thread-count
-// determinism of monitored campaigns, and uint64 counter-width pinning.
+// determinism of monitored campaigns, uint64 counter-width pinning, and
+// specs built from shared flow facts against the self-contained builder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "minic/typecheck.hpp"
 #include "mach/timing.hpp"
 #include "mach/target.hpp"
+#include "reference_campaign.hpp"
 #include "wcet/monitor_spec.hpp"
 
 namespace vc {
@@ -334,6 +336,66 @@ TEST(CounterWidth, ExecStatsAndIssueModelAreUint64Clean) {
   pipe.add_stall(big);
   EXPECT_GE(pipe.current_cycle(),
             3u * static_cast<std::uint64_t>(big));
+}
+
+void expect_same_spec(const machine::MonitorSpec& a,
+                      const machine::MonitorSpec& b) {
+  EXPECT_EQ(a.function, b.function);
+  EXPECT_EQ(a.lo, b.lo);
+  EXPECT_EQ(a.hi, b.hi);
+  EXPECT_EQ(a.branch_targets, b.branch_targets);
+  ASSERT_EQ(a.value_checks.size(), b.value_checks.size());
+  for (std::size_t i = 0; i < a.value_checks.size(); ++i) {
+    const machine::MonitorValueCheck& x = a.value_checks[i];
+    const machine::MonitorValueCheck& y = b.value_checks[i];
+    EXPECT_EQ(x.pc, y.pc);
+    EXPECT_EQ(x.loc.kind, y.loc.kind);
+    EXPECT_EQ(x.loc.index, y.loc.index);
+    EXPECT_EQ(x.loc.offset, y.loc.offset);
+    EXPECT_EQ(x.loc.is_f64, y.loc.is_f64);
+    EXPECT_EQ(x.lo, y.lo);
+    EXPECT_EQ(x.hi, y.hi);
+    EXPECT_EQ(x.text, y.text);
+  }
+  ASSERT_EQ(a.loops.size(), b.loops.size());
+  for (std::size_t l = 0; l < a.loops.size(); ++l) {
+    EXPECT_EQ(a.loops[l].header_pc, b.loops[l].header_pc);
+    EXPECT_EQ(a.loops[l].bound, b.loops[l].bound);
+    EXPECT_EQ(a.loops[l].body, b.loops[l].body);
+  }
+}
+
+// A spec built from the job's shared flow facts (the deepest the fleet
+// computes, also feeding its WCET bounds) equals the self-contained
+// wrapper's: every function of the reference suite, both targets, both
+// monitoring modes.
+TEST(MonitorSpec, SharedFactsMatchTheWrapperOnTheReferenceSuite) {
+  int specs = 0;
+  for (const char* target : {"ppc", "rv32"}) {
+    driver::CompileOptions copts;
+    copts.target = target;
+    for (const bench::NodeBundle& b : bench::reference_suite()) {
+      const driver::Compiled compiled =
+          driver::compile_program(b.program, driver::Config::Verified, copts);
+      for (const minic::Function& fn : b.program.functions) {
+        SCOPED_TRACE(std::string(target) + " " + b.program.name + "/" + fn.name);
+        const wcet::FlowFacts facts = wcet::flow_facts(
+            compiled.image, fn.name, wcet::FlowDepth::Reducible);
+        for (const machine::MonitorMode mode :
+             {machine::MonitorMode::Cfg, machine::MonitorMode::Full}) {
+          const machine::MonitorSpec shared =
+              wcet::build_monitor_spec(compiled.image, facts, mode);
+          expect_same_spec(shared, wcet::build_monitor_spec(compiled.image,
+                                                            fn.name, mode));
+          if (mode == machine::MonitorMode::Full) {
+            EXPECT_EQ(shared.loops.size(), facts.cfg.loops.size());
+          }
+          ++specs;
+        }
+      }
+    }
+  }
+  EXPECT_GE(specs, 2 * 41 * 2);
 }
 
 }  // namespace

@@ -16,9 +16,16 @@
 
 namespace vc::bench {
 
-inline std::string reference_campaign_records(const std::string& target) {
+/// The reference suite: the fixed 40-node generated suite plus the
+/// pitch-axis law.
+inline std::vector<NodeBundle> reference_suite() {
   std::vector<NodeBundle> suite = make_suite(40);
   suite.push_back(pitch_law());
+  return suite;
+}
+
+inline std::string reference_campaign_records(const std::string& target) {
+  const std::vector<NodeBundle> suite = reference_suite();
 
   driver::FleetOptions options;
   options.jobs = 1;

@@ -1,7 +1,11 @@
 // The vcc strict argument-parsing rules (malformed literals, wrong arity,
 // and flag values are diagnosed instead of silently truncated/zero-filled)
 // and the --batch exit-code/summary policy: a batch with any failing file
-// must exit non-zero and name every failure explicitly.
+// must exit non-zero and name every failure explicitly. The --wcet cases
+// run the built vcc binary.
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -518,6 +522,44 @@ TEST(VccBatchTest, SsaBatchCompilesAndKeysTheCacheSeparately) {
   EXPECT_EQ(ssa_warm.exit_code, 0);
   EXPECT_EQ(ssa_warm.cache_hits, 1u);
   fs::remove_all(cache);
+}
+
+/// Runs the vcc binary with `args`; returns its exit code and merged
+/// stdout/stderr.
+std::pair<int, std::string> run_vcc(const std::string& args) {
+  const std::string cmd =
+      std::string("\"") + VCFLIGHT_VCC_PATH + "\" " + args + " 2>&1";
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(VccWcetFlagTest, UnknownFunctionIsAUsageErrorListingFunctions) {
+  // envelope.mc defines `authority`; the file name is not a function.
+  const auto [code, out] = run_vcc(std::string("--config=verified --wcet=envelope ") +
+                                   VCFLIGHT_EXAMPLES_DIR + "/envelope.mc");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("vcc: no function 'envelope' in the image (functions: "
+                     "authority)"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("map::at"), std::string::npos) << out;
+}
+
+TEST(VccWcetFlagTest, WcetAndMonitoredRunShareOneFunction) {
+  // --wcet and a Full-monitored --run of the same function: the run reuses
+  // the WCET's flow facts and still checks every step.
+  const auto [code, out] = run_vcc(
+      std::string("--config=verified --wcet=authority "
+                  "--run=authority:1.5,2 --monitor=full ") +
+      VCFLIGHT_EXAMPLES_DIR + "/envelope.mc");
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("WCET"), std::string::npos) << out;
+  EXPECT_NE(out.find("monitor=full checked="), std::string::npos) << out;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "wcet/annotations.hpp"
 #include "wcet/cache.hpp"
 #include "wcet/cfg.hpp"
+#include "wcet/monitor_spec.hpp"
 #include "wcet/value_analysis.hpp"
 #include "wcet/wcet.hpp"
 
@@ -211,8 +212,18 @@ TEST(Wcet, BlockCostsArePositiveAndReported) {
 TEST(Wcet, UnknownFunctionThrows) {
   const auto program = parse("func i32 f() { return 1; }");
   const auto compiled = compile(program);
-  EXPECT_THROW(wcet::analyze_wcet(compiled.image, "ghost"),
-               std::out_of_range);
+  // A named error listing what the image does define, never a bare
+  // std::out_of_range from a map lookup.
+  try {
+    (void)wcet::analyze_wcet(compiled.image, "ghost");
+    FAIL() << "unknown function accepted";
+  } catch (const wcet::UnknownFunctionError& e) {
+    EXPECT_STREQ(e.what(),
+                 "no function 'ghost' in the image (functions: f)");
+  }
+  EXPECT_THROW(wcet::build_monitor_spec(compiled.image, "ghost",
+                                        machine::MonitorMode::Cfg),
+               wcet::UnknownFunctionError);
 }
 
 }  // namespace
