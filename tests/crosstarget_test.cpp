@@ -4,7 +4,10 @@
 //   * the PPC backend, after the machine layer went target-parametric, must
 //     reproduce the committed pre-refactor reference campaign byte for byte
 //     (tests/data/reference_40.jsonl) — any codegen, timing, scheduling,
-//     peephole, or analysis drift shows up as a diff here;
+//     peephole, or analysis drift shows up as a diff here; the rv32 backend
+//     is held the same way to tests/data/reference_40_rv32.jsonl (its 2-way
+//     caches exercise must-cache aging and eviction far more than ppc's
+//     8-way sets);
 //   * per target, a parallel campaign (jobs=8) must be bit-identical to the
 //     sequential one (jobs=1): worker scheduling may not leak into records;
 //   * the two targets genuinely differ (the rv32 campaign is NOT the ppc
@@ -34,13 +37,15 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
+/// Runs the reference campaign on `target` and compares it with the
+/// committed fixture, record by record first so a mismatch names the record
+/// instead of dumping two multi-megabyte strings.
+void expect_reference_campaign(const std::string& target,
+                               const std::string& fixture) {
   const std::string want =
-      read_file(std::string(VCFLIGHT_TEST_DATA_DIR) + "/reference_40.jsonl");
+      read_file(std::string(VCFLIGHT_TEST_DATA_DIR) + "/" + fixture);
   ASSERT_FALSE(want.empty());
-  const std::string got = reference_campaign_records("ppc");
-  // Compare record-by-record first so a mismatch names the node instead of
-  // dumping two multi-megabyte strings.
+  const std::string got = reference_campaign_records(target);
   std::istringstream want_lines(want);
   std::istringstream got_lines(got);
   std::string want_line;
@@ -55,6 +60,14 @@ TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
   EXPECT_FALSE(std::getline(got_lines, got_line))
       << "campaign gained records";
   EXPECT_EQ(got, want);
+}
+
+TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
+  expect_reference_campaign("ppc", "reference_40.jsonl");
+}
+
+TEST(CrossTarget, Rv32ReferenceCampaignIsByteIdentical) {
+  expect_reference_campaign("rv32", "reference_40_rv32.jsonl");
 }
 
 class CrossTargetDeterminism

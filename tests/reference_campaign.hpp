@@ -5,9 +5,11 @@
 // ablation). The semantic core of every record — code bytes, execution
 // stats, both bounds, monitor counters — is serialized one JSON document
 // per line, and the result is compared byte-for-byte against the committed
-// fixture tests/data/reference_40.jsonl (captured before the machine layer
-// went target-parametric). Any codegen, timing-model, scheduling, peephole,
-// or analysis change that shifts a single byte of a record shows up here.
+// fixtures tests/data/reference_40.jsonl (ppc, captured before the machine
+// layer went target-parametric) and tests/data/reference_40_rv32.jsonl
+// (rv32, captured before the must-cache state was rewritten). Any codegen,
+// timing-model, scheduling, peephole, or analysis change that shifts a
+// single byte of a record shows up here.
 #pragma once
 
 #include <string>
