@@ -212,6 +212,9 @@ void run_wcet_phase(const mach::Image& image, const FleetOptions& options,
       record->wcet_ipet_cycles = r.ipet->wcet_cycles;
       record->wcet_ipet_capped_edges = r.ipet->capped_edges;
       record->wcet_ipet_certified = r.ipet->certificate_verified;
+      record->ipet_pivots = r.ipet->simplex_pivots;
+      record->ipet_bnb_nodes = r.ipet->bnb_nodes;
+      record->ipet_fast_fallbacks = r.ipet->fast_fallbacks;
     }
   }
   if (options.wcet_nocache) {
@@ -411,6 +414,13 @@ std::string FleetReport::throughput_summary() const {
         static_cast<unsigned long long>(ipet_certified),
         static_cast<unsigned long long>(ipet_capped_edge_records));
     out += buf;
+    std::snprintf(buf, sizeof buf,
+                  "\nfleet: ipet solver: %lld pivot(s), %lld b&b node(s), "
+                  "%lld rational fallback(s)",
+                  static_cast<long long>(ipet_pivots),
+                  static_cast<long long>(ipet_bnb_nodes),
+                  static_cast<long long>(ipet_fast_fallbacks));
+    out += buf;
     if (wcet_engine == wcet::WcetEngine::Both) {
       std::snprintf(
           buf, sizeof buf,
@@ -501,6 +511,9 @@ FleetReport run_fleet(const std::vector<FleetUnit>& units,
     report.pass_stats += r.pass_stats;
     report.cache_lookup_seconds += r.cache_lookup_seconds;
     report.cache_publish_seconds += r.cache_publish_seconds;
+    report.ipet_pivots += r.ipet_pivots;
+    report.ipet_bnb_nodes += r.ipet_bnb_nodes;
+    report.ipet_fast_fallbacks += r.ipet_fast_fallbacks;
     if (r.ok && r.wcet_ipet_cycles > 0) {
       ++report.ipet_records;
       if (r.wcet_ipet_certified) ++report.ipet_certified;

@@ -133,6 +133,12 @@ struct FleetRecord {
   std::uint64_t wcet_ipet_cycles = 0;
   int wcet_ipet_capped_edges = 0;     // infeasible-edge constraints used
   bool wcet_ipet_certified = false;   // flow certificate independently checked
+  /// Solver effort behind the IPET bound this job computed (zero when the
+  /// engine did not run or the result was replayed from the store). Not
+  /// part of the record core: it describes the solver, not the bound.
+  std::int64_t ipet_pivots = 0;
+  std::int64_t ipet_bnb_nodes = 0;
+  std::int64_t ipet_fast_fallbacks = 0;
 
   /// Execution-monitor outcome (zero when the monitor was off). Steps are
   /// monitor-checked instructions summed over the job's exec cycles;
@@ -182,6 +188,12 @@ struct FleetReport {
   std::uint64_t ipet_tighter = 0;    // ... strictly below structural (Both)
   std::uint64_t ipet_capped_edge_records = 0;  // ... with >= 1 capped edge
   double ipet_tightening_sum = 0.0;  // sum of (structural-ipet)/structural
+  // IPET solver effort summed over the solves this run performed (a store
+  // hit adds 0): simplex pivots, branch-and-bound nodes, and LP solves the
+  // int64 lane handed to the rational lane.
+  std::int64_t ipet_pivots = 0;
+  std::int64_t ipet_bnb_nodes = 0;
+  std::int64_t ipet_fast_fallbacks = 0;
 
   // Execution-monitor aggregates (mode Off => all zero).
   machine::MonitorMode monitor_mode = machine::MonitorMode::Off;

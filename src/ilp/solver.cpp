@@ -682,24 +682,27 @@ Solution solve_lp_counted(const Problem& problem, PivotKernel kernel,
   return sol;
 }
 
-/// Depth-first branch and bound; `problem` is extended in place with bound
-/// constraints and restored on unwind.
-void branch(Problem* problem, PivotKernel kernel, Solution* best,
-            std::int64_t* pivots, std::int64_t* nodes,
+/// Index of the first variable with a fractional value, or -1.
+int first_fractional(const Solution& relax) {
+  for (std::size_t j = 0; j < relax.values.size(); ++j)
+    if (!relax.values[j].is_integer()) return static_cast<int>(j);
+  return -1;
+}
+
+/// Depth-first branch and bound below a node whose LP relaxation `relax` is
+/// already solved. Children extend `problem` in place with a bound
+/// constraint, which is restored on unwind; `problem` is read only when
+/// `relax` is fractional.
+void branch(Problem* problem, Solution relax, PivotKernel kernel,
+            Solution* best, std::int64_t* pivots, std::int64_t* nodes,
             std::int64_t* fallbacks) {
   check(++*nodes <= kMaxBnbNodes, "ilp: branch-and-bound node limit exceeded");
-  Solution relax = solve_lp_counted(*problem, kernel, pivots, fallbacks);
   if (relax.status != Status::Optimal) return;  // pruned: infeasible subtree
   if (best->status == Status::Optimal && relax.objective <= best->objective)
     return;  // pruned: cannot beat the incumbent
-  int frac = -1;
-  for (std::size_t j = 0; j < relax.values.size(); ++j)
-    if (!relax.values[j].is_integer()) {
-      frac = static_cast<int>(j);
-      break;
-    }
+  const int frac = first_fractional(relax);
   if (frac < 0) {
-    *best = relax;  // integral and better than the incumbent
+    *best = std::move(relax);  // integral and better than the incumbent
     return;
   }
   const Rat v = relax.values[static_cast<std::size_t>(frac)];
@@ -710,10 +713,12 @@ void branch(Problem* problem, PivotKernel kernel, Solution* best,
   bound.sense = Sense::Le;
   bound.rhs = Rat(v.floor());
   problem->constraints.push_back(bound);
-  branch(problem, kernel, best, pivots, nodes, fallbacks);
+  branch(problem, solve_lp_counted(*problem, kernel, pivots, fallbacks),
+         kernel, best, pivots, nodes, fallbacks);
   problem->constraints.back().sense = Sense::Ge;
   problem->constraints.back().rhs = Rat(v.ceil());
-  branch(problem, kernel, best, pivots, nodes, fallbacks);
+  branch(problem, solve_lp_counted(*problem, kernel, pivots, fallbacks),
+         kernel, best, pivots, nodes, fallbacks);
   problem->constraints.pop_back();
 }
 
@@ -742,10 +747,15 @@ Solution solve(const Problem& problem, PivotKernel kernel) {
     root.fast_fallbacks = fallbacks;
     return root;
   }
+  // The root relaxation is node 1 of the search, solved once. Bound rows
+  // need a mutable copy of the problem, made only when the root is
+  // fractional: IPET relaxations are almost always integral already.
   Solution best;  // status Infeasible until an integral point is found
   std::int64_t nodes = 0;
-  Problem scratch = problem;
-  branch(&scratch, kernel, &best, &pivots, &nodes, &fallbacks);
+  Problem scratch;
+  if (first_fractional(root) >= 0) scratch = problem;
+  branch(&scratch, std::move(root), kernel, &best, &pivots, &nodes,
+         &fallbacks);
   check(best.status == Status::Optimal,
         "ilp: integer problem has a feasible relaxation but no integral "
         "point within the branch-and-bound budget");

@@ -1,37 +1,77 @@
 #include "wcet/cache.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <queue>
 #include <set>
 
 namespace vc::wcet {
 namespace {
 
-/// Abstract must-cache: line address -> maximal age (0-based), kept
-/// separately for the instruction (0) and data (1) caches. A line is
+/// One must-cache entry: `line` (in cache set `set`) is guaranteed cached
+/// with an age of at most `age` (0-based).
+struct MustLine {
+  std::uint32_t set = 0;
+  std::uint32_t line = 0;
+  int age = 0;
+};
+
+bool key_less(const MustLine& a, const MustLine& b) {
+  return a.set != b.set ? a.set < b.set : a.line < b.line;
+}
+
+/// Abstract must-cache, kept separately for the instruction (0) and data (1)
+/// caches. Each space is a flat vector sorted by (set, line), so one set's
+/// lines form a contiguous run of at most `ways` entries. A line is
 /// guaranteed present iff it has an entry (age < ways by invariant).
 struct MustState {
   bool reachable = false;
-  std::map<std::uint32_t, int> age[2];
-
-  bool operator==(const MustState& o) const {
-    return reachable == o.reachable && age[0] == o.age[0] && age[1] == o.age[1];
-  }
+  std::vector<MustLine> lines[2];
 };
 
-MustState join(const MustState& a, const MustState& b) {
-  if (!a.reachable) return b;
-  if (!b.reachable) return a;
-  MustState out;
-  out.reachable = true;
-  for (int space = 0; space < 2; ++space) {
-    for (const auto& [line, age_a] : a.age[space]) {
-      auto it = b.age[space].find(line);
-      if (it != b.age[space].end())
-        out.age[space][line] = std::max(age_a, it->second);
-    }
+/// The run [lo, hi) of `lines` that belongs to cache set `set`.
+std::pair<std::size_t, std::size_t> set_run(const std::vector<MustLine>& lines,
+                                            std::uint32_t set) {
+  const auto lo = static_cast<std::size_t>(
+      std::partition_point(lines.begin(), lines.end(),
+                           [set](const MustLine& e) { return e.set < set; }) -
+      lines.begin());
+  std::size_t hi = lo;
+  while (hi < lines.size() && lines[hi].set == set) ++hi;
+  return {lo, hi};
+}
+
+/// dst := dst join src (intersection of the guaranteed lines, each at its
+/// larger age), merged in place. Returns whether dst changed.
+bool join_into(MustState* dst, const MustState& src) {
+  if (!src.reachable) return false;
+  if (!dst->reachable) {
+    *dst = src;
+    return true;
   }
-  return out;
+  bool changed = false;
+  for (int space = 0; space < 2; ++space) {
+    std::vector<MustLine>& d = dst->lines[space];
+    const std::vector<MustLine>& s = src.lines[space];
+    std::size_t out = 0;
+    std::size_t j = 0;
+    for (const MustLine& e : d) {
+      while (j < s.size() && key_less(s[j], e)) ++j;
+      if (j == s.size() || key_less(e, s[j])) {
+        changed = true;  // not guaranteed on the src path: dropped
+        continue;
+      }
+      MustLine kept = e;
+      if (s[j].age > kept.age) {
+        kept.age = s[j].age;
+        changed = true;
+      }
+      d[out++] = kept;
+    }
+    d.resize(out);
+  }
+  return changed;
 }
 
 /// One abstract access event: either a precise line or an imprecise range.
@@ -114,80 +154,100 @@ class CacheAnalyzer {
 
   void transfer_event(const Event& ev, MustState* s) const {
     const mach::CacheConfig& cfg = ev.is_data ? dcfg_ : icfg_;
-    auto& age = s->age[ev.is_data ? 1 : 0];
+    std::vector<MustLine>& lines = s->lines[ev.is_data ? 1 : 0];
+    const int ways = static_cast<int>(cfg.ways);
+    const auto evicted = [ways](const MustLine& e) { return e.age >= ways; };
     if (ev.precise) {
       const std::uint32_t set = cfg.set_of(ev.line);
-      auto it = age.find(ev.line);
-      const int old_age =
-          it != age.end() ? it->second : static_cast<int>(cfg.ways);
+      auto [lo, hi] = set_run(lines, set);
+      std::size_t pos = lo;
+      while (pos < hi && lines[pos].line < ev.line) ++pos;
+      const bool present = pos < hi && lines[pos].line == ev.line;
+      const int old_age = present ? lines[pos].age : ways;
       // Lines in the same set younger than the accessed line age by one.
-      for (auto& [line, a] : age)
-        if (cfg.set_of(line) == set && a < old_age) ++a;
-      age[ev.line] = 0;
-      // Evict lines whose age reached the associativity.
-      for (auto it2 = age.begin(); it2 != age.end();) {
-        if (it2->second >= static_cast<int>(cfg.ways))
-          it2 = age.erase(it2);
-        else
-          ++it2;
+      for (std::size_t i = lo; i < hi; ++i)
+        if (lines[i].age < old_age) ++lines[i].age;
+      if (present) {
+        lines[pos].age = 0;
+      } else {
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(pos),
+                     MustLine{set, ev.line, 0});
+        ++hi;
       }
+      // Evict lines whose age reached the associativity.
+      const auto first = lines.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto last = lines.begin() + static_cast<std::ptrdiff_t>(hi);
+      lines.erase(std::remove_if(first, last, evicted), last);
     } else {
-      // Imprecise access: every possibly-touched set ages by one.
+      // Imprecise access: every possibly-touched set ages by one. The range
+      // covers `span` consecutive lines, hence the cyclic run of `span` sets
+      // starting at the set of its first line (every set once span >= sets).
       const std::uint64_t span =
           (static_cast<std::uint64_t>(ev.range_hi) - ev.range_lo) /
               cfg.line_bytes +
           1;
-      const bool all_sets = span >= cfg.sets;
-      std::set<std::uint32_t> sets;
-      if (!all_sets) {
-        for (std::uint32_t line = ev.range_lo; line <= ev.range_hi;
-             line += cfg.line_bytes)
-          sets.insert(cfg.set_of(line));
-      }
-      for (auto it = age.begin(); it != age.end();) {
-        if (all_sets || sets.count(cfg.set_of(it->first)) != 0) {
-          if (++it->second >= static_cast<int>(cfg.ways)) {
-            it = age.erase(it);
-            continue;
-          }
-        }
-        ++it;
-      }
+      const std::uint32_t first_set = cfg.set_of(ev.range_lo);
+      const auto touched = [&](std::uint32_t set) {
+        return span >= cfg.sets ||
+               (set + cfg.sets - first_set) % cfg.sets < span;
+      };
+      for (MustLine& e : lines)
+        if (touched(e.set)) ++e.age;
+      lines.erase(std::remove_if(lines.begin(), lines.end(), evicted),
+                  lines.end());
     }
   }
 
+  /// Must analysis to its least fixpoint on a worklist, lowest block first.
+  /// The transfer and the join are monotone over a finite lattice, so every
+  /// iteration order reaches the same least fixpoint, and with it the same
+  /// classifications.
   void fixpoint() {
     const std::size_t n = cfg_.blocks.size();
     in_.assign(n, MustState{});
     in_[0].reachable = true;
 
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t b = 0; b < n; ++b) {
-        if (!in_[b].reachable) continue;
-        MustState s = in_[b];
-        for (const Event& ev : events_[b]) transfer_event(ev, &s);
-        for (int succ : cfg_.blocks[b].succs) {
-          MustState joined = join(in_[static_cast<std::size_t>(succ)], s);
-          if (!(joined == in_[static_cast<std::size_t>(succ)])) {
-            in_[static_cast<std::size_t>(succ)] = std::move(joined);
-            changed = true;
-          }
+    std::priority_queue<int, std::vector<int>, std::greater<>> work;
+    std::vector<std::uint8_t> queued(n, 0);
+    work.push(0);
+    queued[0] = 1;
+    MustState s;
+    while (!work.empty()) {
+      const int b = work.top();
+      work.pop();
+      queued[static_cast<std::size_t>(b)] = 0;
+      s = in_[static_cast<std::size_t>(b)];
+      for (const Event& ev : events_[static_cast<std::size_t>(b)])
+        transfer_event(ev, &s);
+      for (int succ : cfg_.blocks[static_cast<std::size_t>(b)].succs) {
+        const auto su = static_cast<std::size_t>(succ);
+        if (join_into(&in_[su], s) && queued[su] == 0) {
+          queued[su] = 1;
+          work.push(succ);
         }
       }
     }
   }
 
+  /// True if the must state guarantees the precisely-addressed line of `ev`.
+  bool guaranteed(const Event& ev, const MustState& s) const {
+    if (!ev.precise) return false;
+    const mach::CacheConfig& cfg = ev.is_data ? dcfg_ : icfg_;
+    const std::vector<MustLine>& lines = s.lines[ev.is_data ? 1 : 0];
+    const auto [lo, hi] = set_run(lines, cfg.set_of(ev.line));
+    for (std::size_t i = lo; i < hi; ++i)
+      if (lines[i].line == ev.line) return true;
+    return false;
+  }
+
   void classify() {
+    MustState s;
     for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
       if (!in_[b].reachable) continue;
-      MustState s = in_[b];
+      s = in_[b];
       for (const Event& ev : events_[b]) {
-        const bool hit =
-            ev.precise && s.age[ev.is_data ? 1 : 0].count(ev.line) != 0;
         AccessClass cls;
-        cls.cls = hit ? CacheClass::AlwaysHit : CacheClass::Miss;
+        cls.cls = guaranteed(ev, s) ? CacheClass::AlwaysHit : CacheClass::Miss;
         if (ev.is_data)
           result_.daccess[static_cast<std::size_t>(ev.daccess_index)] = cls;
         else

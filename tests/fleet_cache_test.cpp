@@ -287,6 +287,40 @@ TEST_F(FleetCacheTest, ReportJsonRoundTripsTheRecordArray) {
   fs::remove(path);
 }
 
+TEST_F(FleetCacheTest, IpetSolverSumsCountOnlySolvesThisRunPerformed) {
+  const Suite suite = small_suite(2);
+  artifact::ArtifactStore store({dir_, 0});
+  driver::FleetOptions options = cached_options(&store, 1);
+  options.wcet_engine = wcet::WcetEngine::Ipet;
+  const driver::FleetReport cold = driver::run_fleet(suite.units, options);
+  ASSERT_GT(cold.ipet_records, 0u);
+  std::int64_t pivots = 0;
+  for (const driver::FleetRecord& r : cold.records) pivots += r.ipet_pivots;
+  EXPECT_GT(cold.ipet_pivots, 0);
+  EXPECT_EQ(cold.ipet_pivots, pivots);
+  // Every IPET solve explores at least its root node.
+  EXPECT_GE(cold.ipet_bnb_nodes,
+            static_cast<std::int64_t>(cold.ipet_records));
+  EXPECT_EQ(cold.ipet_fast_fallbacks, 0);
+  const json::Value doc = driver::to_json(cold);
+  const json::Value& wcet_doc = doc.at("wcet");
+  EXPECT_EQ(wcet_doc.at("ipet_pivots").as_i64(), cold.ipet_pivots);
+  EXPECT_EQ(wcet_doc.at("ipet_bnb_nodes").as_i64(), cold.ipet_bnb_nodes);
+  EXPECT_EQ(wcet_doc.at("ipet_fast_fallbacks").as_i64(), 0);
+  EXPECT_NE(cold.throughput_summary().find("fleet: ipet solver: " +
+                                           std::to_string(cold.ipet_pivots) +
+                                           " pivot(s)"),
+            std::string::npos);
+
+  // A warm rerun replays every bound from the store and solves nothing.
+  const driver::FleetReport warm = driver::run_fleet(suite.units, options);
+  ASSERT_EQ(warm.cache_full_hits, warm.records.size());
+  EXPECT_EQ(warm.ipet_records, cold.ipet_records);
+  EXPECT_EQ(warm.ipet_pivots, 0);
+  EXPECT_EQ(warm.ipet_bnb_nodes, 0);
+  expect_records_identical(cold, warm);
+}
+
 TEST(FleetReportServiceStanzaTest, RoundTripsWhenEnabled) {
   driver::FleetReport report;
   report.service.enabled = true;

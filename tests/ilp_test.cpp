@@ -213,6 +213,33 @@ TEST(BranchAndBoundTest, RoundsAwayFractionalLpOptimum) {
   EXPECT_TRUE(s.values[1].is_integer());
   EXPECT_GT(s.bnb_nodes, 1);
   EXPECT_TRUE(check_certificate(p, s.values, s.objective).empty());
+  // (2, 2) and (0, 4) score 4 too; depth-first floor-first search lands on
+  // (1, 3). Reusing the root relaxation as node 1 keeps that optimum.
+  EXPECT_EQ(s.values[0], Rat(1));
+  EXPECT_EQ(s.values[1], Rat(3));
+}
+
+TEST(BranchAndBoundTest, IntegralRootRelaxationIsSolvedOnce) {
+  // An IPET-shaped system whose relaxation is already integral: a loop
+  // header x0 entered once, its body x1 bounded by 10 per entry.
+  Problem p;
+  p.num_vars = 2;
+  p.integer = true;
+  p.objective = {{0, Rat(3)}, {1, Rat(7)}};
+  p.constraints = {
+      cons({{0, Rat(1)}}, Sense::Eq, Rat(1), "entry"),
+      cons({{1, Rat(1)}, {0, Rat(-10)}}, Sense::Le, Rat(0), "loop"),
+  };
+  const Solution relaxed = solve_lp(p);
+  ASSERT_EQ(relaxed.status, Status::Optimal);
+  ASSERT_GT(relaxed.pivots, 0);
+  const Solution s = solve(p);
+  ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_EQ(s.objective, Rat(73));
+  EXPECT_EQ(s.values, relaxed.values);
+  // Node 1 is the root relaxation itself: no second LP solve.
+  EXPECT_EQ(s.pivots, relaxed.pivots);
+  EXPECT_EQ(s.bnb_nodes, 1);
 }
 
 TEST(BranchAndBoundTest, KnapsackOptimum) {
