@@ -2,11 +2,19 @@
 // depth-first branch-and-bound for integrality, in two exact pivot kernels:
 //
 //  * Int64 fast lane (`Tableau64`): rows live in one flat row-major int64
-//    numerator array with a single denominator per row. A pivot is two
-//    128-bit multiplies and a subtract per cell followed by one gcd
-//    normalization pass per touched row — no per-cell gcd, no per-cell
-//    allocation. Tableau buffers come from a per-thread scratch pool reused
-//    across branch-and-bound nodes and across fleet jobs.
+//    numerator array with a single denominator per row. A row update has
+//    two cases. When the pivot row and the touched row are both integral
+//    (denominator 1), it is one 128-bit multiply-subtract per nonzero column
+//    of the pivot row, listed once per pivot: the dense update would start
+//    its gcd at 1 and never run it, and would leave every column where the
+//    pivot row is zero unchanged, so skipping those columns writes the same
+//    numbers. Otherwise it is two 128-bit multiplies and a subtract per cell
+//    followed by one gcd normalization pass — no per-cell gcd, no per-cell
+//    allocation. IPET tableaux are flow conservation plus a few loop rows:
+//    on the perfbench suite no row turns fractional and a pivot row has ~6%
+//    nonzero columns, so the integral case is all the work there is.
+//    Tableau buffers come from a per-thread scratch pool reused across
+//    branch-and-bound nodes and across fleet jobs.
 //  * Rational lane (`Tableau`): the original per-cell Rat tableau.
 //
 // Both lanes follow the same Bland rule over the same exact values, so they
@@ -71,6 +79,7 @@ struct SolveScratch {
   std::vector<int> basis;
   std::vector<std::uint8_t> artificial;
   std::vector<__int128> wide;       // row-update intermediates
+  std::vector<std::size_t> nz;      // nonzero columns of the pivot row
 };
 
 SolveScratch& thread_scratch() {
@@ -228,6 +237,7 @@ class Tableau64 {
     for (std::size_t i = 0; i < m_; ++i) {
       const auto bj = static_cast<std::size_t>(s_.basis[i]);
       if (s_.obj[bj] == 0) continue;
+      list_nonzeros(i);
       update_obj_row(i, bj);
     }
   }
@@ -346,12 +356,36 @@ class Tableau64 {
     }
   }
 
+  /// Lists row `i`'s nonzero columns (rhs included) in s_.nz: the columns
+  /// an integral update by that row can change.
+  void list_nonzeros(std::size_t i) {
+    s_.nz.clear();
+    for (std::size_t j = 0; j < static_cast<std::size_t>(width_); ++j)
+      if (cell(i, j) != 0) s_.nz.push_back(j);
+  }
+
+  /// Integral case of the row updates below (both denominators 1):
+  /// row[j] -= f * prow[j] over the pivot row's nonzero columns only, which
+  /// s_.nz must list. The dense pass computes the same values and leaves
+  /// the other columns as they are.
+  void update_integral(std::int64_t* row, std::int64_t f,
+                       std::size_t pivot_row) {
+    const std::int64_t* prow = &cell(pivot_row, 0);
+    for (const std::size_t j : s_.nz)
+      row[j] = fit64(static_cast<__int128>(row[j]) -
+                     static_cast<__int128>(f) * prow[j]);
+  }
+
   /// row_i -= (row_i[enter]/den_i) * prow, where prow has pivot column value
   /// exactly 1. One pass of 128-bit arithmetic, one gcd normalization.
   void update_row(std::size_t i, std::size_t pivot_row, int enter) {
     const std::int64_t f = cell(i, static_cast<std::size_t>(enter));
     if (f == 0) return;
     const std::int64_t pden = s_.den[pivot_row];
+    if (pden == 1 && s_.den[i] == 1) {
+      update_integral(&cell(i, 0), f, pivot_row);
+      return;
+    }
     __int128 den128 = static_cast<__int128>(s_.den[i]) * pden;
     __int128 g = den128;
     for (int j = 0; j < width_; ++j) {
@@ -375,6 +409,10 @@ class Tableau64 {
     const std::int64_t f = s_.obj[enter];
     if (f == 0) return;
     const std::int64_t pden = s_.den[pivot_row];
+    if (pden == 1 && obj_den_ == 1) {
+      update_integral(s_.obj.data(), f, pivot_row);
+      return;
+    }
     __int128 den128 = static_cast<__int128>(obj_den_) * pden;
     __int128 g = den128;
     for (int j = 0; j < width_; ++j) {
@@ -409,6 +447,7 @@ class Tableau64 {
     }
     s_.den[prow] = pe < 0 ? fit64(-static_cast<__int128>(pe)) : pe;
     normalize_row(prow);
+    list_nonzeros(prow);
     for (std::size_t i = 0; i < m_; ++i)
       if (i != prow) update_row(i, prow, enter);
     update_obj_row(prow, static_cast<std::size_t>(enter));

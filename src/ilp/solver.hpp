@@ -47,9 +47,13 @@ struct Problem {
 
 enum class Status { Optimal, Infeasible, Unbounded };
 
-/// Pivot-kernel selection. `Int64` is the dense fast lane: flat row-major
-/// int64 numerators with one shared denominator per row, pivoting in 128-bit
-/// intermediates with a single gcd normalization pass per touched row.
+/// Pivot-kernel selection. `Int64` is the fast lane: flat row-major int64
+/// numerators with one shared denominator per row, pivoting in 128-bit
+/// intermediates. A pivot updates an integral row (denominator 1, by an
+/// integral pivot row) only over the pivot row's nonzero columns, the only
+/// columns the dense update would change, and any other row over every
+/// column with a single gcd normalization pass. IPET tableaux stay integral
+/// and their pivot rows are ~6% nonzero, so the sparse case carries them.
 /// `Rational` is the original per-cell Rat tableau. Both follow the same
 /// Bland pivot rule over the same exact values, so they take identical pivot
 /// sequences and return bit-identical solutions; `Auto` (the default) runs

@@ -508,6 +508,132 @@ TEST(KernelParityTest, AgreesOnSeededRandomProblems) {
   }
 }
 
+/// A seeded structured CFG lowered the way analyze_ipet lowers one: a
+/// variable per edge (virtual entry edge 0 into block 0, one virtual exit
+/// edge), `entry = 1`, a conservation row per block, `k·back <= bound·entry`
+/// per loop, and `= 0` pins on a few branch edges.
+class IpetShapedSystem {
+ public:
+  IpetShapedSystem(Rng* rng, int target_blocks, bool mixed)
+      : rng_(*rng), mixed_(mixed), target_blocks_(target_blocks) {
+    int cur = new_block();
+    add_edge(-1, cur);  // virtual entry
+    while (blocks_ < target_blocks_) cur = grow(cur, 0);
+    add_edge(cur, -1);  // virtual exit
+  }
+
+  [[nodiscard]] Problem lower() const {
+    Problem p;
+    p.num_vars = static_cast<int>(edges_.size());
+    p.integer = true;
+    for (std::size_t v = 0; v < edges_.size(); ++v)
+      if (edges_[v].second >= 0)
+        p.objective.push_back(
+            {static_cast<int>(v), Rat(cost_[static_cast<std::size_t>(
+                                      edges_[v].second)])});
+    p.constraints.push_back(cons({{0, Rat(1)}}, Sense::Eq, Rat(1), "entry"));
+    for (int b = 0; b < blocks_; ++b) {
+      Constraint c;
+      for (std::size_t v = 0; v < edges_.size(); ++v) {
+        const int var = static_cast<int>(v);
+        if (edges_[v].second == b) c.terms.push_back({var, Rat(1)});
+        if (edges_[v].first == b) c.terms.push_back({var, Rat(-1)});
+      }
+      c.sense = Sense::Eq;
+      c.rhs = Rat(0);
+      c.tag = "flow b" + std::to_string(b);
+      p.constraints.push_back(std::move(c));
+    }
+    for (const LoopRow& l : loops_)
+      p.constraints.push_back(cons({{l.back, Rat(l.back_coeff)},
+                                    {l.entry, Rat(-l.bound)}},
+                                   Sense::Le, Rat(0), "loop"));
+    for (const int v : pins_)
+      p.constraints.push_back(cons({{v, Rat(1)}}, Sense::Eq, Rat(0),
+                                   "infeasible"));
+    return p;
+  }
+
+ private:
+  struct LoopRow {
+    int entry;
+    int back;
+    std::int64_t bound;
+    std::int64_t back_coeff;
+  };
+
+  [[nodiscard]] bool full() const { return blocks_ >= target_blocks_; }
+  int new_block() {
+    cost_.push_back(rng_.next_range(1, 40));
+    return blocks_++;
+  }
+  int add_edge(int from, int to) {
+    edges_.emplace_back(from, to);
+    return static_cast<int>(edges_.size()) - 1;
+  }
+
+  /// Appends one construct after block `cur`; returns the block it ends in.
+  int grow(int cur, int depth) {
+    const std::uint64_t pick = rng_.next_below(depth < 3 ? 3 : 2);
+    if (pick == 0) {  // straight-line block
+      const int next = new_block();
+      add_edge(cur, next);
+      return next;
+    }
+    if (pick == 1) {  // if/else diamond; each arm may be pinned infeasible
+      int then_end = new_block();
+      const int then_edge = add_edge(cur, then_end);
+      const int else_block = new_block();
+      const int else_edge = add_edge(cur, else_block);
+      for (std::uint64_t n = rng_.next_below(3); n > 0 && !full(); --n)
+        then_end = grow(then_end, depth + 1);
+      const int join = new_block();
+      add_edge(then_end, join);
+      add_edge(else_block, join);
+      if (rng_.next_below(6) == 0)
+        pins_.push_back(rng_.next_below(2) == 0 ? then_edge : else_edge);
+      return join;
+    }
+    // Bounded loop: header, a body of 1-3 constructs, one back edge.
+    const int header = new_block();
+    const int entry = add_edge(cur, header);
+    int latch = new_block();
+    add_edge(header, latch);
+    for (std::uint64_t n = 1 + rng_.next_below(3); n > 0 && !full(); --n)
+      latch = grow(latch, depth + 1);
+    const int back = add_edge(latch, header);
+    const int exit = new_block();
+    add_edge(header, exit);
+    const std::int64_t coeff =
+        mixed_ && rng_.next_below(3) == 0 ? rng_.next_range(2, 3) : 1;
+    loops_.push_back({entry, back, rng_.next_range(1, 16), coeff});
+    return exit;
+  }
+
+  Rng& rng_;
+  bool mixed_;
+  int target_blocks_;
+  int blocks_ = 0;
+  std::vector<std::int64_t> cost_;
+  std::vector<std::pair<int, int>> edges_;  // (from, to); -1 = virtual
+  std::vector<LoopRow> loops_;
+  std::vector<int> pins_;
+};
+
+TEST(KernelParityTest, AgreesOnIpetShapedSystems) {
+  // The large, sparse tableaux the IPET lowering builds: 55-163 rows of
+  // mostly ±1 flow conservation, where the fast lane's integral-row update
+  // touches only the pivot row's nonzero columns. Odd trials put a
+  // coefficient of 2 or 3 on some loop back edges, so fractional pivot rows
+  // meet integral rows in one solve and both update paths run.
+  Rng rng(0x1BE7F10F);
+  for (int trial = 0; trial < 16; ++trial) {
+    const int blocks = static_cast<int>(rng.next_range(36, 140));
+    const Problem p = IpetShapedSystem(&rng, blocks, trial % 2 == 1).lower();
+    expect_kernels_agree(p, ("ipet-trial-" + std::to_string(trial)).c_str());
+  }
+}
+
 TEST(KernelParityTest, OverflowFallsBackTransparently) {
   // One row whose coefficient denominators are eight large primes: each Rat
   // cell is tiny (1/p), so the rational lane is comfortable, but the fast
