@@ -1,6 +1,11 @@
 // Backend no-regression and cross-target determinism, at campaign
 // granularity:
 //
+//   * every compiled image of the reference suite and examples/programs, on
+//     both targets, in all four configurations, SSA off and on, must hash
+//     exactly as recorded in tests/data/reference_images.txt: the campaign
+//     records pin only the code size, so an equal-length operand, register
+//     or relocation swap in instruction selection shows up here instead;
 //   * the PPC backend, after the machine layer went target-parametric, must
 //     reproduce the committed pre-refactor reference campaign byte for byte
 //     (tests/data/reference_40.jsonl) — any codegen, timing, scheduling,
@@ -18,12 +23,18 @@
 //     self-contained analyze_wcet computes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <variant>
 
+#include "artifact/image_io.hpp"
+#include "minic/parser.hpp"
+#include "minic/typecheck.hpp"
 #include "reference_campaign.hpp"
+#include "support/hash.hpp"
 #include "wcet/wcet.hpp"
 
 namespace vc::bench {
@@ -60,6 +71,64 @@ void expect_reference_campaign(const std::string& target,
   EXPECT_FALSE(std::getline(got_lines, got_line))
       << "campaign gained records";
   EXPECT_EQ(got, want);
+}
+
+/// One line per (program, config, target, ssa): the Hash128 of the
+/// serialized linked image. Covers the reference suite and every
+/// examples/programs/*.mc file; `verified` compiles with absolute hi/lo
+/// addressing, the other configurations with small-data addressing.
+std::string reference_image_lines() {
+  std::vector<std::pair<std::string, minic::Program>> programs;
+  for (NodeBundle& b : reference_suite())
+    programs.emplace_back(b.program.name, std::move(b.program));
+  std::vector<std::filesystem::path> examples;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VCFLIGHT_EXAMPLES_DIR))
+    if (entry.path().extension() == ".mc") examples.push_back(entry.path());
+  std::sort(examples.begin(), examples.end());
+  for (const std::filesystem::path& path : examples) {
+    const std::string stem = path.stem().string();
+    minic::Program p = minic::parse_program(read_file(path.string()), stem);
+    minic::type_check(p);
+    programs.emplace_back(stem, std::move(p));
+  }
+
+  std::string out;
+  for (const auto& [name, program] : programs)
+    for (const driver::ConfigName& config : driver::kConfigNames)
+      for (const char* target : {"ppc", "rv32"})
+        for (const bool ssa : {false, true}) {
+          driver::CompileOptions options;
+          options.target = target;
+          options.ssa = ssa;
+          const std::vector<std::uint8_t> bytes = artifact::serialize_image(
+              driver::compile_program(program, config.config, options).image);
+          Fnv128 h;
+          h.update(bytes.data(), bytes.size());
+          out += name + " " + config.cli + " " + target +
+                 (ssa ? " ssa " : " nossa ") + h.digest().hex() + "\n";
+        }
+  return out;
+}
+
+TEST(CrossTarget, CompiledImagesAreByteIdentical) {
+  const std::string want = read_file(std::string(VCFLIGHT_TEST_DATA_DIR) +
+                                     "/reference_images.txt");
+  const std::string got = reference_image_lines();
+  if (got != want) {
+    // Leave the fresh lines next to the test binary for diffing.
+    std::ofstream("reference_images.got.txt", std::ios::binary) << got;
+  }
+  ASSERT_FALSE(want.empty());
+  std::istringstream want_lines(want);
+  std::istringstream got_lines(got);
+  std::string want_line;
+  std::string got_line;
+  while (std::getline(want_lines, want_line)) {
+    ASSERT_TRUE(std::getline(got_lines, got_line)) << "lost " << want_line;
+    EXPECT_EQ(got_line, want_line);
+  }
+  EXPECT_FALSE(std::getline(got_lines, got_line)) << "gained " << got_line;
 }
 
 TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
