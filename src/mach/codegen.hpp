@@ -6,10 +6,14 @@
 // transform the code before displacements are resolved. `finalize` turns an
 // AsmFunction into a linkable MachineFunction.
 //
-// The instruction selection itself is per-target: `emit_function` dispatches
-// to the descriptor's lowering hook (src/targets/<name>/lower.cpp), which
-// maps allocator colors to machine registers and RTL operations to the
-// target's legal subset of the universal op set.
+// `emit_function` dispatches to the descriptor's lowering hook
+// (src/targets/<name>/lower.cpp). Each hook is a small subclass of the shared
+// skeleton `mach::Emitter` (mach/emitter.hpp), which owns the frame, register
+// mapping, parameters, stack/global/constant-pool accesses, moves, jumps,
+// returns, annotations and the common ALU ops; the subclass supplies only
+// compare/branch, wide constants and the absolute hi/lo pair, indexed array
+// access, and IRem/IShl/IShr/INeg/INot. An oversized frame or a read
+// parameter beyond the argument registers is a CompileError.
 #pragma once
 
 #include "mach/program.hpp"

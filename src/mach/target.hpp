@@ -3,10 +3,11 @@
 // src/mach, src/regalloc, src/validate, src/machine and src/wcet are
 // target-neutral — they switch over the universal MOp enum and read register
 // roles, op legality/latency tables, issue rules, cache geometry and
-// peephole permissions from a TargetDesc. The concrete descriptors (and the
-// per-target RTL lowering they point to) live in src/targets/<name>; the
-// registry that maps `--target` names to descriptors is linked from there,
-// so this layer never names a target.
+// peephole permissions from a TargetDesc. The concrete descriptors live in
+// src/targets/<name>, together with their `lower` entry point: a subclass of
+// the shared lowering skeleton mach::Emitter (mach/emitter.hpp) that fills
+// in the ISA-specific hooks. The registry that maps `--target` names to
+// descriptors is linked from there, so this layer never names a target.
 #pragma once
 
 #include <array>

@@ -1,23 +1,18 @@
-// PPC RTL lowering: allocator colors map to r14../f14.., compares go
-// through the condition register (cmpw/fcmpu + bc / mfcr+rlwinm), globals
-// are d-form accesses off r2 (small-data) or lis @ha / @l pairs.
+// PPC RTL lowering: the hooks of the shared mach::Emitter skeleton. Compares
+// go through the condition register (cmpw/fcmpu [+ cror], then bc or
+// mfcr+rlwinm), wide constants are lis/ori pairs, absolute addresses lis @ha
+// / @l pairs, and indexed array accesses use the x-form loads and stores.
+#include "mach/emitter.hpp"
 #include "targets/ppc/target.hpp"
 
 namespace vc::targets {
 namespace {
 
-using mach::AsmFunction;
-using mach::AsmOp;
-using mach::DataLayout;
-using mach::EmitOptions;
 using mach::MInstr;
 using mach::MOp;
 using mach::RelocKind;
-using mach::TargetDesc;
 using minic::BinOp;
 using minic::UnOp;
-using rtl::Opcode;
-using rtl::RegClass;
 using rtl::VReg;
 
 /// CR bit indices (whole-CR numbering): integer compares use cr0, float
@@ -62,503 +57,120 @@ CmpPlan plan_compare(BinOp op) {
   return p;
 }
 
-class Emitter {
+class PpcEmitter final : public mach::Emitter {
  public:
-  Emitter(const rtl::Function& fn, const regalloc::Allocation& alloc,
-          DataLayout& layout, const TargetDesc& desc,
-          const EmitOptions& options)
-      : fn_(fn), alloc_(alloc), layout_(layout), desc_(desc),
-        options_(options) {}
-
-  AsmFunction run() {
-    out_.name = fn_.name;
-    const std::size_t n_slots = fn_.slots.size();
-    out_.frame_bytes =
-        n_slots == 0
-            ? 0
-            : static_cast<std::uint32_t>((8 + 8 * n_slots + 15) / 16 * 16);
-
-    // Prologue.
-    if (out_.frame_bytes != 0)
-      push(make_regimm(MOp::Addi, desc_.stack_ptr, desc_.stack_ptr,
-                       -static_cast<std::int32_t>(out_.frame_bytes)));
-
-    for (rtl::BlockId b = 0; b < fn_.blocks.size(); ++b) {
-      out_.labels.emplace_back(static_cast<int>(b), out_.ops.size());
-      for (const rtl::Instr& ins : fn_.blocks[b].instrs) emit(ins);
-    }
-    return std::move(out_);
-  }
+  PpcEmitter(const rtl::Function& fn, const regalloc::Allocation& alloc,
+             mach::DataLayout& layout, const mach::TargetDesc& desc,
+             const mach::EmitOptions& options)
+      : Emitter(fn, alloc, layout, desc, options,
+                {MOp::Lis, RelocKind::AbsHa, RelocKind::AbsLo}) {}
 
  private:
-  // --- helpers --------------------------------------------------------------
-
-  [[nodiscard]] int gpr_of(VReg v) const {
-    const auto& loc = alloc_.locs[v];
-    vc::check(loc.in_reg && fn_.vregs[v] == RegClass::I32,
-              "expected an allocated GPR vreg");
-    vc::check(loc.color < desc_.n_int_colors(), "GPR color out of range");
-    return desc_.alloc_gprs[static_cast<std::size_t>(loc.color)];
+  void load_wide_imm(int rd, std::int32_t value) override {
+    push(make_regimm(MOp::Lis, rd, 0, value >> 16));
+    const std::int32_t lo = value & 0xFFFF;
+    if (lo != 0) push(make_regimm(MOp::Ori, rd, rd, lo));
   }
 
-  [[nodiscard]] int fpr_of(VReg v) const {
-    const auto& loc = alloc_.locs[v];
-    vc::check(loc.in_reg && fn_.vregs[v] == RegClass::F64,
-              "expected an allocated FPR vreg");
-    vc::check(loc.color < desc_.n_float_colors(), "FPR color out of range");
-    return desc_.alloc_fprs[static_cast<std::size_t>(loc.color)];
+  void compare_into(BinOp op, VReg a, VReg b, int rd) override {
+    // mfcr + rlwinm pull CR[bit] down to bit 31; xori inverts it.
+    const CmpPlan p = emit_compare(op, a, b);
+    push(make_regimm(MOp::Mfcr, desc_.scratch_gpr0, 0, 0));
+    push(rlwinm(rd, desc_.scratch_gpr0, p.bit + 1, 31, 31));
+    if (!p.expect) push(make_regimm(MOp::Xori, rd, rd, 1));
   }
 
-  [[nodiscard]] std::int32_t slot_offset(rtl::Slot s) const {
-    return 8 + 8 * static_cast<std::int32_t>(s);
+  void branch_nonzero(VReg cond, int label) override {
+    push(make_regimm(MOp::Cmpwi, 0, gpr_of(cond), 0));  // cmpwi cr0, cond, 0
+    branch_on(kCr0Eq, false, label);
   }
 
-  static MInstr make_regimm(MOp op, int rd, int ra, std::int32_t imm) {
-    MInstr m;
-    m.op = op;
-    m.rd = static_cast<std::uint8_t>(rd);
-    m.ra = static_cast<std::uint8_t>(ra);
-    m.imm = imm;
-    return m;
+  void branch_compare(BinOp op, VReg a, VReg b, int label) override {
+    const CmpPlan p = emit_compare(op, a, b);
+    branch_on(p.bit, p.expect, label);
   }
 
-  static MInstr make_reg3(MOp op, int rd, int ra, int rb, int rc = 0) {
-    MInstr m;
-    m.op = op;
-    m.rd = static_cast<std::uint8_t>(rd);
-    m.ra = static_cast<std::uint8_t>(ra);
-    m.rb = static_cast<std::uint8_t>(rb);
-    m.rc = static_cast<std::uint8_t>(rc);
-    return m;
+  void indexed_access(MOp dform, int value_reg, int index_reg,
+                      std::uint32_t esz, const std::string& sym) override {
+    // scratch <- idx * esz, then an x-form access against the array base.
+    push(rlwinm(desc_.scratch_gpr0, index_reg, esz == 8 ? 3 : 2, 0,
+                esz == 8 ? 28 : 29));
+    const int base_reg =
+        options_.small_data_area ? desc_.data_base : desc_.scratch_gpr1;
+    if (options_.small_data_area)
+      // Fold the array offset into the index register, base off r2.
+      push_reloc(make_regimm(MOp::Addi, desc_.scratch_gpr0,
+                             desc_.scratch_gpr0, 0),
+                 sym, 0);
+    else
+      load_global_address(base_reg, sym, 0);
+    push(make_reg3(xform_of(dform), value_reg, base_reg, desc_.scratch_gpr0));
   }
 
-  void push(MInstr ins) {
-    AsmOp op;
-    op.ins = ins;
-    out_.ops.push_back(std::move(op));
-  }
-
-  void push_reloc(MInstr ins, const std::string& sym, std::int32_t addend,
-                  RelocKind kind = RelocKind::DataDisp) {
-    AsmOp op;
-    op.ins = ins;
-    op.reloc_sym = sym;
-    op.reloc_addend = addend;
-    op.reloc_kind = kind;
-    out_.ops.push_back(std::move(op));
-  }
-
-  /// Emits a d-form global/constant-pool access. With small-data addressing
-  /// this is one instruction off r2; without it, a lis @ha / d-form @l pair
-  /// through the scratch register.
-  void access_global(MOp dform, int value_reg, const std::string& sym,
-                     std::int32_t addend) {
-    if (options_.small_data_area) {
-      push_reloc(make_regimm(dform, value_reg, desc_.data_base, 0), sym,
-                 addend);
-      return;
+  void int_binary(BinOp op, int rd, int a, int b) override {
+    switch (op) {
+      case BinOp::IRem:
+        // scratch = a / b ; scratch = scratch * b ; rd = a - scratch.
+        push(make_reg3(MOp::Divw, desc_.scratch_gpr0, a, b));
+        push(make_reg3(MOp::Mullw, desc_.scratch_gpr0, desc_.scratch_gpr0, b));
+        push(make_reg3(MOp::Subf, rd, desc_.scratch_gpr0, a));
+        return;
+      case BinOp::IShl: push(make_reg3(MOp::Slw, rd, a, b)); return;
+      case BinOp::IShr: push(make_reg3(MOp::Sraw, rd, a, b)); return;
+      default: throw vc::InternalError("bad BinOp in ppc int_binary");
     }
-    push_reloc(make_regimm(MOp::Lis, desc_.scratch_gpr0, 0, 0), sym, addend,
-               RelocKind::AbsHa);
-    push_reloc(make_regimm(dform, value_reg, desc_.scratch_gpr0, 0), sym,
-               addend, RelocKind::AbsLo);
   }
 
-  /// Materializes the address of sym+addend into `reg`.
-  void load_global_address(int reg, const std::string& sym,
-                           std::int32_t addend) {
-    if (options_.small_data_area) {
-      push_reloc(make_regimm(MOp::Addi, reg, desc_.data_base, 0), sym, addend);
-      return;
+  void int_unary(UnOp op, int rd, int a) override {
+    switch (op) {
+      case UnOp::INeg: push(make_reg3(MOp::Neg, rd, a, 0)); return;
+      case UnOp::INot: push(make_reg3(MOp::Nor, rd, a, a)); return;
+      default: throw vc::InternalError("bad UnOp in ppc int_unary");
     }
-    push_reloc(make_regimm(MOp::Lis, reg, 0, 0), sym, addend, RelocKind::AbsHa);
-    push_reloc(make_regimm(MOp::Addi, reg, reg, 0), sym, addend,
-               RelocKind::AbsLo);
   }
 
-  void push_branch(MInstr ins, int label) {
-    AsmOp op;
-    op.ins = ins;
-    op.target_label = label;
-    out_.ops.push_back(std::move(op));
-  }
-
-  void load_imm(int rd, std::int32_t value) {
-    if (value >= desc_.imm_min && value <= desc_.imm_max) {
-      push(make_regimm(MOp::Li, rd, 0, value));
-    } else {
-      push(make_regimm(MOp::Lis, rd, 0, value >> 16));
-      const std::int32_t lo = value & 0xFFFF;
-      if (lo != 0) push(make_regimm(MOp::Ori, rd, rd, lo));
+  static MOp xform_of(MOp dform) {
+    switch (dform) {
+      case MOp::Lwz: return MOp::Lwzx;
+      case MOp::Lfd: return MOp::Lfdx;
+      case MOp::Stw: return MOp::Stwx;
+      case MOp::Stfd: return MOp::Stfdx;
+      default: throw vc::InternalError("no x-form for this access");
     }
   }
 
   /// Emits cmpw/fcmpu (+ cror) for `op` on vregs a, b; returns the plan.
   CmpPlan emit_compare(BinOp op, VReg a, VReg b) {
     const CmpPlan p = plan_compare(op);
-    if (p.is_float) {
-      MInstr c;
-      c.op = MOp::Fcmpu;
-      c.crf = 1;
-      c.ra = static_cast<std::uint8_t>(fpr_of(a));
-      c.rb = static_cast<std::uint8_t>(fpr_of(b));
-      push(c);
-      if (p.need_cror) {
-        MInstr r;
-        r.op = MOp::Cror;
-        r.crbd = kCr1Scratch;
-        r.crba = static_cast<std::uint8_t>(p.cror_a);
-        r.crbb = static_cast<std::uint8_t>(p.cror_b);
-        push(r);
-      }
-    } else {
-      MInstr c;
-      c.op = MOp::Cmpw;
-      c.crf = 0;
-      c.ra = static_cast<std::uint8_t>(gpr_of(a));
-      c.rb = static_cast<std::uint8_t>(gpr_of(b));
-      push(c);
+    MInstr c = p.is_float ? make_reg3(MOp::Fcmpu, 0, fpr_of(a), fpr_of(b))
+                          : make_reg3(MOp::Cmpw, 0, gpr_of(a), gpr_of(b));
+    c.crf = p.is_float ? 1 : 0;
+    push(c);
+    if (p.need_cror) {
+      MInstr r;
+      r.op = MOp::Cror;
+      r.crbd = kCr1Scratch;
+      r.crba = static_cast<std::uint8_t>(p.cror_a);
+      r.crbb = static_cast<std::uint8_t>(p.cror_b);
+      push(r);
     }
     return p;
   }
 
-  /// Materializes CR[bit]==expect into rd as 0/1 (mfcr + rlwinm [+ xori]).
-  void materialize_crbit(int rd, int bit, bool expect) {
-    push(make_regimm(MOp::Mfcr, desc_.scratch_gpr0, 0, 0));
-    MInstr rl;
-    rl.op = MOp::Rlwinm;
-    rl.rd = static_cast<std::uint8_t>(rd);
-    rl.ra = static_cast<std::uint8_t>(desc_.scratch_gpr0);
-    rl.sh = static_cast<std::uint8_t>(bit + 1);
-    rl.mb = 31;
-    rl.me = 31;
-    push(rl);
-    if (!expect) push(make_regimm(MOp::Xori, rd, rd, 1));
+  void branch_on(int bit, bool expect, int label) {
+    push_branch({.op = MOp::Bc,
+                 .crbit = static_cast<std::uint8_t>(bit),
+                 .expect = expect},
+                label);
   }
 
-  [[nodiscard]] int param_reg(int index) const {
-    // The index-th parameter gets the next argument register of its class.
-    int gpr = desc_.first_arg_gpr;
-    int fpr = desc_.first_arg_fpr;
-    for (int i = 0; i < index; ++i) {
-      if (fn_.params[static_cast<std::size_t>(i)].cls == RegClass::I32)
-        ++gpr;
-      else
-        ++fpr;
-    }
-    const bool is_int =
-        fn_.params[static_cast<std::size_t>(index)].cls == RegClass::I32;
-    const int reg = is_int ? gpr : fpr;
-    vc::check(is_int ? reg < desc_.first_arg_gpr + desc_.n_arg_gprs
-                     : reg < desc_.first_arg_fpr + desc_.n_arg_fprs,
-              "too many parameters for registers");
-    return reg;
+  static MInstr rlwinm(int rd, int ra, int sh, int mb, int me) {
+    MInstr m = make_regimm(MOp::Rlwinm, rd, ra, 0);
+    m.sh = static_cast<std::uint8_t>(sh);
+    m.mb = static_cast<std::uint8_t>(mb);
+    m.me = static_cast<std::uint8_t>(me);
+    return m;
   }
-
-  // --- main dispatcher ------------------------------------------------------
-
-  void emit(const rtl::Instr& ins) {
-    switch (ins.op) {
-      case Opcode::Phi:
-        // Phis are eliminated by ssa-out before instruction selection.
-        throw vc::InternalError("phi instruction reached machine lowering");
-      case Opcode::LdI:
-        load_imm(gpr_of(ins.dst), ins.int_imm);
-        return;
-      case Opcode::LdF: {
-        const std::uint32_t off = layout_.add_const(ins.f64_imm);
-        access_global(MOp::Lfd, fpr_of(ins.dst), "$cpool",
-                      static_cast<std::int32_t>(off));
-        return;
-      }
-      case Opcode::Mov: {
-        if (fn_.vregs[ins.dst] == RegClass::I32)
-          push(make_regimm(MOp::Mr, gpr_of(ins.dst), gpr_of(ins.src1), 0));
-        else
-          push(make_reg3(MOp::Fmr, fpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      }
-      case Opcode::Un:
-        emit_unary(ins);
-        return;
-      case Opcode::Bin:
-        emit_binary(ins);
-        return;
-      case Opcode::LoadGlobal: {
-        const std::uint32_t esz = layout_.elem_size(ins.sym);
-        const std::int32_t addend = static_cast<std::int32_t>(esz) * ins.elem;
-        if (esz == 8)
-          access_global(MOp::Lfd, fpr_of(ins.dst), ins.sym, addend);
-        else
-          access_global(MOp::Lwz, gpr_of(ins.dst), ins.sym, addend);
-        return;
-      }
-      case Opcode::StoreGlobal: {
-        const std::uint32_t esz = layout_.elem_size(ins.sym);
-        const std::int32_t addend = static_cast<std::int32_t>(esz) * ins.elem;
-        if (esz == 8)
-          access_global(MOp::Stfd, fpr_of(ins.src1), ins.sym, addend);
-        else
-          access_global(MOp::Stw, gpr_of(ins.src1), ins.sym, addend);
-        return;
-      }
-      case Opcode::LoadGlobalIdx:
-      case Opcode::StoreGlobalIdx: {
-        const bool is_store = ins.op == Opcode::StoreGlobalIdx;
-        const VReg idx = is_store ? ins.src2 : ins.src1;
-        const std::uint32_t esz = layout_.elem_size(ins.sym);
-        // scratch <- idx * esz, then an x-form access against the array base.
-        MInstr sl;
-        sl.op = MOp::Rlwinm;
-        sl.rd = static_cast<std::uint8_t>(desc_.scratch_gpr0);
-        sl.ra = static_cast<std::uint8_t>(gpr_of(idx));
-        sl.sh = esz == 8 ? 3 : 2;
-        sl.mb = 0;
-        sl.me = esz == 8 ? 28 : 29;
-        push(sl);
-        int base_reg;
-        if (options_.small_data_area) {
-          // Fold the array offset into the index register, base off r2.
-          push_reloc(make_regimm(MOp::Addi, desc_.scratch_gpr0,
-                                 desc_.scratch_gpr0, 0),
-                     ins.sym, 0);
-          base_reg = desc_.data_base;
-        } else {
-          load_global_address(desc_.scratch_gpr1, ins.sym, 0);
-          base_reg = desc_.scratch_gpr1;
-        }
-        if (is_store) {
-          if (esz == 8)
-            push(make_reg3(MOp::Stfdx, fpr_of(ins.src1), base_reg,
-                           desc_.scratch_gpr0));
-          else
-            push(make_reg3(MOp::Stwx, gpr_of(ins.src1), base_reg,
-                           desc_.scratch_gpr0));
-        } else {
-          if (esz == 8)
-            push(make_reg3(MOp::Lfdx, fpr_of(ins.dst), base_reg,
-                           desc_.scratch_gpr0));
-          else
-            push(make_reg3(MOp::Lwzx, gpr_of(ins.dst), base_reg,
-                           desc_.scratch_gpr0));
-        }
-        return;
-      }
-      case Opcode::LoadStack: {
-        const std::int32_t off = slot_offset(ins.slot);
-        if (fn_.slots[ins.slot] == RegClass::F64)
-          push(make_regimm(MOp::Lfd, fpr_of(ins.dst), desc_.stack_ptr, off));
-        else
-          push(make_regimm(MOp::Lwz, gpr_of(ins.dst), desc_.stack_ptr, off));
-        return;
-      }
-      case Opcode::StoreStack: {
-        const std::int32_t off = slot_offset(ins.slot);
-        if (fn_.slots[ins.slot] == RegClass::F64)
-          push(make_regimm(MOp::Stfd, fpr_of(ins.src1), desc_.stack_ptr, off));
-        else
-          push(make_regimm(MOp::Stw, gpr_of(ins.src1), desc_.stack_ptr, off));
-        return;
-      }
-      case Opcode::GetParam: {
-        const int src = param_reg(ins.param_index);
-        if (fn_.vregs[ins.dst] == RegClass::I32)
-          push(make_regimm(MOp::Mr, gpr_of(ins.dst), src, 0));
-        else
-          push(make_reg3(MOp::Fmr, fpr_of(ins.dst), src, 0));
-        return;
-      }
-      case Opcode::Jump: {
-        MInstr b;
-        b.op = MOp::B;
-        push_branch(b, static_cast<int>(ins.target));
-        return;
-      }
-      case Opcode::Branch: {
-        MInstr c;
-        c.op = MOp::Cmpwi;
-        c.crf = 0;
-        c.ra = static_cast<std::uint8_t>(gpr_of(ins.src1));
-        c.imm = 0;
-        push(c);
-        MInstr bc;
-        bc.op = MOp::Bc;
-        bc.crbit = kCr0Eq;
-        bc.expect = false;  // branch if src != 0
-        push_branch(bc, static_cast<int>(ins.target));
-        MInstr b;
-        b.op = MOp::B;
-        push_branch(b, static_cast<int>(ins.target2));
-        return;
-      }
-      case Opcode::BranchCmp: {
-        const CmpPlan p = emit_compare(ins.bin_op, ins.src1, ins.src2);
-        MInstr bc;
-        bc.op = MOp::Bc;
-        bc.crbit = static_cast<std::uint8_t>(p.bit);
-        bc.expect = p.expect;
-        push_branch(bc, static_cast<int>(ins.target));
-        MInstr b;
-        b.op = MOp::B;
-        push_branch(b, static_cast<int>(ins.target2));
-        return;
-      }
-      case Opcode::Ret: {
-        if (ins.src1 != rtl::kNoVReg) {
-          if (fn_.vregs[ins.src1] == RegClass::I32) {
-            if (gpr_of(ins.src1) != desc_.ret_gpr)
-              push(make_regimm(MOp::Mr, desc_.ret_gpr, gpr_of(ins.src1), 0));
-          } else if (fpr_of(ins.src1) != desc_.ret_fpr) {
-            push(make_reg3(MOp::Fmr, desc_.ret_fpr, fpr_of(ins.src1), 0));
-          }
-        }
-        if (out_.frame_bytes != 0)
-          push(make_regimm(MOp::Addi, desc_.stack_ptr, desc_.stack_ptr,
-                           static_cast<std::int32_t>(out_.frame_bytes)));
-        MInstr blr;
-        blr.op = MOp::Blr;
-        push(blr);
-        return;
-      }
-      case Opcode::Annot: {
-        mach::AnnotEntry entry;
-        entry.addr = static_cast<std::uint32_t>(out_.ops.size());
-        entry.format = ins.annot_format;
-        for (const rtl::AnnotOperand& a : ins.annot_args) {
-          mach::MLoc loc;
-          if (a.is_slot) {
-            loc.kind = mach::MLoc::Kind::StackSlot;
-            loc.offset = slot_offset(a.slot) -
-                         static_cast<std::int32_t>(out_.frame_bytes);
-            loc.is_f64 = fn_.slots[a.slot] == RegClass::F64;
-          } else if (fn_.vregs[a.vreg] == RegClass::I32) {
-            loc.kind = mach::MLoc::Kind::Gpr;
-            loc.index = gpr_of(a.vreg);
-          } else {
-            loc.kind = mach::MLoc::Kind::Fpr;
-            loc.index = fpr_of(a.vreg);
-          }
-          entry.operands.push_back(loc);
-        }
-        out_.annots.push_back(std::move(entry));
-        return;
-      }
-    }
-    throw vc::InternalError("bad RTL opcode in codegen");
-  }
-
-  void emit_unary(const rtl::Instr& ins) {
-    switch (ins.un_op) {
-      case UnOp::INeg:
-        push(make_regimm(MOp::Neg, gpr_of(ins.dst), gpr_of(ins.src1), 0));
-        return;
-      case UnOp::INot:
-        push(make_reg3(MOp::Nor, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src1)));
-        return;
-      case UnOp::FNeg:
-        push(make_reg3(MOp::Fneg, fpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      case UnOp::FAbs:
-        push(make_reg3(MOp::Fabs, fpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      case UnOp::I2F:
-        push(make_reg3(MOp::Icvf, fpr_of(ins.dst), gpr_of(ins.src1), 0));
-        return;
-      case UnOp::F2I:
-        push(make_reg3(MOp::Fcti, gpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      case UnOp::LNot:
-        throw vc::InternalError("LNot must be expanded during lowering");
-    }
-    throw vc::InternalError("bad UnOp in codegen");
-  }
-
-  void emit_binary(const rtl::Instr& ins) {
-    switch (ins.bin_op) {
-      case BinOp::IAdd:
-        push(make_reg3(MOp::Add, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::ISub:
-        // subf rd, ra, rb computes rb - ra.
-        push(make_reg3(MOp::Subf, gpr_of(ins.dst), gpr_of(ins.src2),
-                       gpr_of(ins.src1)));
-        return;
-      case BinOp::IMul:
-        push(make_reg3(MOp::Mullw, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IDiv:
-        push(make_reg3(MOp::Divw, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IRem: {
-        // scratch = a / b ; scratch = scratch * b ; rd = a - scratch.
-        const int a = gpr_of(ins.src1);
-        const int b = gpr_of(ins.src2);
-        push(make_reg3(MOp::Divw, desc_.scratch_gpr0, a, b));
-        push(make_reg3(MOp::Mullw, desc_.scratch_gpr0, desc_.scratch_gpr0, b));
-        push(make_reg3(MOp::Subf, gpr_of(ins.dst), desc_.scratch_gpr0, a));
-        return;
-      }
-      case BinOp::IAnd:
-        push(make_reg3(MOp::And, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IOr:
-        push(make_reg3(MOp::Or, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IXor:
-        push(make_reg3(MOp::Xor, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IShl:
-        push(make_reg3(MOp::Slw, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IShr:
-        push(make_reg3(MOp::Sraw, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::FAdd:
-        push(make_reg3(MOp::Fadd, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::FSub:
-        push(make_reg3(MOp::Fsub, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::FMul:
-        push(make_reg3(MOp::Fmul, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::FDiv:
-        push(make_reg3(MOp::Fdiv, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::ICmpEq: case BinOp::ICmpNe: case BinOp::ICmpLt:
-      case BinOp::ICmpLe: case BinOp::ICmpGt: case BinOp::ICmpGe:
-      case BinOp::FCmpEq: case BinOp::FCmpNe: case BinOp::FCmpLt:
-      case BinOp::FCmpLe: case BinOp::FCmpGt: case BinOp::FCmpGe: {
-        const CmpPlan p = emit_compare(ins.bin_op, ins.src1, ins.src2);
-        materialize_crbit(gpr_of(ins.dst), p.bit, p.expect);
-        return;
-      }
-      case BinOp::FMin:
-      case BinOp::FMax:
-        throw vc::InternalError("fmin/fmax must be expanded during lowering");
-    }
-    throw vc::InternalError("bad BinOp in codegen");
-  }
-
-  const rtl::Function& fn_;
-  const regalloc::Allocation& alloc_;
-  DataLayout& layout_;
-  const TargetDesc& desc_;
-  EmitOptions options_;
-  AsmFunction out_;
 };
 
 }  // namespace
@@ -568,7 +180,7 @@ mach::AsmFunction ppc_lower(const rtl::Function& fn,
                             mach::DataLayout& layout,
                             const mach::TargetDesc& desc,
                             const mach::EmitOptions& options) {
-  return Emitter(fn, alloc, layout, desc, options).run();
+  return PpcEmitter(fn, alloc, layout, desc, options).run();
 }
 
 }  // namespace vc::targets

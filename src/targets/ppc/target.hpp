@@ -2,8 +2,11 @@
 // the machine of the source paper's flight-control experiment. This module
 // owns every PPC fact — register roles and ABI, the op subset with its
 // latencies and units, dual-issue pairing rules, L1 geometry, peephole
-// permissions — plus the RTL lowering that maps allocator colors to
-// r14../f14.. and compiles compares through the condition register.
+// permissions — plus the lowering hooks it plugs into the shared
+// mach::Emitter skeleton: compares through the condition register
+// (cmpw/fcmpu, cror, bc, mfcr+rlwinm), lis/ori wide constants, lis @ha / @l
+// absolute addresses, x-form indexed accesses, and the divw/mullw/subf
+// remainder.
 #pragma once
 
 #include "mach/codegen.hpp"

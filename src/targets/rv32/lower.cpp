@@ -1,543 +1,147 @@
-// RV32 RTL lowering. No condition register: integer compares materialize
-// through slt/sltu/sltiu (+ xori to invert), float compares through
-// feq/flt/fle into a GPR, and two-way branches fuse into compare-and-branch
-// (beq/bne/blt/bge) where possible. Wide constants are lui+addi pairs;
-// globals are d-form accesses off gp (small-data) or lui %hi / %lo pairs;
-// indexed array accesses scale with slli and add the base explicitly since
-// there are no indexed loads.
+// RV32 RTL lowering: the hooks of the shared mach::Emitter skeleton. No
+// condition register: integer compares materialize through slt/sltu/sltiu
+// (+ xori to invert), float compares through feq/flt/fle into a GPR, and
+// integer two-way branches fuse into compare-and-branch (beq/bne/blt/bge).
+// Wide constants are lui+addi pairs, absolute addresses lui %hi / %lo pairs,
+// and indexed array accesses scale with slli and add the base explicitly
+// since there are no indexed loads.
+#include <utility>
+
+#include "mach/emitter.hpp"
 #include "targets/rv32/target.hpp"
 
 namespace vc::targets {
 namespace {
 
-using mach::AsmFunction;
-using mach::AsmOp;
-using mach::DataLayout;
-using mach::EmitOptions;
-using mach::MInstr;
 using mach::MOp;
 using mach::RelocKind;
-using mach::TargetDesc;
 using minic::BinOp;
 using minic::UnOp;
-using rtl::Opcode;
-using rtl::RegClass;
 using rtl::VReg;
 
-class Emitter {
+class Rv32Emitter final : public mach::Emitter {
  public:
-  Emitter(const rtl::Function& fn, const regalloc::Allocation& alloc,
-          DataLayout& layout, const TargetDesc& desc,
-          const EmitOptions& options)
-      : fn_(fn), alloc_(alloc), layout_(layout), desc_(desc),
-        options_(options) {}
-
-  AsmFunction run() {
-    out_.name = fn_.name;
-    const std::size_t n_slots = fn_.slots.size();
-    out_.frame_bytes =
-        n_slots == 0
-            ? 0
-            : static_cast<std::uint32_t>((8 + 8 * n_slots + 15) / 16 * 16);
-    vc::check(out_.frame_bytes <=
-                  static_cast<std::uint32_t>(desc_.imm_max),
-              "stack frame too large for 12-bit immediates");
-
-    if (out_.frame_bytes != 0)
-      push(make_regimm(MOp::Addi, desc_.stack_ptr, desc_.stack_ptr,
-                       -static_cast<std::int32_t>(out_.frame_bytes)));
-
-    for (rtl::BlockId b = 0; b < fn_.blocks.size(); ++b) {
-      out_.labels.emplace_back(static_cast<int>(b), out_.ops.size());
-      for (const rtl::Instr& ins : fn_.blocks[b].instrs) emit(ins);
-    }
-    return std::move(out_);
-  }
+  Rv32Emitter(const rtl::Function& fn, const regalloc::Allocation& alloc,
+              mach::DataLayout& layout, const mach::TargetDesc& desc,
+              const mach::EmitOptions& options)
+      : Emitter(fn, alloc, layout, desc, options,
+                {MOp::Lui, RelocKind::AbsHi20, RelocKind::AbsLo12}) {}
 
  private:
-  // --- helpers --------------------------------------------------------------
-
-  [[nodiscard]] int gpr_of(VReg v) const {
-    const auto& loc = alloc_.locs[v];
-    vc::check(loc.in_reg && fn_.vregs[v] == RegClass::I32,
-              "expected an allocated GPR vreg");
-    vc::check(loc.color < desc_.n_int_colors(), "GPR color out of range");
-    return desc_.alloc_gprs[static_cast<std::size_t>(loc.color)];
-  }
-
-  [[nodiscard]] int fpr_of(VReg v) const {
-    const auto& loc = alloc_.locs[v];
-    vc::check(loc.in_reg && fn_.vregs[v] == RegClass::F64,
-              "expected an allocated FPR vreg");
-    vc::check(loc.color < desc_.n_float_colors(), "FPR color out of range");
-    return desc_.alloc_fprs[static_cast<std::size_t>(loc.color)];
-  }
-
-  [[nodiscard]] std::int32_t slot_offset(rtl::Slot s) const {
-    return 8 + 8 * static_cast<std::int32_t>(s);
-  }
-
-  static MInstr make_regimm(MOp op, int rd, int ra, std::int32_t imm) {
-    MInstr m;
-    m.op = op;
-    m.rd = static_cast<std::uint8_t>(rd);
-    m.ra = static_cast<std::uint8_t>(ra);
-    m.imm = imm;
-    return m;
-  }
-
-  static MInstr make_reg3(MOp op, int rd, int ra, int rb, int rc = 0) {
-    MInstr m;
-    m.op = op;
-    m.rd = static_cast<std::uint8_t>(rd);
-    m.ra = static_cast<std::uint8_t>(ra);
-    m.rb = static_cast<std::uint8_t>(rb);
-    m.rc = static_cast<std::uint8_t>(rc);
-    return m;
-  }
-
-  void push(MInstr ins) {
-    AsmOp op;
-    op.ins = ins;
-    out_.ops.push_back(std::move(op));
-  }
-
-  void push_reloc(MInstr ins, const std::string& sym, std::int32_t addend,
-                  RelocKind kind = RelocKind::DataDisp) {
-    AsmOp op;
-    op.ins = ins;
-    op.reloc_sym = sym;
-    op.reloc_addend = addend;
-    op.reloc_kind = kind;
-    out_.ops.push_back(std::move(op));
-  }
-
-  void push_branch(MInstr ins, int label) {
-    AsmOp op;
-    op.ins = ins;
-    op.target_label = label;
-    out_.ops.push_back(std::move(op));
-  }
-
-  /// Emits a d-form global/constant-pool access. Small-data addressing is one
-  /// instruction off gp; without it, a lui %hi / d-form %lo pair through the
-  /// scratch register.
-  void access_global(MOp dform, int value_reg, const std::string& sym,
-                     std::int32_t addend) {
-    if (options_.small_data_area) {
-      push_reloc(make_regimm(dform, value_reg, desc_.data_base, 0), sym,
-                 addend);
-      return;
-    }
-    push_reloc(make_regimm(MOp::Lui, desc_.scratch_gpr0, 0, 0), sym, addend,
-               RelocKind::AbsHi20);
-    push_reloc(make_regimm(dform, value_reg, desc_.scratch_gpr0, 0), sym,
-               addend, RelocKind::AbsLo12);
-  }
-
-  /// Materializes the address of sym+addend into `reg`.
-  void load_global_address(int reg, const std::string& sym,
-                           std::int32_t addend) {
-    if (options_.small_data_area) {
-      push_reloc(make_regimm(MOp::Addi, reg, desc_.data_base, 0), sym, addend);
-      return;
-    }
-    push_reloc(make_regimm(MOp::Lui, reg, 0, 0), sym, addend,
-               RelocKind::AbsHi20);
-    push_reloc(make_regimm(MOp::Addi, reg, reg, 0), sym, addend,
-               RelocKind::AbsLo12);
-  }
-
-  void load_imm(int rd, std::int32_t value) {
-    if (value >= desc_.imm_min && value <= desc_.imm_max) {
-      push(make_regimm(MOp::Li, rd, 0, value));
-      return;
-    }
+  void load_wide_imm(int rd, std::int32_t value) override {
     // lui hi / addi lo, with the +0x800 rounding that makes the
     // sign-extended 12-bit low part recombine exactly.
-    const std::int32_t hi =
-        (value + 0x800) >> 12;
+    const std::int32_t hi = (value + 0x800) >> 12;
     const std::int32_t lo = value - (hi << 12);
     push(make_regimm(MOp::Lui, rd, 0, hi));
     if (lo != 0) push(make_regimm(MOp::Addi, rd, rd, lo));
   }
 
-  /// Emits the 0/1 materialization of `op`(a, b) into GPR rd. Integer eq/ne
-  /// route through the scratch register; everything else is one or two ops.
-  void materialize_compare(BinOp op, VReg a, VReg b, int rd) {
+  /// Integer eq/ne route through the scratch register; every other
+  /// comparison is one set-less-than (operands swapped for gt/le), inverted
+  /// with xori where it computes the complement.
+  void compare_into(BinOp op, VReg a, VReg b, int rd) override {
     const int t = desc_.scratch_gpr0;
-    const int zero = desc_.zero_gpr;
+    if (op == BinOp::ICmpEq || op == BinOp::ICmpNe) {
+      push(make_reg3(MOp::Xor, t, gpr_of(a), gpr_of(b)));
+      push(op == BinOp::ICmpEq ? make_regimm(MOp::Sltiu, rd, t, 1)
+                               : make_reg3(MOp::Sltu, rd, desc_.zero_gpr, t));
+      return;
+    }
+    MOp set = MOp::Slt;
+    bool swap = false, invert = false;
     switch (op) {
-      case BinOp::ICmpEq:
-        push(make_reg3(MOp::Xor, t, gpr_of(a), gpr_of(b)));
-        push(make_regimm(MOp::Sltiu, rd, t, 1));
+      case BinOp::ICmpLt: set = MOp::Slt; break;
+      case BinOp::ICmpGe: set = MOp::Slt; invert = true; break;
+      case BinOp::ICmpGt: set = MOp::Slt; swap = true; break;
+      case BinOp::ICmpLe: set = MOp::Slt; swap = invert = true; break;
+      case BinOp::FCmpEq: set = MOp::Feq; break;
+      case BinOp::FCmpNe: set = MOp::Feq; invert = true; break;
+      case BinOp::FCmpLt: set = MOp::Flt; break;
+      case BinOp::FCmpLe: set = MOp::Fle; break;
+      case BinOp::FCmpGt: set = MOp::Flt; swap = true; break;
+      case BinOp::FCmpGe: set = MOp::Fle; swap = true; break;
+      default: throw vc::InternalError("compare_into on non-comparison");
+    }
+    if (swap) std::swap(a, b);
+    if (set == MOp::Slt)
+      push(make_reg3(set, rd, gpr_of(a), gpr_of(b)));
+    else
+      push(make_reg3(set, rd, fpr_of(a), fpr_of(b)));
+    if (invert) push(make_regimm(MOp::Xori, rd, rd, 1));
+  }
+
+  void branch_nonzero(VReg cond, int label) override {
+    push_branch(make_reg3(MOp::Bne, 0, gpr_of(cond), desc_.zero_gpr), label);
+  }
+
+  /// Integer compares fuse directly into beq/bne/blt/bge (swapping operands
+  /// for gt/le); float compares materialize into the scratch register and
+  /// branch on it being nonzero.
+  void branch_compare(BinOp op, VReg a, VReg b, int label) override {
+    const auto fused = [&](MOp bop, VReg lhs, VReg rhs) {
+      push_branch(make_reg3(bop, 0, gpr_of(lhs), gpr_of(rhs)), label);
+    };
+    switch (op) {
+      case BinOp::ICmpEq: fused(MOp::Beq, a, b); return;
+      case BinOp::ICmpNe: fused(MOp::Bne, a, b); return;
+      case BinOp::ICmpLt: fused(MOp::Blt, a, b); return;
+      case BinOp::ICmpGe: fused(MOp::Bge, a, b); return;
+      case BinOp::ICmpGt: fused(MOp::Blt, b, a); return;
+      case BinOp::ICmpLe: fused(MOp::Bge, b, a); return;
+      default:
+        compare_into(op, a, b, desc_.scratch_gpr0);
+        push_branch(
+            make_reg3(MOp::Bne, 0, desc_.scratch_gpr0, desc_.zero_gpr),
+            label);
         return;
-      case BinOp::ICmpNe:
-        push(make_reg3(MOp::Xor, t, gpr_of(a), gpr_of(b)));
-        push(make_reg3(MOp::Sltu, rd, zero, t));
+    }
+  }
+
+  void indexed_access(MOp dform, int value_reg, int index_reg,
+                      std::uint32_t esz, const std::string& sym) override {
+    push(make_regimm(MOp::Slli, desc_.scratch_gpr0, index_reg,
+                     esz == 8 ? 3 : 2));
+    if (options_.small_data_area) {
+      // address = gp + scaled index; the displacement carries sym's
+      // small-data offset via the reloc.
+      push(make_reg3(MOp::Add, desc_.scratch_gpr0, desc_.data_base,
+                     desc_.scratch_gpr0));
+      push_reloc(make_regimm(dform, value_reg, desc_.scratch_gpr0, 0), sym,
+                 0);
+    } else {
+      load_global_address(desc_.scratch_gpr1, sym, 0);
+      push(make_reg3(MOp::Add, desc_.scratch_gpr0, desc_.scratch_gpr1,
+                     desc_.scratch_gpr0));
+      push(make_regimm(dform, value_reg, desc_.scratch_gpr0, 0));
+    }
+  }
+
+  void int_binary(BinOp op, int rd, int a, int b) override {
+    switch (op) {
+      case BinOp::IRem: push(make_reg3(MOp::Rem, rd, a, b)); return;
+      case BinOp::IShl: push(make_reg3(MOp::Sll, rd, a, b)); return;
+      case BinOp::IShr: push(make_reg3(MOp::Sra, rd, a, b)); return;
+      default: throw vc::InternalError("bad BinOp in rv32 int_binary");
+    }
+  }
+
+  void int_unary(UnOp op, int rd, int a) override {
+    switch (op) {
+      case UnOp::INeg:
+        // rd = x0 - a (subf rd, ra, rb computes rb - ra).
+        push(make_reg3(MOp::Subf, rd, a, desc_.zero_gpr));
         return;
-      case BinOp::ICmpLt:
-        push(make_reg3(MOp::Slt, rd, gpr_of(a), gpr_of(b)));
-        return;
-      case BinOp::ICmpGe:
-        push(make_reg3(MOp::Slt, rd, gpr_of(a), gpr_of(b)));
-        push(make_regimm(MOp::Xori, rd, rd, 1));
-        return;
-      case BinOp::ICmpGt:
-        push(make_reg3(MOp::Slt, rd, gpr_of(b), gpr_of(a)));
-        return;
-      case BinOp::ICmpLe:
-        push(make_reg3(MOp::Slt, rd, gpr_of(b), gpr_of(a)));
-        push(make_regimm(MOp::Xori, rd, rd, 1));
-        return;
-      case BinOp::FCmpEq:
-        push(make_reg3(MOp::Feq, rd, fpr_of(a), fpr_of(b)));
-        return;
-      case BinOp::FCmpNe:
-        push(make_reg3(MOp::Feq, rd, fpr_of(a), fpr_of(b)));
-        push(make_regimm(MOp::Xori, rd, rd, 1));
-        return;
-      case BinOp::FCmpLt:
-        push(make_reg3(MOp::Flt, rd, fpr_of(a), fpr_of(b)));
-        return;
-      case BinOp::FCmpLe:
-        push(make_reg3(MOp::Fle, rd, fpr_of(a), fpr_of(b)));
-        return;
-      case BinOp::FCmpGt:
-        push(make_reg3(MOp::Flt, rd, fpr_of(b), fpr_of(a)));
-        return;
-      case BinOp::FCmpGe:
-        push(make_reg3(MOp::Fle, rd, fpr_of(b), fpr_of(a)));
+      case UnOp::INot:
+        // rd = -1 - a == ~a. (xori's 16-bit immediate field is unsigned in
+        // the shared encoding, so xori rd, a, -1 cannot encode.)
+        push(make_regimm(MOp::Li, desc_.scratch_gpr0, 0, -1));
+        push(make_reg3(MOp::Subf, rd, a, desc_.scratch_gpr0));
         return;
       default:
-        throw vc::InternalError("materialize_compare on non-comparison");
+        throw vc::InternalError("bad UnOp in rv32 int_unary");
     }
   }
-
-  [[nodiscard]] int param_reg(int index) const {
-    int gpr = desc_.first_arg_gpr;
-    int fpr = desc_.first_arg_fpr;
-    for (int i = 0; i < index; ++i) {
-      if (fn_.params[static_cast<std::size_t>(i)].cls == RegClass::I32)
-        ++gpr;
-      else
-        ++fpr;
-    }
-    const bool is_int =
-        fn_.params[static_cast<std::size_t>(index)].cls == RegClass::I32;
-    const int reg = is_int ? gpr : fpr;
-    vc::check(is_int ? reg < desc_.first_arg_gpr + desc_.n_arg_gprs
-                     : reg < desc_.first_arg_fpr + desc_.n_arg_fprs,
-              "too many parameters for registers");
-    return reg;
-  }
-
-  // --- main dispatcher ------------------------------------------------------
-
-  void emit(const rtl::Instr& ins) {
-    switch (ins.op) {
-      case Opcode::Phi:
-        // Phis are eliminated by ssa-out before instruction selection.
-        throw vc::InternalError("phi instruction reached machine lowering");
-      case Opcode::LdI:
-        load_imm(gpr_of(ins.dst), ins.int_imm);
-        return;
-      case Opcode::LdF: {
-        const std::uint32_t off = layout_.add_const(ins.f64_imm);
-        access_global(MOp::Lfd, fpr_of(ins.dst), "$cpool",
-                      static_cast<std::int32_t>(off));
-        return;
-      }
-      case Opcode::Mov: {
-        if (fn_.vregs[ins.dst] == RegClass::I32)
-          push(make_regimm(MOp::Mr, gpr_of(ins.dst), gpr_of(ins.src1), 0));
-        else
-          push(make_reg3(MOp::Fmr, fpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      }
-      case Opcode::Un:
-        emit_unary(ins);
-        return;
-      case Opcode::Bin:
-        emit_binary(ins);
-        return;
-      case Opcode::LoadGlobal: {
-        const std::uint32_t esz = layout_.elem_size(ins.sym);
-        const std::int32_t addend = static_cast<std::int32_t>(esz) * ins.elem;
-        if (esz == 8)
-          access_global(MOp::Lfd, fpr_of(ins.dst), ins.sym, addend);
-        else
-          access_global(MOp::Lwz, gpr_of(ins.dst), ins.sym, addend);
-        return;
-      }
-      case Opcode::StoreGlobal: {
-        const std::uint32_t esz = layout_.elem_size(ins.sym);
-        const std::int32_t addend = static_cast<std::int32_t>(esz) * ins.elem;
-        if (esz == 8)
-          access_global(MOp::Stfd, fpr_of(ins.src1), ins.sym, addend);
-        else
-          access_global(MOp::Stw, gpr_of(ins.src1), ins.sym, addend);
-        return;
-      }
-      case Opcode::LoadGlobalIdx:
-      case Opcode::StoreGlobalIdx: {
-        // No indexed loads: scale the index with slli, add the base register
-        // explicitly, and finish with a d-form access.
-        const bool is_store = ins.op == Opcode::StoreGlobalIdx;
-        const VReg idx = is_store ? ins.src2 : ins.src1;
-        const std::uint32_t esz = layout_.elem_size(ins.sym);
-        push(make_regimm(MOp::Slli, desc_.scratch_gpr0, gpr_of(idx),
-                         esz == 8 ? 3 : 2));
-        MOp dform;
-        if (is_store)
-          dform = esz == 8 ? MOp::Stfd : MOp::Stw;
-        else
-          dform = esz == 8 ? MOp::Lfd : MOp::Lwz;
-        const int value_reg =
-            esz == 8 ? (is_store ? fpr_of(ins.src1) : fpr_of(ins.dst))
-                     : (is_store ? gpr_of(ins.src1) : gpr_of(ins.dst));
-        if (options_.small_data_area) {
-          // address = gp + scaled index; the displacement carries sym's
-          // small-data offset via the reloc.
-          push(make_reg3(MOp::Add, desc_.scratch_gpr0, desc_.data_base,
-                         desc_.scratch_gpr0));
-          push_reloc(make_regimm(dform, value_reg, desc_.scratch_gpr0, 0),
-                     ins.sym, 0);
-        } else {
-          load_global_address(desc_.scratch_gpr1, ins.sym, 0);
-          push(make_reg3(MOp::Add, desc_.scratch_gpr0, desc_.scratch_gpr1,
-                         desc_.scratch_gpr0));
-          push(make_regimm(dform, value_reg, desc_.scratch_gpr0, 0));
-        }
-        return;
-      }
-      case Opcode::LoadStack: {
-        const std::int32_t off = slot_offset(ins.slot);
-        if (fn_.slots[ins.slot] == RegClass::F64)
-          push(make_regimm(MOp::Lfd, fpr_of(ins.dst), desc_.stack_ptr, off));
-        else
-          push(make_regimm(MOp::Lwz, gpr_of(ins.dst), desc_.stack_ptr, off));
-        return;
-      }
-      case Opcode::StoreStack: {
-        const std::int32_t off = slot_offset(ins.slot);
-        if (fn_.slots[ins.slot] == RegClass::F64)
-          push(make_regimm(MOp::Stfd, fpr_of(ins.src1), desc_.stack_ptr, off));
-        else
-          push(make_regimm(MOp::Stw, gpr_of(ins.src1), desc_.stack_ptr, off));
-        return;
-      }
-      case Opcode::GetParam: {
-        const int src = param_reg(ins.param_index);
-        if (fn_.vregs[ins.dst] == RegClass::I32)
-          push(make_regimm(MOp::Mr, gpr_of(ins.dst), src, 0));
-        else
-          push(make_reg3(MOp::Fmr, fpr_of(ins.dst), src, 0));
-        return;
-      }
-      case Opcode::Jump: {
-        MInstr b;
-        b.op = MOp::B;
-        push_branch(b, static_cast<int>(ins.target));
-        return;
-      }
-      case Opcode::Branch: {
-        // bnez src -> target; b -> target2.
-        push_branch(make_reg3(MOp::Bne, 0, gpr_of(ins.src1), desc_.zero_gpr),
-                    static_cast<int>(ins.target));
-        MInstr b;
-        b.op = MOp::B;
-        push_branch(b, static_cast<int>(ins.target2));
-        return;
-      }
-      case Opcode::BranchCmp: {
-        emit_branch_cmp(ins);
-        return;
-      }
-      case Opcode::Ret: {
-        if (ins.src1 != rtl::kNoVReg) {
-          if (fn_.vregs[ins.src1] == RegClass::I32) {
-            if (gpr_of(ins.src1) != desc_.ret_gpr)
-              push(make_regimm(MOp::Mr, desc_.ret_gpr, gpr_of(ins.src1), 0));
-          } else if (fpr_of(ins.src1) != desc_.ret_fpr) {
-            push(make_reg3(MOp::Fmr, desc_.ret_fpr, fpr_of(ins.src1), 0));
-          }
-        }
-        if (out_.frame_bytes != 0)
-          push(make_regimm(MOp::Addi, desc_.stack_ptr, desc_.stack_ptr,
-                           static_cast<std::int32_t>(out_.frame_bytes)));
-        MInstr blr;
-        blr.op = MOp::Blr;
-        push(blr);
-        return;
-      }
-      case Opcode::Annot: {
-        mach::AnnotEntry entry;
-        entry.addr = static_cast<std::uint32_t>(out_.ops.size());
-        entry.format = ins.annot_format;
-        for (const rtl::AnnotOperand& a : ins.annot_args) {
-          mach::MLoc loc;
-          if (a.is_slot) {
-            loc.kind = mach::MLoc::Kind::StackSlot;
-            loc.offset = slot_offset(a.slot) -
-                         static_cast<std::int32_t>(out_.frame_bytes);
-            loc.is_f64 = fn_.slots[a.slot] == RegClass::F64;
-          } else if (fn_.vregs[a.vreg] == RegClass::I32) {
-            loc.kind = mach::MLoc::Kind::Gpr;
-            loc.index = gpr_of(a.vreg);
-          } else {
-            loc.kind = mach::MLoc::Kind::Fpr;
-            loc.index = fpr_of(a.vreg);
-          }
-          entry.operands.push_back(loc);
-        }
-        out_.annots.push_back(std::move(entry));
-        return;
-      }
-    }
-    throw vc::InternalError("bad RTL opcode in codegen");
-  }
-
-  void emit_branch_cmp(const rtl::Instr& ins) {
-    // Integer compares fuse directly into beq/bne/blt/bge (swapping operands
-    // for gt/le); float compares materialize into the scratch register and
-    // branch on it being nonzero.
-    const auto fused = [&](MOp op, VReg lhs, VReg rhs) {
-      push_branch(make_reg3(op, 0, gpr_of(lhs), gpr_of(rhs)),
-                  static_cast<int>(ins.target));
-    };
-    switch (ins.bin_op) {
-      case BinOp::ICmpEq: fused(MOp::Beq, ins.src1, ins.src2); break;
-      case BinOp::ICmpNe: fused(MOp::Bne, ins.src1, ins.src2); break;
-      case BinOp::ICmpLt: fused(MOp::Blt, ins.src1, ins.src2); break;
-      case BinOp::ICmpGe: fused(MOp::Bge, ins.src1, ins.src2); break;
-      case BinOp::ICmpGt: fused(MOp::Blt, ins.src2, ins.src1); break;
-      case BinOp::ICmpLe: fused(MOp::Bge, ins.src2, ins.src1); break;
-      default: {
-        materialize_compare(ins.bin_op, ins.src1, ins.src2,
-                            desc_.scratch_gpr0);
-        push_branch(make_reg3(MOp::Bne, 0, desc_.scratch_gpr0,
-                              desc_.zero_gpr),
-                    static_cast<int>(ins.target));
-        break;
-      }
-    }
-    MInstr b;
-    b.op = MOp::B;
-    push_branch(b, static_cast<int>(ins.target2));
-  }
-
-  void emit_unary(const rtl::Instr& ins) {
-    switch (ins.un_op) {
-      case UnOp::INeg:
-        // rd = x0 - src (subf rd, ra, rb computes rb - ra).
-        push(make_reg3(MOp::Subf, gpr_of(ins.dst), gpr_of(ins.src1),
-                       desc_.zero_gpr));
-        return;
-      case UnOp::INot: {
-        // rd = -1 - src == ~src. (xori's 16-bit immediate field is unsigned
-        // in the shared encoding, so xori rd, src, -1 cannot encode.)
-        const int t = desc_.scratch_gpr0;
-        push(make_regimm(MOp::Li, t, 0, -1));
-        push(make_reg3(MOp::Subf, gpr_of(ins.dst), gpr_of(ins.src1), t));
-        return;
-      }
-      case UnOp::FNeg:
-        push(make_reg3(MOp::Fneg, fpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      case UnOp::FAbs:
-        push(make_reg3(MOp::Fabs, fpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      case UnOp::I2F:
-        push(make_reg3(MOp::Icvf, fpr_of(ins.dst), gpr_of(ins.src1), 0));
-        return;
-      case UnOp::F2I:
-        push(make_reg3(MOp::Fcti, gpr_of(ins.dst), fpr_of(ins.src1), 0));
-        return;
-      case UnOp::LNot:
-        throw vc::InternalError("LNot must be expanded during lowering");
-    }
-    throw vc::InternalError("bad UnOp in codegen");
-  }
-
-  void emit_binary(const rtl::Instr& ins) {
-    switch (ins.bin_op) {
-      case BinOp::IAdd:
-        push(make_reg3(MOp::Add, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::ISub:
-        // subf rd, ra, rb computes rb - ra.
-        push(make_reg3(MOp::Subf, gpr_of(ins.dst), gpr_of(ins.src2),
-                       gpr_of(ins.src1)));
-        return;
-      case BinOp::IMul:
-        push(make_reg3(MOp::Mullw, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IDiv:
-        push(make_reg3(MOp::Divw, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IRem:
-        push(make_reg3(MOp::Rem, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IAnd:
-        push(make_reg3(MOp::And, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IOr:
-        push(make_reg3(MOp::Or, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IXor:
-        push(make_reg3(MOp::Xor, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IShl:
-        push(make_reg3(MOp::Sll, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::IShr:
-        push(make_reg3(MOp::Sra, gpr_of(ins.dst), gpr_of(ins.src1),
-                       gpr_of(ins.src2)));
-        return;
-      case BinOp::FAdd:
-        push(make_reg3(MOp::Fadd, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::FSub:
-        push(make_reg3(MOp::Fsub, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::FMul:
-        push(make_reg3(MOp::Fmul, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::FDiv:
-        push(make_reg3(MOp::Fdiv, fpr_of(ins.dst), fpr_of(ins.src1),
-                       fpr_of(ins.src2)));
-        return;
-      case BinOp::ICmpEq: case BinOp::ICmpNe: case BinOp::ICmpLt:
-      case BinOp::ICmpLe: case BinOp::ICmpGt: case BinOp::ICmpGe:
-      case BinOp::FCmpEq: case BinOp::FCmpNe: case BinOp::FCmpLt:
-      case BinOp::FCmpLe: case BinOp::FCmpGt: case BinOp::FCmpGe:
-        materialize_compare(ins.bin_op, ins.src1, ins.src2, gpr_of(ins.dst));
-        return;
-      case BinOp::FMin:
-      case BinOp::FMax:
-        throw vc::InternalError("fmin/fmax must be expanded during lowering");
-    }
-    throw vc::InternalError("bad BinOp in codegen");
-  }
-
-  const rtl::Function& fn_;
-  const regalloc::Allocation& alloc_;
-  DataLayout& layout_;
-  const TargetDesc& desc_;
-  EmitOptions options_;
-  AsmFunction out_;
 };
 
 }  // namespace
@@ -547,7 +151,7 @@ mach::AsmFunction rv32_lower(const rtl::Function& fn,
                              mach::DataLayout& layout,
                              const mach::TargetDesc& desc,
                              const mach::EmitOptions& options) {
-  return Emitter(fn, alloc, layout, desc, options).run();
+  return Rv32Emitter(fn, alloc, layout, desc, options).run();
 }
 
 }  // namespace vc::targets

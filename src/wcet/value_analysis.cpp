@@ -525,7 +525,7 @@ class Analyzer {
             static_cast<std::uint32_t>(m.imm) << 12));
         break;
       case MOp::Slli:
-        // Multiply by 2^sh (the rv32 analogue of slwi).
+        // Multiply by 2^sh (shift left by immediate, like slwi).
         g[m.rd] = g[m.ra]
                       .mul(Interval::constant(std::int64_t{1} << (m.imm & 31)))
                       .clamp_i32();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/compiler.hpp"
+#include "mach/codegen.hpp"
 #include "machine/machine.hpp"
 #include "minic/interp.hpp"
 #include "minic/parser.hpp"
@@ -207,6 +208,93 @@ TEST(Codegen, EveryBlockEndsInABranch) {
     }
   }
 }
+
+// --- Named limits of the shared lowering skeleton ---------------------------
+
+class LoweringLimits : public ::testing::TestWithParam<const char*> {};
+
+/// A function holding nothing but `n_slots` i32 stack slots and a return.
+rtl::Function slot_function(std::size_t n_slots) {
+  rtl::Function fn;
+  fn.name = "big";
+  for (std::size_t i = 0; i < n_slots; ++i) fn.new_slot(rtl::RegClass::I32);
+  rtl::Instr ret;
+  ret.op = rtl::Opcode::Ret;
+  fn.blocks.emplace_back();
+  fn.blocks[0].instrs.push_back(ret);
+  return fn;
+}
+
+/// The CompileError message lowering `fn` raises ("" when it lowers).
+std::string lowering_error(const rtl::Function& fn,
+                           const mach::TargetDesc& desc) {
+  const minic::Program empty;
+  mach::DataLayout layout(empty);
+  try {
+    mach::emit_function(fn, regalloc::Allocation{}, layout, desc);
+  } catch (const CompileError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_P(LoweringLimits, OversizedFrameIsANamedCompileError) {
+  const mach::TargetDesc& desc = mach::target_by_name(GetParam());
+  const auto frame_of = [](std::size_t n) { return (8 + 8 * n + 15) / 16 * 16; };
+  // The most slots whose 16-byte-aligned frame fits the short immediates
+  // still lower; one more slot is a CompileError naming the function, the
+  // frame size and the target's limit.
+  const std::size_t fit =
+      (static_cast<std::size_t>(desc.imm_max) / 16 * 16 - 8) / 8;
+  ASSERT_LE(frame_of(fit), static_cast<std::size_t>(desc.imm_max));
+  EXPECT_EQ(lowering_error(slot_function(fit), desc), "");
+  const std::string err = lowering_error(slot_function(fit + 1), desc);
+  EXPECT_EQ(err, "function 'big': stack frame of " +
+                     std::to_string(frame_of(fit + 1)) + " bytes exceeds " +
+                     desc.name + "'s " + std::to_string(desc.imm_max) +
+                     "-byte immediate limit");
+}
+
+TEST_P(LoweringLimits, TooManyRegisterParametersIsANamedCompileError) {
+  driver::CompileOptions options;
+  options.target = GetParam();
+  const int limit = mach::target_by_name(GetParam()).n_arg_gprs;
+  ASSERT_EQ(limit, 8);
+  const std::string params =
+      "i32 p0, i32 p1, i32 p2, i32 p3, i32 p4, i32 p5, i32 p6, i32 p7, i32 p8";
+  const auto used = parse("func i32 f(" + params + ") { return p0 + p8; }");
+  for (const driver::ConfigName& c : driver::kConfigNames) {
+    SCOPED_TRACE(c.cli);
+    try {
+      driver::compile_program(used, c.config, options);
+      ADD_FAILURE() << "9 register parameters compiled";
+    } catch (const CompileError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "function 'f': parameter 'p8' exceeds " +
+                    std::string(GetParam()) + "'s 8 integer argument registers");
+    }
+  }
+  // Only a parameter that is read needs a register: with p8 dead, the
+  // optimizing configuration never asks for one and still compiles.
+  const auto unused = parse("func i32 f(" + params + ") { return p0; }");
+  EXPECT_NO_THROW(
+      driver::compile_program(unused, driver::Config::Verified, options));
+  // The float argument registers are counted separately.
+  const auto floats = parse(
+      "func f64 g(f64 a0, f64 a1, f64 a2, f64 a3, f64 a4, f64 a5, f64 a6, "
+      "f64 a7, f64 a8) { return a0 + a8; }");
+  try {
+    driver::compile_program(floats, driver::Config::O0Pattern, options);
+    ADD_FAILURE() << "9 float register parameters compiled";
+  } catch (const CompileError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "function 'g': parameter 'a8' exceeds " +
+                  std::string(GetParam()) + "'s 8 float argument registers");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Targets, LoweringLimits,
+                         ::testing::Values("ppc", "rv32"));
 
 }  // namespace
 }  // namespace vc

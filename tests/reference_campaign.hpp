@@ -2,14 +2,17 @@
 // 40-node generated suite plus the pitch-axis law, compiled under all four
 // configurations with full translation validation, executed 50 cycles under
 // the full monitor, and WCET-analyzed by both engines (with the nocache
-// ablation). The semantic core of every record — code bytes, execution
+// ablation). The semantic core of every record — code size, execution
 // stats, both bounds, monitor counters — is serialized one JSON document
 // per line, and the result is compared byte-for-byte against the committed
 // fixtures tests/data/reference_40.jsonl (ppc, captured before the machine
 // layer went target-parametric) and tests/data/reference_40_rv32.jsonl
 // (rv32, captured before the must-cache state was rewritten). Any codegen,
 // timing-model, scheduling, peephole, or analysis change that shifts a
-// single byte of a record shows up here.
+// single byte of a record shows up here. Records pin only the code size,
+// not the code: tests/data/reference_images.txt pins the hash of every
+// compiled image of this suite (and examples/programs), so an equal-length
+// instruction change shows up there.
 #pragma once
 
 #include <string>
