@@ -70,13 +70,14 @@ int main(int argc, char** argv) {
   suite.push_back(bench::pitch_law());
   const std::vector<driver::FleetUnit> units = bench::to_fleet_units(suite);
 
-  driver::FleetOptions options;
-  options.target = flags.target;
-  options.jobs = flags.jobs;
+  // The store is what this bench measures and validated compiles bypass
+  // it, so --validate (which the smoke lanes pass to every bench) does not
+  // apply here; every other knob flag does.
+  bench::BenchFlags run_flags = flags;
+  run_flags.validate = driver::ValidateLevel::Off;
+  driver::FleetOptions options = bench::fleet_options(run_flags);
   options.exec_cycles = 50;
   options.wcet = true;
-  options.wcet_engine = flags.wcet_engine;
-  bench::attach_pipeline_flags(&options, flags);
 
   const auto run_with = [&](artifact::ArtifactStore* store) {
     options.store = store;

@@ -42,17 +42,13 @@ int main(int argc, char** argv) {
   std::map<std::string, std::map<driver::Config, double>> ratio_ipet;
 
   for (const std::string& target : targets) {
-    driver::FleetOptions options;
+    driver::FleetOptions options = bench::fleet_options(flags);
     options.target = target;
-    options.jobs = flags.jobs;
     options.exec_cycles = 30;
     options.cold_caches = true;
     options.wcet = true;
-    options.wcet_engine = flags.wcet_engine;
     options.monitor = machine::MonitorMode::Full;
     options.suite_seed = 5150;
-    bench::attach_pipeline_flags(&options, flags);
-    bench::attach_validation(&options, flags.validate);
     const driver::FleetReport report =
         driver::run_fleet(bench::to_fleet_units(suite), options);
     violations += report.monitor_violations;

@@ -36,18 +36,13 @@ int main(int argc, char** argv) {
   const std::vector<bench::NodeBundle> suite = bench::make_suite(nodes);
 
   const auto store = bench::open_bench_store(flags);
-  driver::FleetOptions options;
-  options.target = flags.target;
-  options.jobs = flags.jobs;
+  driver::FleetOptions options = bench::fleet_options(flags);
   options.exec_cycles = 30;
   options.cold_caches = true;
   options.wcet = true;
-  options.wcet_engine = flags.wcet_engine;
   options.monitor = mode;
   options.suite_seed = 5150;  // same input streams as the tightness sweep
   options.store = store.get();
-  bench::attach_pipeline_flags(&options, flags);
-  bench::attach_validation(&options, flags.validate);
   const driver::FleetReport report =
       driver::run_fleet(bench::to_fleet_units(suite), options);
   bench::write_bench_report(report, flags, "bench_monitor");

@@ -76,7 +76,7 @@ double percentile(std::vector<double> values, double p) {
 /// collects the replies (arrival order is arbitrary; ids route them).
 ArmResult run_arm(const std::string& arm, const std::string& socket_path,
                   const std::vector<SuiteJob>& jobs,
-                  const bench::BenchFlags& flags, int clients) {
+                  const driver::RunSpec& spec, int clients) {
   ArmResult result;
   result.arm = arm;
   std::mutex merge_mutex;
@@ -97,18 +97,12 @@ ArmResult run_arm(const std::string& arm, const std::string& socket_path,
       }
       for (const std::size_t i : mine) {
         service::JobRequest job;
+        static_cast<driver::RunSpec&>(job) = spec;
         job.id = static_cast<std::int64_t>(i);
         job.name = jobs[i].name;
         job.source = jobs[i].source;
         job.entry = jobs[i].entry;
         job.config = driver::Config::Verified;
-        job.target = flags.target;
-        job.exec_cycles = 50;
-        job.wcet = true;
-        job.wcet_engine = flags.wcet_engine;
-        job.monitor = flags.monitor;
-        job.validate = flags.validate;
-        job.ssa = flags.ssa;
         job.input_seed = jobs[i].seed;
         if (!client.send(service::job_to_json(job))) {
           std::lock_guard<std::mutex> lock(merge_mutex);
@@ -229,15 +223,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // The wire protocol carries --ssa but not --disable-pass; a flag the
-  // daemon arms would silently drop must be rejected, not half-applied.
-  if (!flags.disable_passes.empty()) {
-    std::fprintf(stderr,
-                 "bench_service: --disable-pass is not supported in service "
-                 "mode (the job protocol does not carry it)\n");
-    return 2;
-  }
-
   std::puts("=== vccd service campaign: daemon arms vs serial reference ===");
   std::printf("workload: %zu jobs (compile + 50 cycles + WCET), %d "
               "client(s), kill arm over %d shard(s)\n\n",
@@ -253,16 +238,13 @@ int main(int argc, char** argv) {
     unit.input_seed = jobs[i].seed;
     units.push_back(std::move(unit));
   }
-  driver::FleetOptions ref_options;
-  ref_options.target = flags.target;
+  // One spec for the reference and every daemon arm: the arms submit the
+  // reference's knobs verbatim, so every record must match byte for byte.
+  driver::FleetOptions ref_options = bench::fleet_options(flags);
   ref_options.jobs = 1;
   ref_options.configs = {driver::Config::Verified};
   ref_options.exec_cycles = 50;
   ref_options.wcet = true;
-  ref_options.wcet_engine = flags.wcet_engine;
-  ref_options.monitor = flags.monitor;
-  bench::attach_pipeline_flags(&ref_options, flags);
-  bench::attach_validation(&ref_options, flags.validate);
   const driver::FleetReport reference = driver::run_fleet(units, ref_options);
   std::map<std::string, std::string> ref_records;
   std::uint64_t ref_certified = 0;
@@ -324,9 +306,11 @@ int main(int argc, char** argv) {
                  vccd_path.c_str());
     return 1;
   }
-  const ArmResult cold = run_arm("cold", socket_path, jobs, flags, clients);
+  const ArmResult cold =
+      run_arm("cold", socket_path, jobs, ref_options, clients);
   check_arm(cold);
-  const ArmResult warm = run_arm("warm", socket_path, jobs, flags, clients);
+  const ArmResult warm =
+      run_arm("warm", socket_path, jobs, ref_options, clients);
   check_arm(warm);
   if (warm.incremental != jobs.size()) {
     std::fprintf(stderr,
@@ -351,7 +335,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const ArmResult restart =
-      run_arm("restart", socket_path, jobs, flags, clients);
+      run_arm("restart", socket_path, jobs, ref_options, clients);
   check_arm(restart);
   const int drain2 = service::terminate_daemon(daemon, 30.0);
   if (drain2 != 0) {
@@ -381,7 +365,8 @@ int main(int argc, char** argv) {
     }
     kill_done.store(true);
   });
-  const ArmResult kill = run_arm("kill", socket_path, jobs, flags, clients);
+  const ArmResult kill =
+      run_arm("kill", socket_path, jobs, ref_options, clients);
   killer.join();
   check_arm(kill);
   // The respawn may still be settling; poll for the restart counter.

@@ -44,13 +44,9 @@ int main(int argc, char** argv) {
   suite.push_back(bench::pitch_law());
 
   const auto store = bench::open_bench_store(flags);
-  driver::FleetOptions options;
-  options.target = flags.target;
-  options.jobs = flags.jobs;
+  driver::FleetOptions options = bench::fleet_options(flags);
   options.exec_cycles = 50;
   options.store = store.get();
-  bench::attach_pipeline_flags(&options, flags);
-  bench::attach_validation(&options, flags.validate);
   const driver::FleetReport report =
       driver::run_fleet(bench::to_fleet_units(suite), options);
   bench::write_bench_report(report, flags, "bench_table1");

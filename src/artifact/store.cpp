@@ -104,16 +104,12 @@ ArtifactStore::ArtifactStore(const Options& options)
 }
 
 Hash128 ArtifactStore::make_key(std::string_view source,
-                                std::string_view entry,
-                                std::string_view config,
-                                std::string_view target, bool annotations,
+                                std::string_view entry, std::string_view spec,
                                 std::string_view compiler_version) {
   Fnv128 h;
   h.update_sized(source);
   h.update_sized(entry);
-  h.update_sized(config);
-  h.update_sized(target);
-  h.update_bool(annotations);
+  h.update_sized(spec);
   h.update_sized(compiler_version);
   return h.digest();
 }

@@ -76,12 +76,13 @@ class ArtifactStore {
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
-  /// Derives the artifact key from everything the compile depends on. The
-  /// fields are length-framed, so no two distinct tuples share a digest by
+  /// Derives the artifact key from everything the compile depends on:
+  /// `spec` is the canonical text of the job knobs that key an artifact
+  /// (driver::artifact_key renders it from the knob table). The fields are
+  /// length-framed, so no two distinct tuples share a digest by
   /// concatenation.
   static Hash128 make_key(std::string_view source, std::string_view entry,
-                          std::string_view config, std::string_view target,
-                          bool annotations,
+                          std::string_view spec,
                           std::string_view compiler_version);
 
   struct Loaded {

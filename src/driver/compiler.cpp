@@ -21,12 +21,7 @@ std::optional<Config> parse_config(const std::string& name) {
 }
 
 std::string to_string(ValidateLevel level) {
-  switch (level) {
-    case ValidateLevel::Off: return "off";
-    case ValidateLevel::Rtl: return "rtl";
-    case ValidateLevel::Full: return "full";
-  }
-  throw InternalError("bad ValidateLevel");
+  return kValidateLevelNames[static_cast<int>(level)];
 }
 
 std::vector<std::string> pipeline_names(Config config) {

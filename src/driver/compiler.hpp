@@ -63,6 +63,7 @@ std::optional<Config> parse_config(const std::string& name);
 ///   Full — Rtl plus the machine-level checkers (register allocation,
 ///   peephole/self-move equivalence, schedule validation).
 enum class ValidateLevel { Off, Rtl, Full };
+inline constexpr const char* kValidateLevelNames[] = {"off", "rtl", "full"};
 
 std::string to_string(ValidateLevel level);
 
@@ -95,17 +96,13 @@ struct Compiled {
   std::map<std::string, FunctionArtifact> artifacts;
 };
 
-/// The pipeline surface of one compilation.
-struct CompileOptions {
+/// The job knobs that shape the compile itself: the compile-side slice of
+/// driver::RunSpec (driver/run_spec.hpp), where each one is declared as a
+/// row of the knob table.
+struct PipelineSpec {
   /// Target to compile for (resolved against the registry in src/targets;
   /// CompileError on unknown names). The produced image is tagged with it.
   std::string target = "ppc";
-  /// Fired after every applied step with before/after IR snapshots; the
-  /// attachment point for the translation validator (src/validate). Returns
-  /// the number of checks performed; may throw ValidationError.
-  pass::StepHook hook;
-  /// When set, accumulates per-pass telemetry over all functions.
-  pass::PipelineStats* stats = nullptr;
   /// Enables the SSA mid-end (src/ssa) on the optimizing configurations
   /// (Verified and O2Full; ignored for the pattern configurations): the
   /// bracket ssa-build, ssa-gvn, ssa-licm, ssa-unroll, ssa-rotate, ssa-out
@@ -113,9 +110,20 @@ struct CompileOptions {
   /// cleanup round, all before regalloc. Off by default — the baseline
   /// pipelines stay byte-identical to the reference corpus.
   bool ssa = false;
-  /// Optimization passes to remove from the configuration's pipeline.
-  /// Disabling an unknown or structural pass is a CompileError.
+  /// Optimization passes to remove from the configuration's pipeline (the
+  /// ablation-arm surface). Disabling an unknown or structural pass is a
+  /// CompileError.
   std::vector<std::string> disable_passes;
+};
+
+/// The pipeline surface of one compilation.
+struct CompileOptions : PipelineSpec {
+  /// Fired after every applied step with before/after IR snapshots; the
+  /// attachment point for the translation validator (src/validate). Returns
+  /// the number of checks performed; may throw ValidationError.
+  pass::StepHook hook;
+  /// When set, accumulates per-pass telemetry over all functions.
+  pass::PipelineStats* stats = nullptr;
   /// When non-empty, replaces the configuration's optimization passes: RTL
   /// passes run between lower and regalloc, machine passes after selfmove,
   /// each set in the order given here. Structural passes cannot be listed.

@@ -34,40 +34,22 @@ double seconds_since(Clock::time_point start) {
 //                    "observed_max_cycles": N,
 //                    "wcet_cycles": N, "wcet_nocache_cycles": N } ] }
 // The compile is fully determined by the artifact key; the derived results
-// additionally depend on run parameters, so each distinct parameter set gets
-// its own stanza (bounded ring, oldest dropped).
+// additionally depend on the run knobs, so each distinct "params" object
+// (the job's kSaltParams fields, driver/run_spec.hpp) gets its own stanza
+// (bounded ring, oldest dropped).
 
 constexpr std::size_t kMaxResultStanzas = 16;
 
-json::Value params_json(std::uint64_t input_seed, const FleetOptions& options) {
-  json::Value p;
-  p["input_seed"] = json::Value(input_seed);
-  p["exec_cycles"] = json::Value(static_cast<std::int64_t>(options.exec_cycles));
-  p["cold_caches"] = json::Value(options.cold_caches);
-  p["wcet"] = json::Value(options.wcet);
-  p["wcet_nocache"] = json::Value(options.wcet_nocache);
-  p["wcet_engine"] = json::Value(wcet::to_string(options.wcet_engine));
-  p["monitor"] = json::Value(machine::to_string(options.monitor));
-  return p;
-}
-
-bool params_match(const json::Value& p, std::uint64_t input_seed,
-                  const FleetOptions& options) {
-  if (p.at("exec_cycles").as_i64(-1) != options.exec_cycles) return false;
-  if (p.at("cold_caches").as_bool() != options.cold_caches) return false;
-  if (p.at("wcet").as_bool() != options.wcet) return false;
-  if (p.at("wcet_nocache").as_bool() != options.wcet_nocache) return false;
-  if (p.at("wcet_engine").as_string("") !=
-      wcet::to_string(options.wcet_engine))
-    return false;
-  // Pre-monitor stanzas carry no "monitor" key; they only match unmonitored
-  // runs, so a monitored campaign never replays an unchecked result.
-  if (p.at("monitor").as_string("off") != machine::to_string(options.monitor))
-    return false;
-  // The input seed only shapes results when execution actually runs.
-  if (options.exec_cycles > 0 && p.at("input_seed").as_u64() != input_seed)
-    return false;
-  return true;
+/// The job as the knob table sees it. The input seed only shapes results
+/// when execution runs, so a job without execution keys its stanza with
+/// seed 0 and replays for any seed.
+JobSpec job_spec(const FleetOptions& options, Config config,
+                 std::uint64_t input_seed) {
+  JobSpec spec;
+  static_cast<RunSpec&>(spec) = options;
+  spec.config = config;
+  spec.input_seed = options.exec_cycles > 0 ? input_seed : 0;
+  return spec;
 }
 
 json::Value exec_stats_json(const machine::ExecStats& s) {
@@ -97,10 +79,9 @@ machine::ExecStats exec_stats_from_json(const json::Value& e) {
 }
 
 json::Value stanza_from_record(const FleetRecord& record,
-                               std::uint64_t input_seed,
-                               const FleetOptions& options) {
+                               json::Value params) {
   json::Value stanza;
-  stanza["params"] = params_json(input_seed, options);
+  stanza["params"] = std::move(params);
   stanza["exec"] = exec_stats_json(record.exec);
   stanza["observed_max_cycles"] = json::Value(record.observed_max_cycles);
   stanza["wcet_cycles"] = json::Value(record.wcet_cycles);
@@ -243,24 +224,24 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
     artifact::ArtifactStore* store =
         options.compile_override ? nullptr : options.store;
     Hash128 key;
+    json::Value key_fields;  // the knobs keying the artifact (meta "info")
+    json::Value params;
     json::Value cached_doc;
     mach::Image cached_image;
     bool have_image = false;
 
     if (store != nullptr) {
-      std::string config_key = to_string(config);
-      if (options.ssa) config_key += "+ssa";
-      for (const std::string& p : options.disable_passes)
-        config_key += "-" + p;
-      key = artifact::ArtifactStore::make_key(
-          *source, unit.entry, config_key, options.target,
-          options.use_annotations, kCompilerVersion);
+      const JobSpec spec = job_spec(options, config, input_seed);
+      key = artifact_key(spec, *source, unit.entry);
+      key_fields = spec_json(spec, kSaltArtifact);
+      params = spec_json(spec, kSaltParams);
+      const std::string wanted = params.dump();
       const auto t_lookup = Clock::now();
       auto loaded = store->lookup(key);
       record->cache_lookup_seconds = seconds_since(t_lookup);
       if (loaded) {
         for (const json::Value& stanza : loaded->stats.at("results").as_array())
-          if (params_match(stanza.at("params"), input_seed, options)) {
+          if (stanza.at("params").dump() == wanted) {
             record_from_stanza(loaded->stats, stanza, record);
             record->cache_hit = true;
             record->ok = true;
@@ -286,9 +267,7 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
     if (!have_image) {
       const auto t_compile = Clock::now();
       CompileOptions copts;
-      copts.target = options.target;
-      copts.ssa = options.ssa;
-      copts.disable_passes = options.disable_passes;
+      static_cast<PipelineSpec&>(copts) = options;
       copts.stats = &record->pass_stats;
       compiled = options.compile_override
                      ? options.compile_override(*unit.program, config, copts)
@@ -315,7 +294,7 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
 
     if (store != nullptr) {
       const auto t_publish = Clock::now();
-      json::Value stanza = stanza_from_record(*record, input_seed, options);
+      json::Value stanza = stanza_from_record(*record, std::move(params));
       if (have_image) {
         // In-place append: copying the results array out and re-assigning
         // it cost one full deep copy of every cached stanza per publish.
@@ -333,9 +312,7 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
         doc["results"] = json::Value(std::move(results));
         json::Value info;
         info["unit"] = json::Value(unit.name);
-        info["config"] = json::Value(to_string(config));
-        info["target"] = json::Value(options.target);
-        info["annotations"] = json::Value(options.use_annotations);
+        info["spec"] = std::move(key_fields);
         info["compiler_version"] = json::Value(kCompilerVersion);
         info["source_bytes"] =
             json::Value(static_cast<std::uint64_t>(source->size()));
@@ -409,7 +386,7 @@ std::string FleetReport::throughput_summary() const {
         buf, sizeof buf,
         "\nfleet: wcet engine %s: %llu IPET bound(s), %llu certificate(s) "
         "verified, %llu with infeasible-edge cap(s)",
-        wcet::to_string(wcet_engine).c_str(),
+        wcet::to_string(spec.wcet_engine).c_str(),
         static_cast<unsigned long long>(ipet_records),
         static_cast<unsigned long long>(ipet_certified),
         static_cast<unsigned long long>(ipet_capped_edge_records));
@@ -421,7 +398,7 @@ std::string FleetReport::throughput_summary() const {
                   static_cast<long long>(ipet_bnb_nodes),
                   static_cast<long long>(ipet_fast_fallbacks));
     out += buf;
-    if (wcet_engine == wcet::WcetEngine::Both) {
+    if (spec.wcet_engine == wcet::WcetEngine::Both) {
       std::snprintf(
           buf, sizeof buf,
           "\nfleet: tightness: IPET strictly below structural on %llu/%llu, "
@@ -433,12 +410,12 @@ std::string FleetReport::throughput_summary() const {
       out += buf;
     }
   }
-  if (monitor_mode != machine::MonitorMode::Off) {
+  if (spec.monitor != machine::MonitorMode::Off) {
     std::snprintf(
         buf, sizeof buf,
         "\nfleet: monitor (%s): %llu record(s) armed, %llu step(s) checked, "
         "%llu violation(s)%s",
-        machine::to_string(monitor_mode).c_str(),
+        machine::to_string(spec.monitor).c_str(),
         static_cast<unsigned long long>(monitored_records),
         static_cast<unsigned long long>(monitored_steps),
         static_cast<unsigned long long>(monitor_violations),
@@ -465,6 +442,11 @@ FleetReport run_fleet(const std::vector<FleetUnit>& units,
     throw std::invalid_argument(
         "FleetOptions::jobs must be >= 0 (0 = one worker per hardware "
         "thread), got " + std::to_string(options.jobs));
+  if (options.validate != ValidateLevel::Off && !options.compile_override)
+    throw std::invalid_argument(
+        "FleetOptions::validate is '" + to_string(options.validate) +
+        "' but no compile_override is attached "
+        "(validate::attach_campaign_validation)");
 
   FleetReport report;
   report.units = units.size();
@@ -474,10 +456,7 @@ FleetReport run_fleet(const std::vector<FleetUnit>& units,
                     : static_cast<int>(ThreadPool::default_worker_count());
   report.records.resize(units.size() * options.configs.size());
   report.cache_enabled = options.store != nullptr;
-  report.target = options.target;
-  report.ssa = options.ssa;
-  report.wcet_engine = options.wcet_engine;
-  report.monitor_mode = options.monitor;
+  report.spec = options;
 
   // The artifact key hashes the unit's *source text*; print each program
   // once up front (cheap, serial) instead of once per (unit, config) job.

@@ -21,6 +21,7 @@
 
 #include "artifact/store.hpp"
 #include "driver/compiler.hpp"
+#include "driver/run_spec.hpp"
 #include "machine/machine.hpp"
 #include "minic/ast.hpp"
 #include "support/json.hpp"
@@ -44,67 +45,33 @@ struct FleetUnit {
   std::optional<std::uint64_t> input_seed;
 };
 
-struct FleetOptions {
-  /// Target ISA every job compiles for (resolved against src/targets;
-  /// CompileError on unknown names, recorded per job).
-  std::string target = "ppc";
+/// A campaign: every unit under every configuration, each job run with the
+/// shared knobs of RunSpec (driver/run_spec.hpp).
+struct FleetOptions : RunSpec {
   /// Worker threads; 0 = one per hardware thread, 1 = serial on the caller.
   /// Negative values are rejected by run_fleet (std::invalid_argument).
   int jobs = 0;
   /// Configurations to run every unit under (defaults to all four).
   std::vector<Config> configs{std::begin(kAllConfigs), std::end(kAllConfigs)};
-  /// Step invocations per job with pseudo-random inputs (0 = skip execution).
-  int exec_cycles = 0;
-  /// Clear caches before every invocation (unknown-initial-state runs, as in
-  /// the WCET soundness sweeps).
-  bool cold_caches = false;
-  /// Compute the static WCET bound of the entry function.
-  bool wcet = false;
-  /// Additionally compute the bound with cache analysis disabled.
-  bool wcet_nocache = false;
-  /// Path-analysis backend(s) for the main bound. Structural fills only
-  /// wcet_cycles; Ipet fills wcet_cycles (= the IPET bound) plus the
-  /// per-engine record fields; Both records each bound so reports can
-  /// quantify the tightness delta. The nocache ablation bound always uses
-  /// the structural engine (it isolates the cache analysis, not the path
-  /// analysis).
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
-  bool use_annotations = true;
-  /// Arm the runtime execution monitor on every simulated run: `Cfg` checks
-  /// every control transfer against the reconstructed CFG, `Full` adds
-  /// live-value annotation checks and per-entry loop-bound counting
-  /// (machine/monitor.hpp). A violation fails the job (ok=false, the
-  /// MonitorError text in `error`, monitor_violations set) — the campaign
-  /// then carries a dynamically-refuted static claim, which reports must
-  /// surface loudly.
-  machine::MonitorMode monitor = machine::MonitorMode::Off;
-  /// Enables the SSA mid-end for every job (CompileOptions::ssa: the
-  /// bracket runs on the optimizing configurations, the pattern
-  /// configurations ignore it). Part of the artifact-store key — SSA and
-  /// non-SSA campaigns never share cached compiles.
-  bool ssa = false;
-  /// Optimization passes dropped from every job's pipeline
-  /// (CompileOptions::disable_passes — the ablation-arm surface). Part of
-  /// the artifact-store key like `ssa`.
-  std::vector<std::string> disable_passes;
   /// Base seed for the per-job input streams; the job for unit i draws from
   /// Rng(seed_for(suite_seed, i)) regardless of config and worker count.
   std::uint64_t suite_seed = 7;
   /// Optional content-addressed artifact store. When set, every job first
-  /// looks up its (source, entry, config, target, annotations,
-  /// compiler-version)
-  /// key: a full hit replays the cached results without compiling; an
-  /// image-only hit (same compile, different run parameters) reuses the
-  /// cached executable and recomputes just execution/WCET; a miss compiles
-  /// cold and publishes. Corrupt entries fall back to a cold compile.
+  /// looks up its artifact key (source, entry, compiler version and every
+  /// knob-table field that salts the artifact): a full hit replays the
+  /// cached results without compiling; an image-only hit (same compile,
+  /// different run parameters) reuses the cached executable and recomputes
+  /// just execution/WCET; a miss compiles cold and publishes. Corrupt
+  /// entries fall back to a cold compile.
   /// The store must outlive the run_fleet call; it may be shared across
   /// runs and processes (that is what makes campaign restarts warm).
   artifact::ArtifactStore* store = nullptr;
   /// When set, replaces compile_program for every job — the attachment point
-  /// for validated campaigns (validate::validated_compile cannot be named
-  /// here: src/validate links against the driver). Jobs with an override
-  /// bypass the artifact store entirely, so the override (and its checkers)
-  /// actually runs instead of being replayed from cache.
+  /// for validated campaigns (validate::attach_campaign_validation; the
+  /// validator cannot be named here: src/validate links against the
+  /// driver). Jobs with an override bypass the artifact store entirely, so
+  /// the override (and its checkers) actually runs instead of being
+  /// replayed from cache.
   std::function<Compiled(const minic::Program&, Config,
                          const CompileOptions&)>
       compile_override;
@@ -168,8 +135,9 @@ struct FleetReport {
   /// units.size() * configs.size() records, unit-major then config, in the
   /// order given to run_fleet.
   std::vector<FleetRecord> records;
-  std::string target;  // the campaign's target ISA
-  bool ssa = false;    // SSA mid-end enabled for the campaign's compiles
+  /// The campaign's knobs; the report header records target, ssa, the
+  /// WCET engine and the monitor mode (their kSaltHeader rows).
+  RunSpec spec;
   std::size_t units = 0;
   std::size_t configs = 0;
   int jobs = 0;             // worker count actually used
@@ -182,7 +150,6 @@ struct FleetReport {
   pass::PipelineStats pass_stats;
 
   // Cross-engine WCET aggregates (engine != structural; zero otherwise).
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
   std::uint64_t ipet_records = 0;    // ok records carrying an IPET bound
   std::uint64_t ipet_certified = 0;  // ... whose certificate verified
   std::uint64_t ipet_tighter = 0;    // ... strictly below structural (Both)
@@ -196,7 +163,6 @@ struct FleetReport {
   std::int64_t ipet_fast_fallbacks = 0;
 
   // Execution-monitor aggregates (mode Off => all zero).
-  machine::MonitorMode monitor_mode = machine::MonitorMode::Off;
   std::uint64_t monitored_records = 0;  // records that ran armed
   std::uint64_t monitored_steps = 0;    // instructions checked, summed
   std::uint64_t monitor_violations = 0; // refuted static claims (must be 0)
@@ -235,7 +201,9 @@ struct FleetReport {
 
 /// Runs every unit under every configuration and returns the ordered report.
 /// Individual job failures are recorded (ok=false), not thrown. Throws
-/// std::invalid_argument for negative FleetOptions::jobs.
+/// std::invalid_argument for negative FleetOptions::jobs, and for a
+/// validate level other than Off without a compile_override (a validated
+/// spec must never run unvalidated).
 FleetReport run_fleet(const std::vector<FleetUnit>& units,
                       const FleetOptions& options = {});
 

@@ -93,8 +93,8 @@ json::Value to_json(const FleetReport& report) {
   // to v7 later; they are additive keys, so the schema name stayed.
   doc["schema"] = json::Value("vcflight-fleet-report-v7");
   doc["compiler_version"] = json::Value(kCompilerVersion);
-  doc["target"] = json::Value(report.target);
-  doc["ssa"] = json::Value(report.ssa);
+  doc["target"] = json::Value(report.spec.target);
+  doc["ssa"] = json::Value(report.spec.ssa);
   doc["units"] = json::Value(static_cast<std::uint64_t>(report.units));
   doc["configs"] = json::Value(static_cast<std::uint64_t>(report.configs));
   doc["jobs"] = json::Value(static_cast<std::int64_t>(report.jobs));
@@ -106,7 +106,7 @@ json::Value to_json(const FleetReport& report) {
   doc["pass_stats"] = pass_stats_json(report.pass_stats);
 
   json::Value wcet_doc;
-  wcet_doc["engine"] = json::Value(wcet::to_string(report.wcet_engine));
+  wcet_doc["engine"] = json::Value(wcet::to_string(report.spec.wcet_engine));
   wcet_doc["ipet_records"] = json::Value(report.ipet_records);
   wcet_doc["ipet_certified"] = json::Value(report.ipet_certified);
   wcet_doc["ipet_tighter"] = json::Value(report.ipet_tighter);
@@ -119,7 +119,7 @@ json::Value to_json(const FleetReport& report) {
   doc["wcet"] = std::move(wcet_doc);
 
   json::Value monitor;
-  monitor["mode"] = json::Value(machine::to_string(report.monitor_mode));
+  monitor["mode"] = json::Value(machine::to_string(report.spec.monitor));
   monitor["records"] = json::Value(report.monitored_records);
   monitor["steps"] = json::Value(report.monitored_steps);
   monitor["violations"] = json::Value(report.monitor_violations);

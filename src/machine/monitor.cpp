@@ -66,12 +66,6 @@ MonitorError::MonitorError(const std::string& function, std::uint32_t pc,
       pc_(pc),
       fact_(fact) {}
 
-std::optional<MonitorMode> parse_monitor_mode(const std::string& name) {
-  for (int i = 0; i < 3; ++i)
-    if (name == kMonitorModeNames[i]) return static_cast<MonitorMode>(i);
-  return std::nullopt;
-}
-
 std::optional<std::vector<ChainBound>> monitor_parse_chain(
     const std::string& format) {
   std::vector<ChainTerm> terms;

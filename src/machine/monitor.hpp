@@ -60,10 +60,6 @@ inline constexpr const char* kMonitorModeNames[] = {"off", "cfg", "full"};
   return kMonitorModeNames[static_cast<int>(mode)];
 }
 
-/// Parses a canonical monitor mode name; nullopt for anything else.
-[[nodiscard]] std::optional<MonitorMode> parse_monitor_mode(
-    const std::string& name);
-
 /// Read-only view of live architectural state, so the monitor can evaluate
 /// value annotations without depending on the Machine class (the Machine
 /// implements this privately and hands itself to the armed monitor).

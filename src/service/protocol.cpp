@@ -4,11 +4,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#include "mach/target.hpp"
 
 namespace vc::service {
 
@@ -130,23 +127,7 @@ int connect_unix(const std::string& path) {
 }
 
 std::string JobRequest::class_key() const {
-  std::string key = driver::to_string(config);
-  key += '|';
-  key += target;
-  key += '|';
-  key += std::to_string(exec_cycles);
-  key += cold_caches ? "|cold" : "|warm";
-  key += wcet ? "|wcet" : "|-";
-  key += wcet_nocache ? "|nocache" : "|-";
-  key += '|';
-  key += wcet::to_string(wcet_engine);
-  key += use_annotations ? "|annot" : "|-";
-  key += '|';
-  key += machine::to_string(monitor);
-  key += '|';
-  key += driver::to_string(validate);
-  key += ssa ? "|ssa" : "|-";
-  return key;
+  return driver::spec_identity(*this, driver::kSaltClass);
 }
 
 std::string JobRequest::job_class() const {
@@ -157,44 +138,13 @@ Hash128 JobRequest::request_hash() const {
   Fnv128 h;
   // Length-framed fields, exactly like the artifact-store key: no two
   // distinct requests may collide by concatenation.
-  h.update_sized("vccd-incremental-2");
   h.update_sized(driver::kCompilerVersion);  // pass-pipeline identity
   h.update_sized(source);
   h.update_sized(entry);
   h.update_sized(name);
-  h.update_sized(driver::to_string(config));
-  h.update_sized(target);
-  h.update_u64(static_cast<std::uint64_t>(exec_cycles));
-  h.update_bool(cold_caches);
-  h.update_bool(wcet);
-  h.update_bool(wcet_nocache);
-  h.update_sized(wcet::to_string(wcet_engine));
-  h.update_bool(use_annotations);
-  h.update_sized(machine::to_string(monitor));
-  h.update_sized(driver::to_string(validate));
-  h.update_bool(ssa);
-  h.update_u64(input_seed);
+  h.update_sized(driver::spec_identity(*this, driver::kSaltRequest));
   return h.digest();
 }
-
-namespace {
-
-/// Field accessor that distinguishes "absent" from "ill-typed": absent is
-/// fine (defaults apply), ill-typed is a protocol error.
-template <typename T>
-bool read_field(const json::Value& doc, const char* key, json::Value::Kind a,
-                json::Value::Kind b, T convert, std::string* error) {
-  const json::Value& v = doc.at(key);
-  if (v.is_null()) return true;
-  if (v.kind() != a && v.kind() != b) {
-    *error = std::string("field '") + key + "' has the wrong type";
-    return false;
-  }
-  convert(v);
-  return true;
-}
-
-}  // namespace
 
 ParsedRequest parse_request(const std::string& payload) {
   ParsedRequest out;
@@ -235,133 +185,39 @@ ParsedRequest parse_request(const std::string& payload) {
     return out;
   }
   job.source = doc.at("source").as_string();
-
-  std::string err;
-  const auto str = json::Value::Kind::String;
-  const auto b = json::Value::Kind::Bool;
-  const auto i = json::Value::Kind::Int;
-  const auto u = json::Value::Kind::UInt;
-  const bool ok =
-      read_field(doc, "name", str, str,
-                 [&](const json::Value& v) { job.name = v.as_string(); },
-                 &err) &&
-      read_field(doc, "entry", str, str,
-                 [&](const json::Value& v) { job.entry = v.as_string(); },
-                 &err) &&
-      read_field(doc, "config", str, str,
-                 [&](const json::Value& v) {
-                   const auto c = driver::parse_config(v.as_string());
-                   if (c)
-                     job.config = *c;
-                   else
-                     err = "unknown config '" + v.as_string() + "'";
-                 },
-                 &err) &&
-      err.empty() &&
-      read_field(doc, "target", str, str,
-                 [&](const json::Value& v) {
-                   const auto& known = mach::target_names();
-                   if (std::find(known.begin(), known.end(), v.as_string()) !=
-                       known.end())
-                     job.target = v.as_string();
-                   else
-                     err = "unknown target '" + v.as_string() + "'";
-                 },
-                 &err) &&
-      err.empty() &&
-      read_field(doc, "exec_cycles", i, u,
-                 [&](const json::Value& v) {
-                   const std::int64_t n = v.as_i64();
-                   if (n < 0 || n > 1000000)
-                     err = "exec_cycles out of range";
-                   else
-                     job.exec_cycles = static_cast<int>(n);
-                 },
-                 &err) &&
-      err.empty() &&
-      read_field(doc, "cold_caches", b, b,
-                 [&](const json::Value& v) { job.cold_caches = v.as_bool(); },
-                 &err) &&
-      read_field(doc, "wcet", b, b,
-                 [&](const json::Value& v) { job.wcet = v.as_bool(); },
-                 &err) &&
-      read_field(doc, "wcet_nocache", b, b,
-                 [&](const json::Value& v) {
-                   job.wcet_nocache = v.as_bool();
-                 },
-                 &err) &&
-      read_field(doc, "wcet_engine", str, str,
-                 [&](const json::Value& v) {
-                   const auto e = wcet::parse_wcet_engine(v.as_string());
-                   if (e)
-                     job.wcet_engine = *e;
-                   else
-                     err = "unknown wcet_engine '" + v.as_string() + "'";
-                 },
-                 &err) &&
-      err.empty() &&
-      read_field(doc, "use_annotations", b, b,
-                 [&](const json::Value& v) {
-                   job.use_annotations = v.as_bool();
-                 },
-                 &err) &&
-      read_field(doc, "monitor", str, str,
-                 [&](const json::Value& v) {
-                   const auto m = machine::parse_monitor_mode(v.as_string());
-                   if (m)
-                     job.monitor = *m;
-                   else
-                     err = "unknown monitor mode '" + v.as_string() + "'";
-                 },
-                 &err) &&
-      err.empty() &&
-      read_field(doc, "validate", str, str,
-                 [&](const json::Value& v) {
-                   const std::string s = v.as_string();
-                   if (s == "off")
-                     job.validate = driver::ValidateLevel::Off;
-                   else if (s == "rtl")
-                     job.validate = driver::ValidateLevel::Rtl;
-                   else if (s == "full")
-                     job.validate = driver::ValidateLevel::Full;
-                   else
-                     err = "unknown validate level '" + s + "'";
-                 },
-                 &err) &&
-      err.empty() &&
-      read_field(doc, "ssa", b, b,
-                 [&](const json::Value& v) { job.ssa = v.as_bool(); }, &err) &&
-      read_field(doc, "input_seed", u, i,
-                 [&](const json::Value& v) { job.input_seed = v.as_u64(); },
-                 &err);
-  if (!ok || !err.empty()) {
-    out.error = err.empty() ? "ill-typed job field" : err;
-    return out;
+  // Every key must be known: an unknown one is a typo'd knob, and running
+  // the job with that knob at its default would answer a different job.
+  for (const auto& [key, value] : doc.as_object()) {
+    if (key == "op" || key == "id" || key == "source" ||
+        driver::find_spec_field(key) != nullptr)
+      continue;
+    std::string* text = key == "name"    ? &job.name
+                        : key == "entry" ? &job.entry
+                                         : nullptr;
+    if (text == nullptr) {
+      out.error = "unknown job field '" + key + "'";
+      return out;
+    }
+    if (value.kind() != json::Value::Kind::String) {
+      out.error = "field '" + key + "' must be a string";
+      return out;
+    }
+    *text = value.as_string();
   }
+  out.error = driver::spec_from_json(doc, &job);
+  if (!out.ok()) return out;
   if (job.name.empty()) job.name = "job" + std::to_string(job.id);
   out.job = std::move(job);
   return out;
 }
 
 json::Value job_to_json(const JobRequest& job) {
-  json::Value doc;
+  json::Value doc = driver::spec_json(job, ~0u);
   doc["op"] = json::Value("job");
   doc["id"] = json::Value(job.id);
   doc["name"] = json::Value(job.name);
   doc["source"] = json::Value(job.source);
   doc["entry"] = json::Value(job.entry);
-  doc["config"] = json::Value(driver::to_string(job.config));
-  doc["target"] = json::Value(job.target);
-  doc["exec_cycles"] = json::Value(static_cast<std::int64_t>(job.exec_cycles));
-  doc["cold_caches"] = json::Value(job.cold_caches);
-  doc["wcet"] = json::Value(job.wcet);
-  doc["wcet_nocache"] = json::Value(job.wcet_nocache);
-  doc["wcet_engine"] = json::Value(wcet::to_string(job.wcet_engine));
-  doc["use_annotations"] = json::Value(job.use_annotations);
-  doc["monitor"] = json::Value(machine::to_string(job.monitor));
-  doc["validate"] = json::Value(driver::to_string(job.validate));
-  doc["ssa"] = json::Value(job.ssa);
-  doc["input_seed"] = json::Value(job.input_seed);
   return doc;
 }
 

@@ -5,12 +5,13 @@
 // many bytes of UTF-8 JSON. The length must be non-zero and at most
 // kMaxFrameBytes; the payload must parse as a JSON object. Every violation
 // — short header, oversized length, trailing garbage, non-object payload,
-// unknown "op", ill-typed field — is answered with one error frame and the
-// connection is dropped. The daemon never crashes on client input: it is an
-// UNTRUSTED convenience layer. Every artifact it serves was produced by the
-// verified pipeline and gated by the translation validators, the IPET
-// certificate checker, and (when armed) the execution monitor — none of
-// which live in this directory (DESIGN.md §13).
+// unknown "op", unknown job key, ill-typed field or unknown value name — is
+// answered with one error frame and the connection is dropped. The daemon
+// never crashes on client input: it is an UNTRUSTED convenience layer.
+// Every artifact it serves was produced by the verified pipeline and gated
+// by the translation validators, the IPET certificate checker, and (when
+// armed) the execution monitor — none of which live in this directory
+// (DESIGN.md §13).
 //
 // Requests (all JSON objects with an "op" field):
 //   {"op":"ping"}                          -> {"ok":true,"pong":true}
@@ -19,6 +20,9 @@
 //   {"op":"job","id":N,"source":...,...}   -> {"ok":true,"id":N,
 //                                              "record":{...},"cache":...,
 //                                              "seconds":...}
+// A job's other keys are "name", "entry" and the knob table's keys
+// (driver::spec_fields()), each optional. Any other key is an error naming
+// it: a typo such as "wcet_engin" must not silently run the default job.
 // Replies to jobs may arrive out of submission order (clients pipeline);
 // the "id" ties a reply to its request. Error replies are
 // {"ok":false,"error":"..."} (plus "id" when the request carried one).
@@ -28,11 +32,9 @@
 #include <optional>
 #include <string>
 
-#include "driver/compiler.hpp"
-#include "machine/monitor.hpp"
+#include "driver/run_spec.hpp"
 #include "support/hash.hpp"
 #include "support/json.hpp"
-#include "wcet/wcet.hpp"
 
 namespace vc::service {
 
@@ -68,38 +70,25 @@ int connect_unix(const std::string& path);
 
 // --- requests --------------------------------------------------------------
 
-/// A validated "op":"job" request: one (source, entry, config) compile with
-/// optional execution / WCET / validation phases — the service-side mirror
-/// of one fleet (unit, config) job.
-struct JobRequest {
+/// A validated "op":"job" request: one (source, entry) job under a JobSpec
+/// — the service-side mirror of one fleet (unit, config) job. Every knob
+/// and both per-job fields (config, input_seed) travel as the knob table's
+/// rows (driver/run_spec.hpp), under their table keys.
+struct JobRequest : driver::JobSpec {
   std::int64_t id = 0;
   std::string name;          // record name (defaults to "job<id>")
   std::string source;        // full mini-C program text
   std::string entry;         // entry function; "auto" = the sole function
-  driver::Config config = driver::Config::Verified;
-  std::string target = "ppc";  // target ISA (validated against src/targets)
-  int exec_cycles = 0;
-  bool cold_caches = false;
-  bool wcet = false;
-  bool wcet_nocache = false;
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
-  bool use_annotations = true;
-  machine::MonitorMode monitor = machine::MonitorMode::Off;
-  driver::ValidateLevel validate = driver::ValidateLevel::Off;
-  /// SSA mid-end for this job's compile (FleetOptions::ssa). Part of the
-  /// class key and the incremental-recompilation hash.
-  bool ssa = false;
-  std::uint64_t input_seed = 0;
 
-  /// Groups jobs that can share one run_fleet call: everything except the
-  /// per-unit fields (id/name/source/entry/seed).
+  /// Groups jobs that can share one run_fleet call: the table fields that
+  /// salt kSaltClass (every knob and the config; not the per-unit fields).
   [[nodiscard]] std::string class_key() const;
   /// Latency bucket for the status percentiles (the config's cli name).
   [[nodiscard]] std::string job_class() const;
   /// The incremental-recompilation key: a dependency hash over the source,
-  /// entry, config, pass pipeline identity (compiler version), and every
-  /// run parameter that shapes the record. Equal hash => the cached record
-  /// is THE answer, no disk touched.
+  /// entry, name, compiler version (pass-pipeline identity) and every table
+  /// field that salts kSaltRequest. Equal hash => the cached record is THE
+  /// answer, no disk touched.
   [[nodiscard]] Hash128 request_hash() const;
 };
 

@@ -382,29 +382,11 @@ void ServiceServer::process_batch(std::vector<Queued> batch) {
       units[u].program = &programs[u];
 
     driver::FleetOptions fleet;
+    static_cast<driver::RunSpec&>(fleet) = head;
     fleet.jobs = options_.jobs;
-    fleet.target = head.target;
     fleet.configs = {head.config};
-    fleet.exec_cycles = head.exec_cycles;
-    fleet.cold_caches = head.cold_caches;
-    fleet.wcet = head.wcet;
-    fleet.wcet_nocache = head.wcet_nocache;
-    fleet.wcet_engine = head.wcet_engine;
-    fleet.use_annotations = head.use_annotations;
-    fleet.monitor = head.monitor;
-    fleet.ssa = head.ssa;
     fleet.store = store_.get();
-    if (head.validate != driver::ValidateLevel::Off) {
-      const driver::ValidateLevel level = head.validate;
-      // Same n_tests/seed convention as the campaign benches, so daemon
-      // records are byte-identical to the serial references.
-      fleet.compile_override = [level](const minic::Program& program,
-                                       driver::Config config,
-                                       const driver::CompileOptions& copts) {
-        return validate::validated_compile(program, config, /*n_tests=*/6,
-                                           /*seed=*/1, level, copts);
-      };
-    }
+    validate::attach_campaign_validation(&fleet);
 
     driver::FleetReport report;
     try {

@@ -56,11 +56,14 @@
 //                                    Unix socket SOCK instead of compiling
 //                                    in-process (single file or --batch);
 //                                    --wcet=auto resolves the entry on the
-//                                    daemon, --exec-cycles=N steps the entry
-//                                    with pseudo-random inputs, and --run is
-//                                    local-only (rejected)
+//                                    daemon
 //     --exec-cycles=N                connect mode: step invocations per job
 //                                    with pseudo-random inputs (0 = skip)
+//
+// A flag outside the modes it applies in (kModeRules) is a usage error
+// (exit 2) naming the flag and the mode: a silently ignored flag would
+// report a job that never ran. The knob flags come from the knob table
+// (driver/run_spec.hpp), so a --connect job carries the local knobs.
 //
 // Batch mode exits non-zero if any file fails, and lists the failing files
 // in a per-file pass/fail summary on stderr.
@@ -71,6 +74,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,21 +101,19 @@ namespace {
 using namespace vc;
 
 [[noreturn]] void usage() {
-  std::fputs(
-      "usage: vcc [--config=O0|O1|verified|O2] [--target=ppc|rv32]\n"
-      "           [--emit-asm]\n"
-      "           [--wcet=FN] [--wcet-engine=structural|ipet|both]\n"
-      "           [--no-annotations] [--run=FN[:args]]\n"
-      "           [--monitor=off|cfg|full]\n"
-      "           [--validate[=off|rtl|full]] [--ssa] [--passes=a,b,c]\n"
-      "           [--disable-pass=NAME] [--dump-after=PASS]\n"
-      "           [--stats] [--profile] file.mc\n"
-      "       vcc [--config=...] [--validate[=off|rtl|full]] [--jobs=N]\n"
-      "           [--cache-dir=DIR] [--cache-budget-mb=N] --batch dir\n"
-      "       vcc --connect=SOCK [--config=...] [--wcet=FN|auto]\n"
-      "           [--wcet-engine=...] [--validate[=...]] [--monitor=...]\n"
-      "           [--exec-cycles=N] (file.mc | --batch dir)\n",
-      stderr);
+  std::fprintf(
+      stderr,
+      "usage: vcc [knobs] [--emit-asm] [--wcet=FN] [--run=FN[:args]]\n"
+      "           [--passes=a,b,c] [--dump-after=PASS] [--stats] [--profile]\n"
+      "           file.mc\n"
+      "       vcc [knobs] [--jobs=N] [--cache-dir=DIR] [--cache-budget-mb=N]\n"
+      "           --batch dir\n"
+      "       vcc --connect=SOCK [knobs] [--wcet=FN|auto]\n"
+      "           (file.mc | --batch dir)\n"
+      "knobs: %s\n"
+      "(--exec-cycles needs --connect; --wcet-engine, --no-annotations and\n"
+      "--monitor do not apply with --batch)\n",
+      driver::spec_usage(driver::kCliVcc).c_str());
   std::exit(2);
 }
 
@@ -120,20 +122,35 @@ using namespace vc;
   std::exit(2);
 }
 
+/// The mode an invocation runs in, and the flags that apply in some modes
+/// only; every other flag (the config and the compile-shaping knobs)
+/// applies in all three. Batch mode is compile-only.
+enum Mode : unsigned { kFile = 1, kBatch = 2, kConnect = 4 };
+constexpr std::pair<const char*, unsigned> kModeRules[] = {
+    {"--emit-asm", kFile},          {"--stats", kFile},
+    {"--profile", kFile},           {"--dump-after", kFile},
+    {"--passes", kFile},            {"--run", kFile},
+    {"--wcet", kFile | kConnect},   {"--wcet-engine", kFile | kConnect},
+    {"--monitor", kFile | kConnect}, {"--no-annotations", kFile | kConnect},
+    {"--exec-cycles", kConnect},    {"--jobs", kBatch},
+    {"--cache-dir", kBatch},        {"--cache-budget-mb", kBatch},
+};
+
 /// Parses + type-checks + compiles one source string.
 driver::Compiled compile_source(const std::string& source,
-                                const std::string& path, driver::Config config,
-                                driver::ValidateLevel validate_level,
+                                const std::string& path,
+                                const driver::JobSpec& spec,
                                 driver::CompileOptions copts,
                                 minic::Program* program_out) {
   minic::Program program = minic::parse_program(source, path);
   minic::type_check(program);
+  static_cast<driver::PipelineSpec&>(copts) = spec;
   driver::Compiled compiled =
-      validate_level != driver::ValidateLevel::Off
-          ? validate::validated_compile(program, config, /*n_tests=*/12,
-                                        /*seed=*/1, validate_level,
+      spec.validate != driver::ValidateLevel::Off
+          ? validate::validated_compile(program, spec.config, /*n_tests=*/12,
+                                        /*seed=*/1, spec.validate,
                                         std::move(copts))
-          : driver::compile_program(program, config, copts);
+          : driver::compile_program(program, spec.config, copts);
   *program_out = std::move(program);
   return compiled;
 }
@@ -197,25 +214,13 @@ int run_batch_cli(const std::string& dir, const tools::BatchOptions& options) {
   return result.exit_code;
 }
 
-/// Everything one daemon-submitted job inherits from the command line.
-struct ConnectParams {
-  driver::Config config = driver::Config::Verified;
-  std::string target = "ppc";
-  driver::ValidateLevel validate = driver::ValidateLevel::Off;
-  std::string wcet_fn;  // empty = no WCET phase; "auto" resolves remotely
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
-  bool use_annotations = true;
-  machine::MonitorMode monitor = machine::MonitorMode::Off;
-  bool ssa = false;
-  int exec_cycles = 0;
-};
-
 /// --connect mode: pipeline every file as one "job" request over the daemon
 /// socket, then collect the replies (which may arrive out of order) and
 /// print a per-file summary. Exit 0 = all ok, 1 = a job failed or the
 /// daemon dropped us, 2 = usage/environment.
 int run_connect(const std::string& socket_path, const std::string& path,
-                bool batch, const ConnectParams& params) {
+                bool batch, const driver::JobSpec& spec,
+                const std::string& wcet_fn) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   if (batch) {
@@ -245,19 +250,12 @@ int run_connect(const std::string& socket_path, const std::string& path,
   }
   for (std::size_t i = 0; i < files.size(); ++i) {
     service::JobRequest job;
+    static_cast<driver::JobSpec&>(job) = spec;
     job.id = static_cast<std::int64_t>(i);
     job.name = fs::path(files[i]).stem().string();
     job.source = read_file_or_die(files[i], /*exit_code=*/2);
-    job.entry = params.wcet_fn.empty() ? "auto" : params.wcet_fn;
-    job.config = params.config;
-    job.target = params.target;
-    job.validate = params.validate;
-    job.wcet = !params.wcet_fn.empty();
-    job.wcet_engine = params.wcet_engine;
-    job.use_annotations = params.use_annotations;
-    job.monitor = params.monitor;
-    job.ssa = params.ssa;
-    job.exec_cycles = params.exec_cycles;
+    job.entry = wcet_fn.empty() ? "auto" : wcet_fn;
+    job.wcet = !wcet_fn.empty();
     // Deterministic per-file seed, independent of reply order and shard
     // placement: the same derivation the fleet uses, keyed by sorted index.
     job.input_seed = driver::fleet_job_seed(7, i);
@@ -314,58 +312,32 @@ int run_connect(const std::string& socket_path, const std::string& path,
 
 int main(int argc, char** argv) {
   std::string path;
-  driver::Config config = driver::Config::Verified;
+  driver::JobSpec spec;
+  driver::CompileOptions copts;  // the local pipeline extras: passes, dump
   bool emit_asm = false;
-  driver::ValidateLevel validate_level = driver::ValidateLevel::Off;
-  driver::CompileOptions copts;
   bool stats = false;
   bool profile = false;
-  bool use_annotations = true;
   bool batch = false;
   int jobs = 0;
   std::string cache_dir;
   std::uint64_t cache_budget_bytes = 0;
   std::string wcet_fn;
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
   std::string run_spec;
-  machine::MonitorMode monitor_mode = machine::MonitorMode::Off;
   std::string connect_sock;
-  int exec_cycles = 0;
+  std::vector<std::string> flags_seen;
 
-  tools::FlagConflicts conflicts;
+  tools::SpecFlagParser knobs(driver::kCliVcc);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    // Contradictory repeats of single-valued flags are operator errors, not
-    // a last-one-wins shadowing. --disable-pass is the one repeatable flag.
-    if (const auto flag = tools::split_flag(arg);
-        flag && flag->name != "--disable-pass") {
-      if (const auto conflict = conflicts.note(flag->name, flag->value))
-        die(*conflict);
-    }
-    if (starts_with(arg, "--config=")) {
-      const auto parsed = tools::parse_config_name(arg.substr(9));
-      if (!parsed) die("unknown config '" + arg.substr(9) + "'");
-      config = *parsed;
-    } else if (starts_with(arg, "--target=")) {
-      const auto parsed = tools::parse_target_name(arg.substr(9));
-      if (!parsed) die("unknown target '" + arg.substr(9) + "'");
-      copts.target = *parsed;
+    if (const auto flag = tools::split_flag(arg))
+      flags_seen.push_back(flag->name);
+    if (const auto knob = knobs.parse(arg, &spec)) {
+      if (!knob->empty()) die(*knob);
     } else if (arg == "--emit-asm") {
       emit_asm = true;
-    } else if (arg == "--validate") {
-      validate_level = driver::ValidateLevel::Rtl;
-    } else if (starts_with(arg, "--validate=")) {
-      const auto parsed = tools::parse_validate_level(arg.substr(11));
-      if (!parsed) die("unknown validate level '" + arg.substr(11) + "'");
-      validate_level = *parsed;
-    } else if (arg == "--ssa") {
-      copts.ssa = true;
     } else if (starts_with(arg, "--passes=")) {
       if (arg.size() == 9) die("empty --passes value");
       copts.passes = split_pass_list(arg.substr(9));
-    } else if (starts_with(arg, "--disable-pass=")) {
-      if (arg.size() == 15) die("empty --disable-pass value");
-      copts.disable_passes.push_back(arg.substr(15));
     } else if (starts_with(arg, "--dump-after=")) {
       if (arg.size() == 13) die("empty --dump-after value");
       copts.dump_after = arg.substr(13);
@@ -374,8 +346,6 @@ int main(int argc, char** argv) {
       stats = true;
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--no-annotations") {
-      use_annotations = false;
     } else if (arg == "--batch") {
       batch = true;
     } else if (starts_with(arg, "--jobs=")) {
@@ -391,23 +361,11 @@ int main(int argc, char** argv) {
       cache_budget_bytes = static_cast<std::uint64_t>(*parsed) * 1024 * 1024;
     } else if (starts_with(arg, "--wcet=")) {
       wcet_fn = arg.substr(7);
-    } else if (starts_with(arg, "--wcet-engine=")) {
-      const auto parsed = tools::parse_wcet_engine_name(arg.substr(14));
-      if (!parsed) die("unknown wcet engine '" + arg.substr(14) + "'");
-      wcet_engine = *parsed;
     } else if (starts_with(arg, "--run=")) {
       run_spec = arg.substr(6);
-    } else if (starts_with(arg, "--monitor=")) {
-      const auto parsed = machine::parse_monitor_mode(arg.substr(10));
-      if (!parsed) die("unknown monitor mode '" + arg.substr(10) + "'");
-      monitor_mode = *parsed;
     } else if (starts_with(arg, "--connect=")) {
       connect_sock = arg.substr(10);
       if (connect_sock.empty()) die("empty --connect value");
-    } else if (starts_with(arg, "--exec-cycles=")) {
-      const auto parsed = tools::parse_count_flag(arg.substr(14));
-      if (!parsed) die("bad --exec-cycles value '" + arg.substr(14) + "'");
-      exec_cycles = *parsed;
     } else if (!starts_with(arg, "--") && path.empty()) {
       path = arg;
     } else {
@@ -415,39 +373,32 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) usage();
+  // Every flag is honoured in the mode the invocation runs in, or rejected:
+  // a silently ignored flag would report a job that never ran.
+  const Mode mode =
+      !connect_sock.empty() ? kConnect : (batch ? kBatch : kFile);
+  for (const std::string& flag : flags_seen)
+    for (const auto& [rule_flag, modes] : kModeRules)
+      if (flag == rule_flag && (modes & mode) == 0)
+        die(flag + " is not supported in " +
+            (mode == kFile ? "single-file" : mode == kBatch ? "--batch"
+                                                            : "--connect") +
+            " mode");
   // Pass-name problems are usage errors: diagnose them here at parse time
   // (exit 2, listing the registered steps) instead of letting the pipeline
   // resolver throw mid-compile (exit 1).
-  if (const auto bad = tools::check_pass_names(copts.passes)) die(*bad);
-  if (const auto bad = tools::check_pass_names(copts.disable_passes))
-    die(*bad);
-  if (copts.ssa && !copts.passes.empty())
+  if (const auto bad = driver::check_pass_names(copts.passes)) die(*bad);
+  if (spec.ssa && !copts.passes.empty())
     die("--ssa conflicts with --passes (an explicit pass list already "
         "decides the pipeline; include the ssa-build .. ssa-out bracket "
         "there instead)");
 
-  if (!connect_sock.empty()) {
-    if (!run_spec.empty())
-      die("--run is local-only; use --exec-cycles=N with --connect");
-    ConnectParams params;
-    params.config = config;
-    params.target = copts.target;
-    params.validate = validate_level;
-    params.wcet_fn = wcet_fn;
-    params.wcet_engine = wcet_engine;
-    params.use_annotations = use_annotations;
-    params.monitor = monitor_mode;
-    params.ssa = copts.ssa;
-    params.exec_cycles = exec_cycles;
-    return run_connect(connect_sock, path, batch, params);
-  }
+  if (mode == kConnect)
+    return run_connect(connect_sock, path, batch, spec, wcet_fn);
 
-  if (batch) {
+  if (mode == kBatch) {
     tools::BatchOptions batch_options;
-    batch_options.config = config;
-    batch_options.target = copts.target;
-    batch_options.validate = validate_level;
-    batch_options.ssa = copts.ssa;
+    static_cast<driver::JobSpec&>(batch_options) = spec;
     batch_options.jobs = jobs;
     batch_options.cache_dir = cache_dir;
     batch_options.cache_budget_bytes = cache_budget_bytes;
@@ -485,14 +436,13 @@ int main(int argc, char** argv) {
     minic::Program program;
     driver::Compiled compiled;
     measure("compile", [&] {
-      compiled = compile_source(source, path, config, validate_level,
-                                std::move(copts), &program);
+      compiled = compile_source(source, path, spec, std::move(copts), &program);
     });
     std::fprintf(
         stderr, "vcc: compiled %zu function(s) under %s%s\n",
-        program.functions.size(), driver::to_string(config).c_str(),
-        validate_level != driver::ValidateLevel::Off
-            ? (" (validated: " + driver::to_string(validate_level) + ")")
+        program.functions.size(), driver::to_string(spec.config).c_str(),
+        spec.validate != driver::ValidateLevel::Off
+            ? (" (validated: " + driver::to_string(spec.validate) + ")")
                   .c_str()
             : "");
 
@@ -511,12 +461,13 @@ int main(int argc, char** argv) {
     wcet::FlowFacts facts;
     if (!wcet_fn.empty()) {
       wcet::WcetOptions options;
-      options.use_annotations = use_annotations;
-      options.engine = wcet_engine;
+      options.use_annotations = spec.use_annotations;
+      options.engine = spec.wcet_engine;
       wcet::WcetResult r;
       measure("wcet", [&] {
         facts = wcet::flow_facts(compiled.image, wcet_fn,
-                                 wcet::FlowDepth::Bounds, use_annotations);
+                                 wcet::FlowDepth::Bounds,
+                                 spec.use_annotations);
         r = wcet::analyze_wcet(compiled.image, facts, options);
       });
       std::fputs(wcet::format_report(compiled.image, wcet_fn, r).c_str(),
@@ -540,14 +491,14 @@ int main(int argc, char** argv) {
       if (!call.ok()) die(call.error);
       machine::MonitorSpec monitor_spec;  // outlives the machine's monitor
       machine::Machine m(compiled.image);
-      if (monitor_mode != machine::MonitorMode::Off) {
+      if (spec.monitor != machine::MonitorMode::Off) {
         if (facts.function != fn_name)
-          facts = wcet::FlowFacts(fn_name, use_annotations);
+          facts = wcet::FlowFacts(fn_name, spec.use_annotations);
         wcet::deepen_flow_facts(compiled.image,
-                                wcet::monitor_depth(monitor_mode), &facts);
+                                wcet::monitor_depth(spec.monitor), &facts);
         monitor_spec =
-            wcet::build_monitor_spec(compiled.image, facts, monitor_mode);
-        m.arm_monitor(monitor_spec, monitor_mode);
+            wcet::build_monitor_spec(compiled.image, facts, spec.monitor);
+        m.arm_monitor(monitor_spec, spec.monitor);
       }
       minic::Value result;
       measure("exec", [&] {

@@ -14,7 +14,6 @@
 
 #include "artifact/image_io.hpp"
 #include "artifact/store.hpp"
-#include "mach/target.hpp"
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
 #include "support/threadpool.hpp"
@@ -80,50 +79,6 @@ const char* file_type_name(std::filesystem::file_type t) {
 
 }  // namespace
 
-std::optional<driver::Config> parse_config_name(const std::string& name) {
-  return driver::parse_config(name);
-}
-
-std::optional<std::string> parse_target_name(const std::string& name) {
-  const std::vector<std::string> known = mach::target_names();
-  if (std::find(known.begin(), known.end(), name) != known.end()) return name;
-  return std::nullopt;
-}
-
-std::optional<std::string> check_pass_names(
-    const std::vector<std::string>& names) {
-  const pass::Registry registry = pass::Registry::builtin();
-  std::string selectable;
-  for (const std::string& n : registry.names()) {
-    if (registry.find(n)->structural) continue;
-    if (!selectable.empty()) selectable += ", ";
-    selectable += n;
-  }
-  for (const std::string& name : names) {
-    const pass::StepDef* def = registry.find(name);
-    if (def == nullptr)
-      return "unknown pass '" + name +
-             "'; registered steps: " + selectable;
-    if (def->structural)
-      return "pass '" + name +
-             "' is structural and cannot be selected or disabled";
-  }
-  return std::nullopt;
-}
-
-std::optional<driver::ValidateLevel> parse_validate_level(
-    const std::string& name) {
-  if (name == "off") return driver::ValidateLevel::Off;
-  if (name == "rtl") return driver::ValidateLevel::Rtl;
-  if (name == "full") return driver::ValidateLevel::Full;
-  return std::nullopt;
-}
-
-std::optional<wcet::WcetEngine> parse_wcet_engine_name(
-    const std::string& name) {
-  return wcet::parse_wcet_engine(name);
-}
-
 CallArgs parse_call_args(const minic::Function& fn, const std::string& spec) {
   CallArgs out;
   const std::vector<std::string> items = split_commas(spec);
@@ -182,6 +137,14 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
                      std::to_string(options.jobs);
     return result;
   }
+  // Batch mode is compile-only: a run knob set here would silently not run.
+  if (driver::spec_json(options, driver::kSaltParams).dump() !=
+      driver::spec_json(driver::JobSpec{}, driver::kSaltParams).dump()) {
+    result.exit_code = 2;
+    result.summary = "batch mode is compile-only: the execution, WCET and "
+                     "monitor knobs do not apply";
+    return result;
+  }
   std::vector<std::string> files;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec))
     if (entry.is_regular_file() && entry.path().extension() == ".mc")
@@ -235,16 +198,9 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
           const std::string source = buffer.str();
 
           // Whole-file compiles have no entry function; "" keys the image.
-          // The config string carries the SSA salt (same convention as the
-          // fleet runner): SSA and non-SSA compiles never share an entry.
           Hash128 key;
           if (store != nullptr) {
-            key = artifact::ArtifactStore::make_key(
-                source, "",
-                driver::to_string(options.config) +
-                    (options.ssa ? "+ssa" : ""),
-                options.target,
-                /*annotations=*/true, driver::kCompilerVersion);
+            key = driver::artifact_key(options, source, "");
             if (const auto loaded = store->lookup(key)) {
               std::snprintf(buf, sizeof buf,
                             "%s: ok — %llu function(s), %llu bytes (cached)",
@@ -263,8 +219,7 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
           minic::Program program = minic::parse_program(source, files[i]);
           minic::type_check(program);
           driver::CompileOptions copts;
-          copts.target = options.target;
-          copts.ssa = options.ssa;
+          static_cast<driver::PipelineSpec&>(copts) = options;
           const driver::Compiled compiled =
               options.validate != driver::ValidateLevel::Off
                   ? validate::validated_compile(program, options.config,
@@ -280,8 +235,7 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
             doc["results"] = json::Value(json::Array{});
             json::Value info;
             info["file"] = json::Value(files[i]);
-            info["config"] = json::Value(driver::to_string(options.config));
-            info["target"] = json::Value(options.target);
+            info["spec"] = driver::spec_json(options, driver::kSaltArtifact);
             info["compiler_version"] = json::Value(driver::kCompilerVersion);
             store->publish(key, artifact::serialize_image(compiled.image),
                            artifact::annotation_text(compiled.image), doc,

@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "driver/run_spec.hpp"
 #include "minic/ast.hpp"
 #include "minic/interp.hpp"
 #include "pass/pass.hpp"
-#include "wcet/wcet.hpp"
 
 namespace vc::tools {
 
@@ -41,9 +41,9 @@ class FlagConflicts {
 };
 
 /// Splits "--name=value" into its flag name (nullopt for non-flag words).
-/// Bare boolean flags ("--emit-asm") yield an empty value. The conflict
-/// guard treats a bare `--validate` as `--validate=rtl`, its documented
-/// meaning, so `--validate --validate=rtl` is a tolerated repeat.
+/// Bare boolean flags ("--emit-asm") yield an empty value. A bare knob-table
+/// flag yields the value it stands for (a bare `--validate` is
+/// `--validate=rtl`), so `--validate --validate=rtl` is a tolerated repeat.
 struct SplitFlag {
   std::string name;
   std::string value;
@@ -54,42 +54,41 @@ inline std::optional<SplitFlag> split_flag(const std::string& arg) {
   const std::size_t eq = arg.find('=');
   SplitFlag f;
   f.name = arg.substr(0, eq);
-  if (eq != std::string::npos) f.value = arg.substr(eq + 1);
-  if (arg == "--validate") f.value = "rtl";
+  if (eq != std::string::npos) {
+    f.value = arg.substr(eq + 1);
+  } else if (const driver::SpecField* knob = driver::find_spec_flag(f.name);
+             knob != nullptr && knob->bare != nullptr) {
+    f.value = knob->bare;
+  }
   return f;
 }
 
-/// Maps a --config= name to a configuration; nullopt for unknown names.
-/// Accepts both the cli ("O2") and full ("O2-full") spellings — this is a
-/// thin wrapper over driver::parse_config, kept so the CLI surface stays
-/// unit-testable in one place.
-std::optional<driver::Config> parse_config_name(const std::string& name);
+/// The front half of the vcc and bench flag loops: diagnoses a
+/// contradictory repeat of any single-valued flag, then applies `arg` to
+/// `spec` when it spells a knob-table flag (driver/run_spec.hpp) accepted on
+/// `surface`. Returns nullopt when `arg` is left to the caller's own flags,
+/// "" when it was applied, and a diagnostic otherwise (exit 2). Step names
+/// are checked here too, so a typo'd --disable-pass lists the registered
+/// steps at parse time instead of failing mid-compile.
+class SpecFlagParser {
+ public:
+  explicit SpecFlagParser(driver::CliSurface surface) : surface_(surface) {}
 
-/// Maps a --target= name to a registered target name ("ppc", "rv32");
-/// nullopt for unknown or empty names — strict CLIs diagnose and exit 2
-/// instead of silently compiling for the default ISA.
-std::optional<std::string> parse_target_name(const std::string& name);
+  std::optional<std::string> parse(const std::string& arg,
+                                   driver::JobSpec* spec) {
+    if (const auto flag = split_flag(arg)) {
+      const driver::SpecField* knob = driver::find_spec_flag(flag->name);
+      if (knob == nullptr || !knob->repeats)
+        if (auto conflict = conflicts_.note(flag->name, flag->value))
+          return conflict;
+    }
+    return driver::parse_spec_flag(arg, surface_, spec);
+  }
 
-/// Validates --passes= / --disable-pass= step names against the built-in
-/// step registry at argument-parse time. Returns the diagnostic for the
-/// first unknown or structural name ("unknown pass 'x'; registered steps:
-/// ..."), nullopt when every name is selectable. vcc and the bench binaries
-/// share this so a typo'd step name is a usage error (exit 2) listing the
-/// registered steps, never a mid-compile exception (exit 1).
-std::optional<std::string> check_pass_names(
-    const std::vector<std::string>& names);
-
-/// Maps a --validate= level name ("off", "rtl", "full") to the level;
-/// nullopt for unknown names. A bare --validate (no value) means Rtl, but
-/// that defaulting lives in the flag loop, not here.
-std::optional<driver::ValidateLevel> parse_validate_level(
-    const std::string& name);
-
-/// Maps a --wcet-engine= name ("structural", "ipet", "both") to the engine;
-/// nullopt for unknown names. Thin wrapper over wcet::parse_wcet_engine so
-/// the value round-trips through the one kWcetEngineNames table.
-std::optional<wcet::WcetEngine> parse_wcet_engine_name(
-    const std::string& name);
+ private:
+  driver::CliSurface surface_;
+  FlagConflicts conflicts_;
+};
 
 /// Result of parsing a --run=FN[:a,b,...] argument list against a function
 /// signature: the marshalled values, or a diagnostic.
@@ -136,16 +135,12 @@ struct ProfilePhase {
 /// any per-file failure must yield a non-zero exit code and an explicit
 /// per-file pass/fail summary — a batch must never "exit 0 with errors in
 /// the scrollback".
-struct BatchOptions {
-  driver::Config config = driver::Config::Verified;
-  /// Target ISA every file compiles for (a registered src/targets name).
-  std::string target = "ppc";
-  /// Translation-validation level (off / rtl / full). Validated runs bypass
-  /// the artifact cache: re-checking the compilation is the point of the run.
-  driver::ValidateLevel validate = driver::ValidateLevel::Off;
-  /// Enable the SSA mid-end bracket for every file (CompileOptions::ssa).
-  /// Part of the cache key: SSA and non-SSA batches never share entries.
-  bool ssa = false;
+/// Every file compiles under the spec's config and compile-shaping knobs,
+/// which key the artifact exactly as in the fleet (driver::artifact_key).
+/// A validated batch (spec.validate != Off) bypasses the artifact cache:
+/// re-checking the compilation is the point of the run. Batch mode is
+/// compile-only, so the run knobs (execution, WCET, monitor) do not apply.
+struct BatchOptions : driver::JobSpec {
   int jobs = 0;  // 0 = one worker per hardware thread
   /// Artifact-store directory; empty disables caching.
   std::string cache_dir;

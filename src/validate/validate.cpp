@@ -942,4 +942,15 @@ driver::Compiled validated_compile(const minic::Program& program,
   return compiled;
 }
 
+void attach_campaign_validation(driver::FleetOptions* options) {
+  const driver::ValidateLevel level = options->validate;
+  if (level == driver::ValidateLevel::Off) return;
+  options->compile_override = [level](const minic::Program& program,
+                                      driver::Config config,
+                                      const driver::CompileOptions& copts) {
+    return validated_compile(program, config, /*n_tests=*/6, /*seed=*/1,
+                             level, copts);
+  };
+}
+
 }  // namespace vc::validate

@@ -90,6 +90,7 @@
 #include <string>
 
 #include "driver/compiler.hpp"
+#include "driver/fleet.hpp"
 #include "minic/ast.hpp"
 #include "mach/codegen.hpp"
 #include "regalloc/regalloc.hpp"
@@ -188,5 +189,13 @@ driver::Compiled validated_compile(
     std::uint64_t seed = 1,
     driver::ValidateLevel level = driver::ValidateLevel::Rtl,
     driver::CompileOptions base = {});
+
+/// Attaches validated compilation at `options->validate` to a fleet run as
+/// its compile override (no-op when the level is Off). Campaigns use
+/// n_tests=6, seed=1 — lower than vcc's 12: the differential checker runs
+/// per RTL pass per function, and a campaign multiplies that by thousands
+/// of jobs. vccd uses the same convention, so daemon records are
+/// byte-identical to the in-process campaigns.
+void attach_campaign_validation(driver::FleetOptions* options);
 
 }  // namespace vc::validate

@@ -15,12 +15,6 @@
 
 namespace vc::wcet {
 
-std::optional<WcetEngine> parse_wcet_engine(const std::string& name) {
-  for (std::size_t i = 0; i < std::size(kWcetEngineNames); ++i)
-    if (name == kWcetEngineNames[i]) return static_cast<WcetEngine>(i);
-  return std::nullopt;
-}
-
 using mach::MInstr;
 using mach::MOp;
 

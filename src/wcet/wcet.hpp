@@ -48,10 +48,6 @@ inline constexpr const char* kWcetEngineNames[] = {"structural", "ipet",
   return kWcetEngineNames[static_cast<int>(engine)];
 }
 
-/// Parses a canonical engine name; nullopt for anything else.
-[[nodiscard]] std::optional<WcetEngine> parse_wcet_engine(
-    const std::string& name);
-
 struct WcetOptions {
   /// Machine-configuration override (caches, penalties). Unset = use the
   /// image target's configuration (the normal case); set for ablations.

@@ -64,18 +64,15 @@ TEST(HashTest, SizedFramingPreventsConcatenationCollisions) {
 
 TEST(HashTest, MakeKeyDependsOnEveryField) {
   using artifact::ArtifactStore;
-  const Hash128 base =
-      ArtifactStore::make_key("src", "f", "O2", "ppc", true, "v1");
-  EXPECT_EQ(base, ArtifactStore::make_key("src", "f", "O2", "ppc", true, "v1"));
-  EXPECT_NE(base,
-            ArtifactStore::make_key("src2", "f", "O2", "ppc", true, "v1"));
-  EXPECT_NE(base, ArtifactStore::make_key("src", "g", "O2", "ppc", true, "v1"));
-  EXPECT_NE(base, ArtifactStore::make_key("src", "f", "O0", "ppc", true, "v1"));
-  EXPECT_NE(base,
-            ArtifactStore::make_key("src", "f", "O2", "rv32", true, "v1"));
-  EXPECT_NE(base,
-            ArtifactStore::make_key("src", "f", "O2", "ppc", false, "v1"));
-  EXPECT_NE(base, ArtifactStore::make_key("src", "f", "O2", "ppc", true, "v2"));
+  const Hash128 base = ArtifactStore::make_key("src", "f", "O2|ppc", "v1");
+  EXPECT_EQ(base, ArtifactStore::make_key("src", "f", "O2|ppc", "v1"));
+  EXPECT_NE(base, ArtifactStore::make_key("src2", "f", "O2|ppc", "v1"));
+  EXPECT_NE(base, ArtifactStore::make_key("src", "g", "O2|ppc", "v1"));
+  EXPECT_NE(base, ArtifactStore::make_key("src", "f", "O0|ppc", "v1"));
+  EXPECT_NE(base, ArtifactStore::make_key("src", "f", "O2|rv32", "v1"));
+  EXPECT_NE(base, ArtifactStore::make_key("src", "f", "O2|ppc", "v2"));
+  // Length framing: moving bytes between fields changes the key.
+  EXPECT_NE(base, ArtifactStore::make_key("srcf", "", "O2|ppc", "v1"));
 }
 
 // ------------------------------------------------------------------- JSON
@@ -254,7 +251,7 @@ class StoreTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(dir_); }
 
   static Hash128 key_of(const std::string& tag) {
-    return artifact::ArtifactStore::make_key(tag, "f", "O2", "ppc", true,
+    return artifact::ArtifactStore::make_key(tag, "f", "O2|ppc",
                                              driver::kCompilerVersion);
   }
 

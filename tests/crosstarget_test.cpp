@@ -155,10 +155,11 @@ TEST_P(CrossTargetDeterminism, ParallelCampaignMatchesSequential) {
     options.wcet = true;
     options.wcet_engine = wcet::WcetEngine::Both;
     options.monitor = machine::MonitorMode::Full;
-    attach_validation(&options, driver::ValidateLevel::Full);
+    options.validate = driver::ValidateLevel::Full;
+    validate::attach_campaign_validation(&options);
     const driver::FleetReport report =
         driver::run_fleet(to_fleet_units(suite), options);
-    EXPECT_EQ(report.target, target);
+    EXPECT_EQ(report.spec.target, target);
     EXPECT_EQ(report.monitor_violations, 0u);
     std::string out;
     for (const driver::FleetRecord& r : report.records) {

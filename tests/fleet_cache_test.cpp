@@ -249,11 +249,11 @@ TEST_F(FleetCacheTest, ReportJsonRoundTripsTheRecordArray) {
   }
   // v3 adds the WCET-engine stanza and per-record IPET fields.
   EXPECT_EQ(doc.at("wcet").at("engine").as_string(),
-            wcet::to_string(report.wcet_engine));
+            wcet::to_string(report.spec.wcet_engine));
   EXPECT_EQ(doc.at("wcet").at("ipet_records").as_u64(), report.ipet_records);
   // v4 adds the execution-monitor stanza and per-record monitor fields.
   EXPECT_EQ(doc.at("monitor").at("mode").as_string(),
-            machine::to_string(report.monitor_mode));
+            machine::to_string(report.spec.monitor));
   EXPECT_EQ(doc.at("monitor").at("violations").as_u64(),
             report.monitor_violations);
   // v5 adds the vccd service stanza: disabled (and bare) for offline

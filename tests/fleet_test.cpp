@@ -155,7 +155,7 @@ TEST(FleetTest, BothEnginesFillIpetFieldsAndAggregates) {
   driver::FleetOptions options = exec_and_wcet_options(2);
   options.wcet_engine = wcet::WcetEngine::Both;
   const driver::FleetReport report = driver::run_fleet(suite.units, options);
-  EXPECT_EQ(report.wcet_engine, wcet::WcetEngine::Both);
+  EXPECT_EQ(report.spec.wcet_engine, wcet::WcetEngine::Both);
   std::uint64_t certified = 0;
   for (const driver::FleetRecord& r : report.records) {
     ASSERT_TRUE(r.ok) << r.error;

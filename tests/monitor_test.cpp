@@ -291,7 +291,7 @@ TEST(Monitor, MonitoredFleetIsThreadCountInvariant) {
   options.jobs = 8;
   const driver::FleetReport parallel = driver::run_fleet(suite.units, options);
 
-  EXPECT_EQ(serial.monitor_mode, machine::MonitorMode::Full);
+  EXPECT_EQ(serial.spec.monitor, machine::MonitorMode::Full);
   EXPECT_EQ(serial.monitor_violations, 0u);
   EXPECT_EQ(serial.monitored_records, serial.records.size());
   EXPECT_GT(serial.monitored_steps, 0u);

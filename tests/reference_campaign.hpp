@@ -40,7 +40,8 @@ inline std::string reference_campaign_records(const std::string& target) {
   options.wcet_engine = wcet::WcetEngine::Both;
   options.monitor = machine::MonitorMode::Full;
   options.target = target;
-  attach_validation(&options, driver::ValidateLevel::Full);
+  options.validate = driver::ValidateLevel::Full;
+  validate::attach_campaign_validation(&options);
 
   const driver::FleetReport report =
       driver::run_fleet(to_fleet_units(suite), options);

@@ -104,7 +104,8 @@ void raw_send(int fd, const std::string& bytes) {
 /// one {"ok":false,...} frame, drops the connection, and keeps serving
 /// other clients.
 void expect_error_then_drop(const std::string& socket,
-                            const std::string& bytes) {
+                            const std::string& bytes,
+                            const std::string& names = "") {
   const int fd = service::connect_unix(socket);
   ASSERT_GE(fd, 0);
   raw_send(fd, bytes);
@@ -114,6 +115,9 @@ void expect_error_then_drop(const std::string& socket,
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_FALSE(parsed.value.at("ok").as_bool(true));
   EXPECT_FALSE(parsed.value.at("error").as_string().empty());
+  EXPECT_NE(parsed.value.at("error").as_string().find(names),
+            std::string::npos)
+      << parsed.value.at("error").as_string();
   // The connection is dropped after the error frame.
   const service::Frame next = service::read_frame(fd);
   EXPECT_EQ(next.status, service::Frame::Status::Eof);
@@ -196,6 +200,32 @@ TEST(ServiceProtocolTest, IllTypedFieldsAreRejected) {
       server.socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"config\":\"O9\"}"));
+}
+
+TEST(ServiceProtocolTest, UnknownJobKeysAreRejectedByName) {
+  InProcessServer server("unknownkey");
+  // A typo'd knob must not silently run the default (structural) engine.
+  expect_error_then_drop(
+      server.socket(),
+      framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
+             "{return x;}\",\"wcet_engin\":\"ipet\"}"),
+      "'wcet_engin'");
+  expect_error_then_drop(
+      server.socket(),
+      framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
+             "{return x;}\",\"bogus_field\":3}"),
+      "'bogus_field'");
+  // Known keys with ill-typed or unknown values are named too.
+  expect_error_then_drop(
+      server.socket(),
+      framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
+             "{return x;}\",\"disable_passes\":\"cse\"}"),
+      "'disable_passes'");
+  expect_error_then_drop(
+      server.socket(),
+      framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
+             "{return x;}\",\"disable_passes\":[\"ssa-gnv\"]}"),
+      "unknown pass 'ssa-gnv'");
 }
 
 TEST(ServiceProtocolTest, TruncatedFrameDoesNotCrashTheDaemon) {
@@ -477,6 +507,52 @@ TEST(ServiceIncrementalTest, ShardedResubmissionHitsTheOwningShardsMemo) {
   EXPECT_EQ(second->at("record").dump(), first->at("record").dump());
 
   EXPECT_EQ(service::terminate_daemon(pid, 60.0), 0);
+}
+
+// Ablation arms over vccd: a disable_passes job is its own job. It runs the
+// ablated pipeline (the in-process run_fleet record, byte for byte), and
+// the full-pipeline memo entry for the same source must not answer it.
+TEST(ServiceIncrementalTest, AblatedJobIsServedAsItsOwnJob) {
+  InProcessServer server("ablation");
+  service::ServiceClient client;
+  ASSERT_TRUE(client.connect(server.socket()));
+
+  const std::vector<dataflow::Node> nodes = dataflow::generate_suite(42, 1);
+  minic::Program program;
+  dataflow::generate_node(nodes[0], &program);
+  minic::type_check(program);
+
+  service::JobRequest request;
+  request.id = 1;
+  request.name = nodes[0].name();
+  request.source = minic::print_program(program);
+  request.entry = dataflow::step_function_name(nodes[0]);
+  request.exec_cycles = 10;
+  request.wcet = true;
+  request.input_seed = 5;
+  const auto full = client.call(service::job_to_json(request));
+  ASSERT_TRUE(full.has_value());
+  ASSERT_TRUE(full->at("ok").as_bool(false));
+
+  request.id = 2;
+  request.disable_passes = {"cse", "constprop", "dce"};
+  const auto ablated = client.call(service::job_to_json(request));
+  ASSERT_TRUE(ablated.has_value());
+  ASSERT_TRUE(ablated->at("ok").as_bool(false)) << ablated->dump();
+  EXPECT_NE(ablated->at("cache").as_string(), "incremental");
+  EXPECT_NE(ablated->at("record").dump(), full->at("record").dump());
+
+  driver::FleetOptions options;
+  static_cast<driver::RunSpec&>(options) = request;
+  options.jobs = 1;
+  options.configs = {request.config};
+  const driver::FleetReport reference = driver::run_fleet(
+      {{request.name, &program, request.entry, request.input_seed}},
+      options);
+  ASSERT_EQ(reference.records.size(), 1u);
+  EXPECT_TRUE(reference.records[0].ok) << reference.records[0].error;
+  EXPECT_EQ(ablated->at("record").dump(),
+            driver::record_core_json(reference.records[0]).dump());
 }
 
 TEST(ServiceIncrementalTest, FailedParseIsReportedPerJobNotAsProtocolError) {

@@ -2,19 +2,26 @@
 // and flag values are diagnosed instead of silently truncated/zero-filled)
 // and the --batch exit-code/summary policy: a batch with any failing file
 // must exit non-zero and name every failure explicitly. The --wcet cases
-// run the built vcc binary.
+// and the mode rules (every flag honoured or rejected in single-file,
+// --batch and --connect mode) run the built vcc binary; the --connect
+// cases run it against a spawned vccd.
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 
 #include "mach/target.hpp"
+#include "service/client.hpp"
 #include "tools/vcc_cli.hpp"
 
 namespace vc::tools {
 namespace {
+
+using driver::check_pass_names;
 
 minic::Function two_param_fn() {
   minic::Function fn;
@@ -100,6 +107,31 @@ TEST(VccCliTest, EmptySpecMatchesNullaryFunction) {
   const CallArgs args = parse_call_args(fn, "");
   EXPECT_TRUE(args.ok()) << args.error;
   EXPECT_TRUE(args.values.empty());
+}
+
+/// One vcc flag applied through the knob table (driver/run_spec.hpp), as
+/// vcc parses it; nullopt when the flag is rejected.
+std::optional<driver::JobSpec> parse_knob(const std::string& arg) {
+  driver::JobSpec spec;
+  const auto error = driver::parse_spec_flag(arg, driver::kCliVcc, &spec);
+  if (!error.has_value() || !error->empty()) return std::nullopt;
+  return spec;
+}
+
+std::optional<driver::Config> parse_config_name(const std::string& name) {
+  const auto spec = parse_knob("--config=" + name);
+  return spec ? std::optional(spec->config) : std::nullopt;
+}
+
+std::optional<std::string> parse_target_name(const std::string& name) {
+  const auto spec = parse_knob("--target=" + name);
+  return spec ? std::optional(spec->target) : std::nullopt;
+}
+
+std::optional<wcet::WcetEngine> parse_wcet_engine_name(
+    const std::string& name) {
+  const auto spec = parse_knob("--wcet-engine=" + name);
+  return spec ? std::optional(spec->wcet_engine) : std::nullopt;
 }
 
 TEST(VccCliTest, ParseConfigName) {
@@ -363,6 +395,18 @@ TEST(VccBatchTest, NegativeJobsIsDiagnosed) {
   EXPECT_NE(result.summary.find("-3"), std::string::npos);
 }
 
+TEST(VccBatchTest, RunKnobsAreRejectedNotIgnored) {
+  const BatchDir dir("runknob");
+  dir.add("a.mc", kGoodSource);
+  BatchOptions options;
+  options.wcet = true;
+  const BatchResult result = run_batch(dir.path(), options);
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.summary.find("compile-only"), std::string::npos)
+      << result.summary;
+  EXPECT_EQ(result.total, 0u);
+}
+
 TEST(VccBatchTest, MissingDirectoryIsDiagnosed) {
   const BatchResult result =
       run_batch("/nonexistent/vcc-batch-dir", BatchOptions{});
@@ -560,6 +604,131 @@ TEST(VccWcetFlagTest, WcetAndMonitoredRunShareOneFunction) {
   EXPECT_EQ(code, 0) << out;
   EXPECT_NE(out.find("WCET"), std::string::npos) << out;
   EXPECT_NE(out.find("monitor=full checked="), std::string::npos) << out;
+}
+
+// --- every flag is honoured or rejected, in every mode ----------------------
+
+const char kAblation[] =
+    "--disable-pass=cse --disable-pass=constprop --disable-pass=dce ";
+
+/// The number after `key` in `text` (e.g. "bytes=" or "(total code)"), or
+/// -1 when absent.
+long number_after(const std::string& text, const std::string& key) {
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::strtol(text.c_str() + at + key.size(), nullptr, 10);
+}
+
+/// The single-file compile's size of envelope.mc under `flags`.
+long local_envelope_bytes(const std::string& flags) {
+  const auto [code, out] = run_vcc("--stats " + flags +
+                                   VCFLIGHT_EXAMPLES_DIR + "/envelope.mc");
+  EXPECT_EQ(code, 0) << out;
+  return number_after(out, "(total code)");
+}
+
+TEST(VccModeTest, BatchHonoursDisablePassAndKeysTheCacheWithIt) {
+  const BatchDir dir("ablation");
+  std::ifstream in(std::string(VCFLIGHT_EXAMPLES_DIR) + "/envelope.mc");
+  dir.add("envelope.mc", std::string(std::istreambuf_iterator<char>(in), {}));
+  const std::string cache =
+      (fs::temp_directory_path() / "vcc-batch-test-ablation-store").string();
+  fs::remove_all(cache);
+  const std::string batch = "--cache-dir=" + cache + " --batch " + dir.path();
+
+  const auto [full_code, full_out] = run_vcc(batch);
+  ASSERT_EQ(full_code, 0) << full_out;
+  const auto [code, out] = run_vcc(kAblation + batch);
+  ASSERT_EQ(code, 0) << out;
+  // The ablated batch compiles what the ablated single-file compile does,
+  // cold: the full-pipeline entry must not answer it.
+  EXPECT_EQ(number_after(out, "function(s), "), local_envelope_bytes(kAblation))
+      << out;
+  EXPECT_NE(number_after(out, "function(s), "),
+            number_after(full_out, "function(s), "))
+      << out;
+  EXPECT_EQ(out.find("(cached)"), std::string::npos) << out;
+  const auto [warm_code, warm_out] = run_vcc(kAblation + batch);
+  EXPECT_EQ(warm_code, 0) << warm_out;
+  EXPECT_NE(warm_out.find("(cached)"), std::string::npos) << warm_out;
+  fs::remove_all(cache);
+}
+
+TEST(VccModeTest, ConnectForwardsDisablePass) {
+  const std::string socket = (fs::temp_directory_path() /
+                              ("vcc-cli-" + std::to_string(::getpid()) +
+                               ".sock"))
+                                 .string();
+  const pid_t pid =
+      service::spawn_daemon(VCFLIGHT_VCCD_PATH, {"--socket=" + socket});
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(service::wait_until_ready(socket, 30.0));
+  const std::string file =
+      std::string(VCFLIGHT_EXAMPLES_DIR) + "/envelope.mc";
+
+  const auto [full_code, full_out] =
+      run_vcc("--connect=" + socket + " " + file);
+  EXPECT_EQ(full_code, 0) << full_out;
+  EXPECT_EQ(number_after(full_out, "bytes="), local_envelope_bytes(""))
+      << full_out;
+  const auto [code, out] =
+      run_vcc("--connect=" + socket + " " + kAblation + file);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_EQ(out.find("cache=incremental"), std::string::npos) << out;
+  EXPECT_EQ(number_after(out, "bytes="), local_envelope_bytes(kAblation))
+      << out;
+  EXPECT_EQ(service::terminate_daemon(pid, 30.0), 0);
+}
+
+/// vcc with `args` must exit 2 naming `flag` and the mode it was given in.
+void expect_rejected(const std::string& args, const std::string& flag,
+                     const std::string& mode) {
+  const auto [code, out] = run_vcc(args);
+  EXPECT_EQ(code, 2) << args << "\n" << out;
+  EXPECT_NE(out.find(flag + " is not supported in " + mode + " mode"),
+            std::string::npos)
+      << args << "\n" << out;
+}
+
+TEST(VccModeTest, ExecCyclesRequiresConnect) {
+  const std::string file =
+      std::string(VCFLIGHT_EXAMPLES_DIR) + "/envelope.mc";
+  expect_rejected("--exec-cycles=5 " + file, "--exec-cycles", "single-file");
+  expect_rejected(
+      "--exec-cycles=5 --batch " + std::string(VCFLIGHT_EXAMPLES_DIR),
+      "--exec-cycles", "--batch");
+}
+
+TEST(VccModeTest, BatchRejectsPerFileFlags) {
+  const std::string batch =
+      " --batch " + std::string(VCFLIGHT_EXAMPLES_DIR);
+  for (const auto& [arg, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--wcet=nothere", "--wcet"},
+           {"--run=authority:1.5,2", "--run"},
+           {"--monitor=full", "--monitor"},
+           {"--emit-asm", "--emit-asm"},
+           {"--stats", "--stats"},
+           {"--profile", "--profile"},
+           {"--dump-after=cse", "--dump-after"}})
+    expect_rejected(arg + batch, flag, "--batch");
+}
+
+TEST(VccModeTest, ConnectRejectsLocalOnlyFlags) {
+  // Rejected at parse time: no daemon is needed (or contacted).
+  const std::string connect = " --connect=/nonexistent/vccd.sock " +
+                              std::string(VCFLIGHT_EXAMPLES_DIR) +
+                              "/envelope.mc";
+  for (const auto& [arg, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--emit-asm", "--emit-asm"},
+           {"--stats", "--stats"},
+           {"--profile", "--profile"},
+           {"--dump-after=cse", "--dump-after"},
+           {"--passes=cse", "--passes"},
+           {"--cache-dir=/tmp/vcc-unused", "--cache-dir"},
+           {"--cache-budget-mb=5", "--cache-budget-mb"}})
+    expect_rejected(arg + connect, flag, "--connect");
 }
 
 }  // namespace

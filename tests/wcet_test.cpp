@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/compiler.hpp"
+#include "driver/run_spec.hpp"
 #include "machine/machine.hpp"
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
@@ -317,15 +318,24 @@ TEST(WcetIpet, IpetOnlyEngineOmitsStructural) {
 
 TEST(WcetIpet, EngineNamesRoundTrip) {
   using wcet::WcetEngine;
+  // Engine names are parsed by the job-knob table (driver/run_spec.hpp).
+  const auto parse_engine =
+      [](const std::string& name) -> std::optional<WcetEngine> {
+    driver::JobSpec spec;
+    const std::string error = driver::find_spec_field("wcet_engine")
+                                  ->set(spec, json::Value(name));
+    if (!error.empty()) return std::nullopt;
+    return spec.wcet_engine;
+  };
   for (WcetEngine e : {WcetEngine::Structural, WcetEngine::Ipet,
                        WcetEngine::Both}) {
-    const auto parsed = wcet::parse_wcet_engine(wcet::to_string(e));
+    const auto parsed = parse_engine(wcet::to_string(e));
     ASSERT_TRUE(parsed.has_value()) << wcet::to_string(e);
     EXPECT_EQ(*parsed, e);
   }
-  EXPECT_FALSE(wcet::parse_wcet_engine("exact").has_value());
-  EXPECT_FALSE(wcet::parse_wcet_engine("").has_value());
-  EXPECT_FALSE(wcet::parse_wcet_engine("Structural").has_value());
+  EXPECT_FALSE(parse_engine("exact").has_value());
+  EXPECT_FALSE(parse_engine("").has_value());
+  EXPECT_FALSE(parse_engine("Structural").has_value());
 }
 
 TEST(Wcet, CfgReconstruction) {
