@@ -211,7 +211,7 @@ inline BenchFlags parse_bench_flags(int argc, char** argv,
       *path = value;
       continue;
     }
-    const auto n = tools::parse_count_flag(value);
+    const auto n = parse_count_flag(value);
     if (count == nullptr || !n)
       fail("bad argument '" + arg + "'\nusage: " + bench_name +
            " [--jobs=N] [--nodes=N] [--cache-dir=DIR] [--cache-budget-mb=N] "

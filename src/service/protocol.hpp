@@ -83,7 +83,7 @@ struct JobRequest : driver::JobSpec {
   /// Groups jobs that can share one run_fleet call: the table fields that
   /// salt kSaltClass (every knob and the config; not the per-unit fields).
   [[nodiscard]] std::string class_key() const;
-  /// Latency bucket for the status percentiles (the config's cli name).
+  /// Latency class for the status percentiles (the config's cli name).
   [[nodiscard]] std::string job_class() const;
   /// The incremental-recompilation key: a dependency hash over the source,
   /// entry, name, compiler version (pass-pipeline identity) and every table

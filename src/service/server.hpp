@@ -1,7 +1,6 @@
-// The vccd single-process daemon: accepts framed requests over a local
-// Unix-domain socket (service/protocol.hpp), batches queued compile/
-// execute/WCET jobs through the fleet runner, and keeps two hot layers of
-// state resident across requests:
+// The vccd single-process backend (behind service/frontend.hpp): batches
+// dispatched compile/execute/WCET jobs through the fleet runner, and keeps
+// two hot layers of state resident across requests:
 //
 //   1. the in-memory incremental-recompilation memo — a dependency hash
 //      over (source, entry, config, pass-pipeline identity, every run
@@ -20,26 +19,25 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "artifact/store.hpp"
+#include "service/frontend.hpp"
 #include "service/protocol.hpp"
 #include "support/json.hpp"
 
 namespace vc::service {
 
 struct ServerOptions {
-  std::string socket_path;
   /// Fleet workers per batch; 0 = one per hardware thread.
   int jobs = 0;
   /// Artifact-store directory (empty = no on-disk cache).
@@ -50,73 +48,35 @@ struct ServerOptions {
   int shard_index = -1;
 };
 
-class ServiceServer {
+class ServiceServer final : public Frontend::Backend {
  public:
-  explicit ServiceServer(ServerOptions options);
-  ~ServiceServer();
+  /// Opens the store and launches the batch worker; every job it finishes
+  /// goes out through `frontend`.
+  ServiceServer(Frontend* frontend, ServerOptions options);
+  ~ServiceServer() override;
 
-  ServiceServer(const ServiceServer&) = delete;
-  ServiceServer& operator=(const ServiceServer&) = delete;
-
-  /// Binds the socket and launches the batch worker. False (with *error
-  /// set) if the socket cannot be bound.
-  bool start(std::string* error);
-
-  /// Accept loop. Returns the process exit code after a drain request
-  /// (graceful: in-flight and queued jobs finish, stats flush) — 0 on a
-  /// clean drain.
-  int serve();
-
-  /// Async-signal-safe drain trigger (writes one byte to the wake pipe);
-  /// install it from SIGTERM/SIGINT handlers via a global.
-  void request_drain();
-
-  /// One-line final stats (printed by serve() on drain; exposed for tests).
-  [[nodiscard]] std::string stats_summary();
-
-  /// The status document served to "status" requests.
-  [[nodiscard]] json::Value status_json();
+  void dispatch(JobTicket ticket, JobRequest job) override;
+  /// Waits until the queue is empty and the batcher idle, then stops it.
+  int drain() override;
+  void add_status(json::Value* status) override;
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::mutex write_mutex;
-    std::thread reader;
-    std::atomic<bool> done{false};
-  };
-
   struct Queued {
+    JobTicket ticket;
     JobRequest job;
-    std::shared_ptr<Connection> conn;
-    std::chrono::steady_clock::time_point enqueued;
-    /// Set when the reader resolved the job from the incremental memo: the
+    /// Set when dispatch resolved the job from the incremental memo: the
     /// batcher just sends this record (cache "incremental") without
-    /// compiling. Replies must never happen on the reader thread — a
-    /// pipelining client that has not started draining replies yet would
-    /// wedge the read loop in send() and deadlock the whole daemon.
-    bool memo_hit = false;
-    json::Value memo_record;
+    /// compiling. Replies never happen on the reader thread (frontend.hpp).
+    std::optional<json::Value> memo_record;
   };
 
-  void connection_loop(std::shared_ptr<Connection> conn);
-  void handle_job(const std::shared_ptr<Connection>& conn, JobRequest job);
   void batch_loop();
   void process_batch(std::vector<Queued> batch);
-  void reply(const std::shared_ptr<Connection>& conn,
-             const std::string& payload);
-  void reply_record(const Queued& queued, const json::Value& record,
-                    const char* cache_kind);
-  void note_latency(const std::string& job_class, double seconds);
+  void stop_batcher();
 
+  Frontend& frontend_;
   ServerOptions options_;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> draining_{false};
-
   std::unique_ptr<artifact::ArtifactStore> store_;
-
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;   // batcher wakeups
@@ -124,28 +84,18 @@ class ServiceServer {
   std::deque<Queued> queue_;
   std::size_t in_flight_ = 0;
   bool stop_batcher_ = false;
-  std::thread batcher_;
 
   /// Incremental memo: request hash (hex) -> finished record document.
   std::mutex memo_mutex_;
   std::unordered_map<std::string, json::Value> memo_;
 
-  /// Counters + latency reservoirs (guarded by stats_mutex_).
-  std::mutex stats_mutex_;
-  std::uint64_t requests_ = 0;
-  std::uint64_t job_requests_ = 0;
-  std::uint64_t jobs_completed_ = 0;
-  std::uint64_t incremental_hits_ = 0;
-  std::uint64_t full_hits_ = 0;
-  std::uint64_t image_hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t queue_peak_ = 0;
-  std::uint64_t validator_checks_ = 0;
-  std::uint64_t monitored_steps_ = 0;
-  std::uint64_t monitor_violations_ = 0;
-  std::uint64_t batches_ = 0;
-  std::map<std::string, std::vector<double>> latency_;  // per job class
-  std::chrono::steady_clock::time_point started_;
+  /// Batcher-side counters (the front end counts jobs and latency).
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> validator_checks_{0};
+  std::atomic<std::uint64_t> monitored_steps_{0};
+  std::atomic<std::uint64_t> monitor_violations_{0};
+
+  std::thread batcher_;  // last: it uses every member above
 };
 
 }  // namespace vc::service

@@ -1,82 +1,33 @@
 #include "service/supervisor.hpp"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
+#include <chrono>
 #include <utility>
 
 #include "service/client.hpp"
 
 namespace vc::service {
 
-namespace {
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size());
-  std::size_t index = static_cast<std::size_t>(rank);
-  if (index >= values.size()) index = values.size() - 1;
-  return values[index];
-}
-
-}  // namespace
-
-ShardSupervisor::ShardSupervisor(SupervisorOptions options)
-    : options_(std::move(options)),
-      started_(std::chrono::steady_clock::now()) {
+ShardSupervisor::ShardSupervisor(Frontend* frontend, SupervisorOptions options)
+    : frontend_(*frontend), options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
   for (int i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-    shard->socket = options_.socket_path + ".s" + std::to_string(i);
+    shard->socket = frontend_.socket_path() + ".s" + std::to_string(i);
     shards_.push_back(std::move(shard));
   }
-}
-
-ShardSupervisor::~ShardSupervisor() {
-  stop_shards();
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (auto& conn : conns_) {
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (auto& conn : conns_) {
-      if (conn->reader.joinable()) conn->reader.join();
-      std::lock_guard<std::mutex> wl(conn->write_mutex);
-      if (conn->fd >= 0) ::close(conn->fd);
-      conn->fd = -1;
-    }
-    conns_.clear();
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
-  if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
-  ::unlink(options_.socket_path.c_str());
-}
-
-bool ShardSupervisor::start(std::string* error) {
-  if (::pipe(wake_pipe_) != 0) {
-    if (error) *error = "pipe() failed";
-    return false;
-  }
-  listen_fd_ = listen_unix(options_.socket_path, error);
-  if (listen_fd_ < 0) return false;
   for (auto& shard : shards_) {
     Shard* raw = shard.get();
     shard->thread = std::thread([this, raw] { shard_loop(raw); });
   }
-  return true;
 }
+
+ShardSupervisor::~ShardSupervisor() { stop_shards(); }
 
 bool ShardSupervisor::stop_shards() {
   stopping_.store(true);
@@ -98,45 +49,45 @@ bool ShardSupervisor::stop_shards() {
       if (shard->fd >= 0) ::close(shard->fd);
       shard->fd = -1;
     }
-    if (shard->pid > 0) {
-      if (terminate_daemon(shard->pid, 10.0) != 0) clean = false;
-      shard->pid = -1;
-    }
+    const pid_t pid = shard->pid.exchange(-1);
+    if (pid > 0 && terminate_daemon(pid, 10.0) != 0) clean = false;
   }
   return clean;
 }
 
-void ShardSupervisor::request_drain() {
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'd';
-    [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+int ShardSupervisor::drain() {
+  {
+    // The notifiers do not hold drain_mutex_, so poll with a short wait
+    // instead of relying on a wakeup that could race the predicate check.
+    std::unique_lock<std::mutex> lock(drain_mutex_);
+    while (pending_total() != 0)
+      drain_cv_.wait_for(lock, std::chrono::milliseconds(50));
   }
+  // Shut the shards down gracefully (SIGTERM drain; each must exit 0).
+  return stop_shards() ? 0 : 1;
 }
 
 bool ShardSupervisor::spawn_and_connect(Shard* shard) {
   if (stopping_.load()) return false;
   // Spawn the worker if it is not alive. A fresh spawn always gets a fresh
   // socket path bind (listen_unix unlinks stale files).
-  if (shard->pid > 0) {
-    int status = 0;
-    const pid_t got = ::waitpid(shard->pid, &status, WNOHANG);
-    if (got == shard->pid) shard->pid = -1;
+  pid_t pid = shard->pid.load();
+  int status = 0;
+  if (pid > 0 && ::waitpid(pid, &status, WNOHANG) == pid) pid = -1;
+  if (pid <= 0) {
+    std::vector<std::string> args = {
+        "--socket=" + shard->socket,
+        "--shard-index=" + std::to_string(shard->index)};
+    args.insert(args.end(), options_.shard_args.begin(),
+                options_.shard_args.end());
+    pid = spawn_daemon(options_.vccd_path, args);
   }
-  if (shard->pid <= 0) {
-    std::vector<std::string> args;
-    args.push_back("--socket=" + shard->socket);
-    args.push_back("--shard-index=" + std::to_string(shard->index));
-    for (const std::string& a : options_.shard_args) args.push_back(a);
-    shard->pid = spawn_daemon(options_.vccd_path, args);
-    if (shard->pid <= 0) return false;
-  }
+  shard->pid.store(pid);
+  if (pid <= 0) return false;
   if (!wait_until_ready(shard->socket, 20.0)) {
-    if (shard->pid > 0) {
-      ::kill(shard->pid, SIGKILL);
-      int status = 0;
-      ::waitpid(shard->pid, &status, 0);
-      shard->pid = -1;
-    }
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    shard->pid.store(-1);
     return false;
   }
   const int fd = connect_unix(shard->socket);
@@ -154,9 +105,8 @@ void ShardSupervisor::resubmit_pending(Shard* shard) {
   {
     std::lock_guard<std::mutex> lock(shard->pending_mutex);
     payloads.reserve(shard->pending.size());
-    for (const auto& [id, pending] : shard->pending) {
+    for (const auto& [id, pending] : shard->pending)
       payloads.push_back(pending.payload);
-    }
   }
   std::lock_guard<std::mutex> lock(shard->channel_mutex);
   if (shard->fd < 0) return;
@@ -171,9 +121,7 @@ void ShardSupervisor::fail_pending(Shard* shard, const std::string& reason) {
     std::lock_guard<std::mutex> lock(shard->pending_mutex);
     orphans.swap(shard->pending);
   }
-  for (auto& [id, pending] : orphans) {
-    reply(pending.conn, error_reply(reason, pending.client_id));
-  }
+  for (auto& [id, pending] : orphans) frontend_.fail(pending.ticket, reason);
   drain_cv_.notify_all();
 }
 
@@ -214,10 +162,10 @@ void ShardSupervisor::shard_loop(Shard* shard) {
     if (stopping_.load()) break;
     // The shard died under us (crash or kill): reap it, count the restart,
     // and loop back to respawn + resubmit.
-    if (shard->pid > 0) {
+    const pid_t pid = shard->pid.exchange(-1);
+    if (pid > 0) {
       int status = 0;
-      ::waitpid(shard->pid, &status, 0);
-      shard->pid = -1;
+      ::waitpid(pid, &status, 0);
     }
     shard->restarts.fetch_add(1);
   }
@@ -229,66 +177,32 @@ void ShardSupervisor::route_reply(Shard* shard, const std::string& payload) {
   if (!parsed.ok() || parsed.value.kind() != json::Value::Kind::Object) {
     return;  // shard spoke garbage; the read loop will notice on EOF
   }
-  json::Value doc = std::move(parsed.value);
-  const std::uint64_t internal_id = doc.at("id").as_u64(0);
+  json::Value& doc = parsed.value;
   Pending pending;
   {
     std::lock_guard<std::mutex> lock(shard->pending_mutex);
-    auto it = shard->pending.find(internal_id);
+    auto it = shard->pending.find(doc.at("id").as_u64(0));
     if (it == shard->pending.end()) return;  // duplicate after a resubmit race
     pending = std::move(it->second);
     shard->pending.erase(it);
   }
-  doc["id"] = json::Value(static_cast<std::int64_t>(pending.client_id));
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    pending.enqueued)
-          .count();
-  doc["seconds"] = json::Value(seconds);
-  const std::string cache = doc.at("cache").as_string("miss");
-  reply(pending.conn, doc.dump());
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++jobs_completed_;
-    if (cache == "full") {
-      ++full_hits_;
-    } else if (cache == "image") {
-      ++image_hits_;
-    } else if (cache == "incremental") {
-      ++incremental_hits_;
-    } else {
-      ++misses_;
-    }
-    latency_[pending.job_class].push_back(seconds);
+  if (doc.at("ok").as_bool(false)) {
+    frontend_.complete(pending.ticket, std::move(doc["record"]),
+                       doc.at("cache").as_string("miss"));
+  } else {
+    frontend_.fail(pending.ticket, doc.at("error").as_string());
   }
   drain_cv_.notify_all();
 }
 
-void ShardSupervisor::reply(const std::shared_ptr<Connection>& conn,
-                            const std::string& payload) {
-  if (!conn) return;
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (conn->fd < 0) return;
-  write_frame(conn->fd, payload);
-}
-
-void ShardSupervisor::handle_job(const std::shared_ptr<Connection>& conn,
-                                 JobRequest job) {
+void ShardSupervisor::dispatch(JobTicket ticket, JobRequest job) {
   // No supervisor-level memo: incremental serving is shard-owned (every
-  // shard is a full ServiceServer with its own memo), and the supervisor's
-  // reader threads must never send — an inline reply to a pipelining
-  // client that is not draining replies yet would wedge this read loop in
-  // send() and deadlock the daemon. Replies only ever originate on the
-  // shard_loop reply-router threads.
+  // shard is a full ServiceServer with its own memo). Replies only ever
+  // originate on the shard_loop reply-router threads.
   const std::uint64_t internal_id = next_internal_.fetch_add(1);
   json::Value forwarded = job_to_json(job);
   forwarded["id"] = json::Value(static_cast<std::int64_t>(internal_id));
-  Pending pending;
-  pending.payload = forwarded.dump();
-  pending.conn = conn;
-  pending.client_id = job.id;
-  pending.job_class = job.job_class();
-  pending.enqueued = std::chrono::steady_clock::now();
+  const std::string payload = forwarded.dump();
 
   // First-seen jobs round-robin across the shards; a resubmission returns
   // to the shard that first ran it (the supervisor keeps no record memo of
@@ -307,15 +221,9 @@ void ShardSupervisor::handle_job(const std::shared_ptr<Connection>& conn,
     }
   }
   Shard* shard = shards_[shard_index].get();
-  std::string payload = pending.payload;
   {
     std::lock_guard<std::mutex> lock(shard->pending_mutex);
-    shard->pending.emplace(internal_id, std::move(pending));
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    const std::size_t depth = pending_total();
-    if (depth > queue_peak_) queue_peak_ = depth;
+    shard->pending.emplace(internal_id, Pending{payload, std::move(ticket)});
   }
   std::lock_guard<std::mutex> lock(shard->channel_mutex);
   if (shard->fd >= 0) {
@@ -333,217 +241,30 @@ std::size_t ShardSupervisor::pending_total() {
   return total;
 }
 
-void ShardSupervisor::connection_loop(std::shared_ptr<Connection> conn) {
-  // Mirrors the server's strict-drop semantics: protocol violations shut
-  // the socket down actively so the client sees EOF immediately; a clean
-  // EOF leaves the write side open for in-flight job replies.
-  bool dropped = false;
-  for (;;) {
-    Frame frame = read_frame(conn->fd);
-    if (frame.status == Frame::Status::Eof) break;
-    if (frame.status == Frame::Status::Error) {
-      reply(conn, error_reply(frame.error));
-      dropped = true;
-      break;  // protocol violation: drop the connection
-    }
-    ParsedRequest request = parse_request(frame.payload);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++requests_;
-    }
-    if (!request.error.empty()) {
-      reply(conn, error_reply(request.error, request.id));
-      dropped = true;
-      break;
-    }
-    if (request.op == "ping") {
-      json::Value doc;
-      doc["ok"] = json::Value(true);
-      doc["pong"] = json::Value(true);
-      reply(conn, doc.dump());
-    } else if (request.op == "status") {
-      json::Value doc;
-      doc["ok"] = json::Value(true);
-      doc["status"] = status_json();
-      reply(conn, doc.dump());
-    } else if (request.op == "shutdown") {
-      json::Value doc;
-      doc["ok"] = json::Value(true);
-      doc["draining"] = json::Value(true);
-      reply(conn, doc.dump());
-      request_drain();
-    } else {
-      handle_job(conn, std::move(*request.job));
-    }
-  }
-  if (dropped) {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  conn->done.store(true);
-}
-
-int ShardSupervisor::serve() {
-  bool drain = false;
-  while (!drain) {
-    struct pollfd fds[2];
-    fds[0].fd = listen_fd_;
-    fds[0].events = POLLIN;
-    fds[1].fd = wake_pipe_[0];
-    fds[1].events = POLLIN;
-    const int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) {
-      drain = true;
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    auto conn = std::make_shared<Connection>();
-    conn->fd = client;
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      // Reap finished connections while we are here.
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        if ((*it)->done.load()) {
-          if ((*it)->reader.joinable()) (*it)->reader.join();
-          {
-            std::lock_guard<std::mutex> wl((*it)->write_mutex);
-            if ((*it)->fd >= 0) ::close((*it)->fd);
-            (*it)->fd = -1;
-          }
-          it = conns_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      conns_.push_back(conn);
-    }
-    conn->reader = std::thread([this, conn] { connection_loop(conn); });
-  }
-
-  // Graceful drain: stop accepting, stop reading (no new jobs can arrive),
-  // then wait until every pending table empties.
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  ::unlink(options_.socket_path.c_str());
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns = conns_;
-  }
-  for (auto& conn : conns) {
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RD);
-  }
-  for (auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-  {
-    // The notifiers do not hold drain_mutex_, so poll with a short wait
-    // instead of relying on a wakeup that could race the predicate check.
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    while (pending_total() != 0) {
-      drain_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    }
-  }
-  // Shut the shards down gracefully (SIGTERM drain; each must exit 0).
-  const bool shards_clean = stop_shards();
-  // Flush final stats and close client connections.
-  std::fprintf(stderr, "vccd[supervisor]: %s\n", stats_summary().c_str());
-  for (auto& conn : conns) {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
-  }
-  return shards_clean ? 0 : 1;
-}
-
-std::string ShardSupervisor::stats_summary() {
-  std::uint64_t restarts_total = 0;
-  for (auto& shard : shards_) restarts_total += shard->restarts.load();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "shards=%zu jobs=%llu incremental=%llu full=%llu image=%llu "
-                "miss=%llu queue_peak=%llu restarts=%llu",
-                shards_.size(),
-                static_cast<unsigned long long>(jobs_completed_),
-                static_cast<unsigned long long>(incremental_hits_),
-                static_cast<unsigned long long>(full_hits_),
-                static_cast<unsigned long long>(image_hits_),
-                static_cast<unsigned long long>(misses_),
-                static_cast<unsigned long long>(queue_peak_),
-                static_cast<unsigned long long>(restarts_total));
-  return buffer;
-}
-
-json::Value ShardSupervisor::status_json() {
-  json::Value doc;
-  const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_)
-          .count();
-  doc["uptime_seconds"] = json::Value(uptime);
-  doc["pid"] = json::Value(static_cast<std::int64_t>(::getpid()));
+void ShardSupervisor::add_status(json::Value* status) {
+  json::Value& doc = *status;
   doc["mode"] = json::Value("supervisor");
   doc["shards"] = json::Value(static_cast<std::int64_t>(shards_.size()));
-
-  json::Value shard_list{json::Array{}};
+  json::Value& shard_list = doc["shard_list"];
+  shard_list = json::Value(json::Array{});
   std::uint64_t restarts_total = 0;
   for (auto& shard : shards_) {
     json::Value entry;
     entry["index"] = json::Value(static_cast<std::int64_t>(shard->index));
-    entry["pid"] = json::Value(static_cast<std::int64_t>(shard->pid));
+    entry["pid"] = json::Value(static_cast<std::int64_t>(shard->pid.load()));
     entry["up"] = json::Value(shard->up.load());
     const std::uint64_t r = shard->restarts.load();
     restarts_total += r;
-    entry["restarts"] = json::Value(static_cast<std::int64_t>(r));
+    entry["restarts"] = json::Value(r);
     {
       std::lock_guard<std::mutex> lock(shard->pending_mutex);
       entry["pending"] = json::Value(
-          static_cast<std::int64_t>(shard->pending.size()));
+          static_cast<std::uint64_t>(shard->pending.size()));
     }
     entry["socket"] = json::Value(shard->socket);
     shard_list.as_array_mut().push_back(std::move(entry));
   }
-  doc["shard_list"] = std::move(shard_list);
-  doc["shard_restarts"] = json::Value(
-      static_cast<std::int64_t>(restarts_total));
-  doc["queue_depth"] = json::Value(
-      static_cast<std::int64_t>(pending_total()));
-
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  doc["requests"] = json::Value(static_cast<std::int64_t>(requests_));
-  doc["jobs_completed"] = json::Value(
-      static_cast<std::int64_t>(jobs_completed_));
-  doc["queue_peak"] = json::Value(static_cast<std::int64_t>(queue_peak_));
-  doc["jobs_per_second"] =
-      json::Value(uptime > 0.0
-                      ? static_cast<double>(jobs_completed_) / uptime
-                      : 0.0);
-  json::Value cache;
-  cache["incremental_hits"] = json::Value(
-      static_cast<std::int64_t>(incremental_hits_));
-  cache["full_hits"] = json::Value(static_cast<std::int64_t>(full_hits_));
-  cache["image_hits"] = json::Value(static_cast<std::int64_t>(image_hits_));
-  cache["misses"] = json::Value(static_cast<std::int64_t>(misses_));
-  doc["cache"] = std::move(cache);
-  json::Value latency;
-  for (const auto& [job_class, samples] : latency_) {
-    json::Value entry;
-    entry["count"] = json::Value(static_cast<std::int64_t>(samples.size()));
-    entry["p50_ms"] = json::Value(percentile(samples, 50.0) * 1000.0);
-    entry["p99_ms"] = json::Value(percentile(samples, 99.0) * 1000.0);
-    latency[job_class] = std::move(entry);
-  }
-  doc["latency"] = std::move(latency);
-  return doc;
+  doc["shard_restarts"] = json::Value(restarts_total);
 }
 
 }  // namespace vc::service

@@ -1,7 +1,7 @@
-// Shard mode (`vccd --shards=N`): a tiny supervisor process that owns the
-// public socket, spawns N single-process vccd shards on private sockets
-// (`<sock>.s0` .. `<sock>.sN-1`, all over ONE artifact store directory),
-// round-robins first-seen job requests across them (a resubmission returns
+// Shard mode (`vccd --shards=N`): the supervisor backend behind the public
+// socket's front end (service/frontend.hpp). It spawns N single-process
+// vccd shards on private sockets (`<sock>.s0` .. `<sock>.sN-1`, all over
+// ONE artifact store directory), round-robins first-seen job requests across them (a resubmission returns
 // to the shard whose memo already holds it), and restarts a dead shard
 // without losing queued work.
 //
@@ -18,7 +18,6 @@
 #include <sys/types.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -29,13 +28,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "service/frontend.hpp"
 #include "service/protocol.hpp"
 #include "support/json.hpp"
 
 namespace vc::service {
 
 struct SupervisorOptions {
-  std::string socket_path;
   int shards = 2;
   /// Executable to spawn shards from (normally /proc/self/exe).
   std::string vccd_path;
@@ -43,47 +42,30 @@ struct SupervisorOptions {
   std::vector<std::string> shard_args;
 };
 
-class ShardSupervisor {
+class ShardSupervisor final : public Frontend::Backend {
  public:
-  explicit ShardSupervisor(SupervisorOptions options);
-  ~ShardSupervisor();
-  ShardSupervisor(const ShardSupervisor&) = delete;
-  ShardSupervisor& operator=(const ShardSupervisor&) = delete;
+  /// Launches one channel thread per shard (spawn, read, respawn); shard i
+  /// listens on `<frontend socket>.s<i>`.
+  ShardSupervisor(Frontend* frontend, SupervisorOptions options);
+  ~ShardSupervisor() override;
 
-  /// Binds the public socket and launches the shard channels.
-  bool start(std::string* error);
-
-  /// Accept loop; returns the exit code after a graceful drain.
-  int serve();
-
-  /// Async-signal-safe drain trigger.
-  void request_drain();
-
-  [[nodiscard]] json::Value status_json();
-
-  /// One-line final stats (printed by serve() on drain).
-  [[nodiscard]] std::string stats_summary();
+  void dispatch(JobTicket ticket, JobRequest job) override;
+  /// Waits until every pending table is empty, then drain-stops the shards:
+  /// 0 if each worker drain-exited 0, else 1.
+  int drain() override;
+  void add_status(json::Value* status) override;
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::mutex write_mutex;
-    std::thread reader;
-    std::atomic<bool> done{false};
-  };
-
   struct Pending {
     std::string payload;  // forwarded frame (internal id already stamped)
-    std::shared_ptr<Connection> conn;
-    std::int64_t client_id = 0;
-    std::string job_class;
-    std::chrono::steady_clock::time_point enqueued;
+    JobTicket ticket;
   };
 
   struct Shard {
     int index = 0;
     std::string socket;
-    pid_t pid = -1;
+    /// Written by the channel thread on (re)spawn, read by status readers.
+    std::atomic<pid_t> pid{-1};
     int fd = -1;                 // channel to the shard (guarded below)
     std::mutex channel_mutex;    // guards fd and writes on it
     std::thread thread;          // spawn / read / respawn loop
@@ -94,23 +76,18 @@ class ShardSupervisor {
     std::atomic<bool> exited{false};  // channel thread has returned
   };
 
-  void connection_loop(std::shared_ptr<Connection> conn);
-  void handle_job(const std::shared_ptr<Connection>& conn, JobRequest job);
   void shard_loop(Shard* shard);
   bool spawn_and_connect(Shard* shard);
   void resubmit_pending(Shard* shard);
   void fail_pending(Shard* shard, const std::string& reason);
   void route_reply(Shard* shard, const std::string& payload);
-  void reply(const std::shared_ptr<Connection>& conn,
-             const std::string& payload);
   [[nodiscard]] std::size_t pending_total();
   /// Joins every shard channel thread, then terminates the worker
   /// processes. Returns false if any worker failed to drain-exit 0.
   bool stop_shards();
 
+  Frontend& frontend_;
   SupervisorOptions options_;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -118,27 +95,12 @@ class ShardSupervisor {
   std::atomic<std::uint64_t> round_robin_{0};
 
   /// Dependency hash -> owning shard: resubmissions return to the shard
-  /// whose memo already holds the record (the supervisor itself never
-  /// answers jobs — see handle_job on why its readers must not send).
+  /// whose memo already holds the record.
   std::mutex placement_mutex_;
   std::unordered_map<std::string, std::size_t> placement_;
 
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;  // fires when a pending empties
-
-  std::mutex stats_mutex_;
-  std::uint64_t requests_ = 0;
-  std::uint64_t jobs_completed_ = 0;
-  std::uint64_t incremental_hits_ = 0;
-  std::uint64_t full_hits_ = 0;
-  std::uint64_t image_hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t queue_peak_ = 0;
-  std::map<std::string, std::vector<double>> latency_;
-  std::chrono::steady_clock::time_point started_;
 };
 
 }  // namespace vc::service

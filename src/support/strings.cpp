@@ -1,7 +1,9 @@
 #include "support/strings.hpp"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 namespace vc {
 
@@ -46,6 +48,17 @@ std::string pad_left(const std::string& s, std::size_t width) {
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::optional<int> parse_count_flag(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end != text.c_str() + text.size() || errno == ERANGE || v < 0 ||
+      v > 1000000)
+    return std::nullopt;
+  return static_cast<int>(v);
 }
 
 }  // namespace vc

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,5 +25,10 @@ std::string pad_left(const std::string& s, std::size_t width);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);
+
+/// Parses a decimal count flag value ("--jobs=N"); nullopt on malformed
+/// input or values outside [0, 1000000]. Negative values are malformed by
+/// policy: they must never reach a thread pool or a byte budget.
+std::optional<int> parse_count_flag(const std::string& text);
 
 }  // namespace vc

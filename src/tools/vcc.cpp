@@ -349,14 +349,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch") {
       batch = true;
     } else if (starts_with(arg, "--jobs=")) {
-      const auto parsed = tools::parse_count_flag(arg.substr(7));
+      const auto parsed = parse_count_flag(arg.substr(7));
       if (!parsed) die("bad --jobs value '" + arg.substr(7) + "'");
       jobs = *parsed;
     } else if (starts_with(arg, "--cache-dir=")) {
       cache_dir = arg.substr(12);
       if (cache_dir.empty()) die("empty --cache-dir value");
     } else if (starts_with(arg, "--cache-budget-mb=")) {
-      const auto parsed = tools::parse_count_flag(arg.substr(18));
+      const auto parsed = parse_count_flag(arg.substr(18));
       if (!parsed) die("bad --cache-budget-mb value '" + arg.substr(18) + "'");
       cache_budget_bytes = static_cast<std::uint64_t>(*parsed) * 1024 * 1024;
     } else if (starts_with(arg, "--wcet=")) {

@@ -280,17 +280,6 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
   return result;
 }
 
-std::optional<int> parse_count_flag(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || errno == ERANGE || v < 0 ||
-      v > 1000000)
-    return std::nullopt;
-  return static_cast<int>(v);
-}
-
 std::string format_profile(const std::vector<ProfilePhase>& phases,
                            const pass::PipelineStats& passes) {
   std::string out = "== profile ==\n";

@@ -105,11 +105,6 @@ struct CallArgs {
 /// strtod fully consumes.
 CallArgs parse_call_args(const minic::Function& fn, const std::string& spec);
 
-/// Parses a decimal unsigned integer flag value ("--jobs=N"); nullopt on
-/// malformed input or values outside [0, 1000000]. Negative values are
-/// malformed by policy: they must never reach the thread pool.
-std::optional<int> parse_count_flag(const std::string& text);
-
 /// One measured phase of a vcc invocation (compile / wcet / exec): wall time
 /// plus the heap traffic the phase performed on the calling thread
 /// (support/alloccount counters).

@@ -3,30 +3,32 @@
 //   vccd --socket=PATH [--jobs=N] [--shards=N] [--cache-dir=DIR]
 //        [--cache-budget-mb=N] [--shard-index=I]
 //
-// Single-process mode (the default) serves the framed protocol directly;
-// --shards=N forks N worker vccd processes behind a supervisor that owns
-// the public socket and restarts dead shards. SIGTERM/SIGINT drain
-// gracefully: in-flight jobs finish, stats flush to stderr, exit 0.
+// One front end (service/frontend.hpp) owns the socket and the protocol;
+// behind it, single-process mode (the default) batches jobs itself, and
+// --shards=N forks N worker vccd processes behind a supervisor that
+// restarts dead shards. SIGTERM/SIGINT drain gracefully: in-flight jobs
+// finish, the stats line goes to stderr, exit 0. Count flags take decimal
+// values in [0, 1000000]; --shards at most 64.
 #include <signal.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "service/frontend.hpp"
 #include "service/server.hpp"
 #include "service/supervisor.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
-vc::service::ServiceServer* g_server = nullptr;
-vc::service::ShardSupervisor* g_supervisor = nullptr;
+vc::service::Frontend* g_frontend = nullptr;
 
 void handle_terminate(int) {
-  // Async-signal-safe: both paths only write one byte to a wake pipe.
-  if (g_server != nullptr) g_server->request_drain();
-  if (g_supervisor != nullptr) g_supervisor->request_drain();
+  // Async-signal-safe: only writes one byte to the wake pipe.
+  if (g_frontend != nullptr) g_frontend->request_drain();
 }
 
 void install_signal_handlers() {
@@ -46,15 +48,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_int(const std::string& text, long* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 std::string self_exe_path(const char* argv0) {
   char buffer[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
@@ -69,49 +62,36 @@ std::string self_exe_path(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::string socket_path;
-  long jobs = 0;
-  long shards = 0;
-  long shard_index = -1;
   std::string cache_dir;
-  long cache_budget_mb = 0;
+  int jobs = 0;
+  int shards = 0;
+  int shard_index = -1;
+  int cache_budget_mb = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) -> std::string {
-      return arg.substr(std::string(prefix).size());
-    };
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = value_of("--socket=");
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!parse_int(value_of("--jobs="), &jobs) || jobs < 0) {
-        std::fprintf(stderr, "vccd: error: bad --jobs value: %s\n",
+    // "--name=value"; an argument without '=' has no flag name.
+    const std::size_t eq = arg.find('=');
+    const bool has_value = eq != std::string::npos;
+    const std::string flag = has_value ? arg.substr(0, eq) : "";
+    const std::string value = has_value ? arg.substr(eq + 1) : "";
+    int* count = flag == "--jobs"              ? &jobs
+                 : flag == "--shards"          ? &shards
+                 : flag == "--shard-index"     ? &shard_index
+                 : flag == "--cache-budget-mb" ? &cache_budget_mb
+                                               : nullptr;
+    if (count != nullptr) {
+      const auto n = vc::parse_count_flag(value);
+      if (!n || (count == &shards && *n > 64)) {
+        std::fprintf(stderr, "vccd: error: bad %s value: %s\n", flag.c_str(),
                      arg.c_str());
         return 2;
       }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!parse_int(value_of("--shards="), &shards) || shards < 0 ||
-          shards > 64) {
-        std::fprintf(stderr, "vccd: error: bad --shards value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--shard-index=", 0) == 0) {
-      if (!parse_int(value_of("--shard-index="), &shard_index) ||
-          shard_index < 0) {
-        std::fprintf(stderr, "vccd: error: bad --shard-index value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      cache_dir = value_of("--cache-dir=");
-    } else if (arg.rfind("--cache-budget-mb=", 0) == 0) {
-      if (!parse_int(value_of("--cache-budget-mb="), &cache_budget_mb) ||
-          cache_budget_mb < 0) {
-        std::fprintf(stderr,
-                     "vccd: error: bad --cache-budget-mb value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
+      *count = *n;
+    } else if (flag == "--socket") {
+      socket_path = value;
+    } else if (flag == "--cache-dir") {
+      cache_dir = value;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -130,55 +110,42 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (shards > 0) {
-    vc::service::SupervisorOptions options;
-    options.socket_path = socket_path;
-    options.shards = static_cast<int>(shards);
-    options.vccd_path = self_exe_path(argv[0]);
-    if (jobs > 0) {
-      options.shard_args.push_back("--jobs=" + std::to_string(jobs));
-    }
-    if (!cache_dir.empty()) {
-      options.shard_args.push_back("--cache-dir=" + cache_dir);
-    }
-    if (cache_budget_mb > 0) {
-      options.shard_args.push_back("--cache-budget-mb=" +
-                                   std::to_string(cache_budget_mb));
-    }
-    vc::service::ShardSupervisor supervisor(options);
-    std::string error;
-    if (!supervisor.start(&error)) {
-      std::fprintf(stderr, "vccd: error: %s\n", error.c_str());
-      return 1;
-    }
-    g_supervisor = &supervisor;
-    install_signal_handlers();
-    std::fprintf(stderr, "vccd: supervising %ld shards on %s\n", shards,
-                 socket_path.c_str());
-    const int code = supervisor.serve();
-    g_supervisor = nullptr;
-    return code;
-  }
-
-  vc::service::ServerOptions options;
-  options.socket_path = socket_path;
-  options.jobs = static_cast<int>(jobs);
-  options.cache_dir = cache_dir;
-  options.cache_budget_bytes =
-      static_cast<std::uint64_t>(cache_budget_mb) * 1024 * 1024;
-  options.shard_index = static_cast<int>(shard_index);
-  vc::service::ServiceServer server(options);
+  vc::service::Frontend frontend(socket_path);
   std::string error;
-  if (!server.start(&error)) {
+  if (!frontend.start(&error)) {
     std::fprintf(stderr, "vccd: error: %s\n", error.c_str());
     return 1;
   }
-  g_server = &server;
+  g_frontend = &frontend;
   install_signal_handlers();
-  if (shard_index < 0) {
-    std::fprintf(stderr, "vccd: serving on %s\n", socket_path.c_str());
+  std::unique_ptr<vc::service::Frontend::Backend> backend;
+  if (shards > 0) {
+    vc::service::SupervisorOptions options;
+    options.shards = shards;
+    options.vccd_path = self_exe_path(argv[0]);
+    if (jobs > 0) options.shard_args.push_back("--jobs=" + std::to_string(jobs));
+    if (!cache_dir.empty())
+      options.shard_args.push_back("--cache-dir=" + cache_dir);
+    if (cache_budget_mb > 0)
+      options.shard_args.push_back("--cache-budget-mb=" +
+                                   std::to_string(cache_budget_mb));
+    backend = std::make_unique<vc::service::ShardSupervisor>(
+        &frontend, std::move(options));
+    std::fprintf(stderr, "vccd: supervising %d shards on %s\n", shards,
+                 socket_path.c_str());
+  } else {
+    backend = std::make_unique<vc::service::ServiceServer>(
+        &frontend,
+        vc::service::ServerOptions{
+            .jobs = jobs,
+            .cache_dir = cache_dir,
+            .cache_budget_bytes =
+                static_cast<std::uint64_t>(cache_budget_mb) * 1024 * 1024,
+            .shard_index = shard_index});
+    if (shard_index < 0)
+      std::fprintf(stderr, "vccd: serving on %s\n", socket_path.c_str());
   }
-  const int code = server.serve();
-  g_server = nullptr;
+  const int code = frontend.serve(backend.get());
+  g_frontend = nullptr;
   return code;
 }

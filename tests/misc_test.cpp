@@ -37,6 +37,19 @@ TEST(Strings, Helpers) {
   }
 }
 
+TEST(Strings, ParseCountFlag) {
+  EXPECT_EQ(parse_count_flag("8"), 8);
+  EXPECT_EQ(parse_count_flag("0"), 0);
+  EXPECT_FALSE(parse_count_flag("").has_value());
+  EXPECT_FALSE(parse_count_flag("abc").has_value());
+  EXPECT_FALSE(parse_count_flag("-1").has_value());
+  EXPECT_FALSE(parse_count_flag("8x").has_value());
+  EXPECT_FALSE(parse_count_flag("10000001").has_value());
+  // A value past `long`'s or `int`'s range is rejected, never truncated.
+  EXPECT_FALSE(parse_count_flag("4294967297").has_value());
+  EXPECT_FALSE(parse_count_flag("99999999999999999999").has_value());
+}
+
 TEST(Bitset, DenseBitsetOperations) {
   DenseBitset a(130);
   EXPECT_TRUE(a.none());

@@ -1,15 +1,23 @@
-// vccd service contract: strict frame/request parsing (every malformed
-// input gets one error reply and a dropped connection — the daemon never
-// crashes), the incremental-recompilation memo, and the determinism soak —
-// the same 200-job mix submitted through one client, eight concurrent
-// clients, and a spawned `vccd --shards=4` supervisor must yield
-// byte-identical record documents and identical certificate counts.
-// Complements bench_service (cold/warm/restart/kill-one-shard arms against
-// the serial reference) and vcc_cli_test (local batch CLI).
+// vccd service contract: strict frame/request parsing against both daemon
+// topologies (every malformed input gets one error reply and a dropped
+// connection — the daemon never crashes), one status schema for both, the
+// latency histogram, vccd's flag ranges, the incremental-recompilation memo,
+// a shard killed mid-campaign, and the determinism soak — the same 200-job
+// mix submitted through one client, eight concurrent clients, and a spawned
+// `vccd --shards=4` supervisor must yield byte-identical record documents
+// and identical certificate counts. Complements bench_service (cold/warm/
+// restart/kill-one-shard arms against the serial reference) and
+// vcc_cli_test (local batch CLI).
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <gtest/gtest.h>
 #include <map>
 #include <mutex>
@@ -24,9 +32,11 @@
 #include "minic/printer.hpp"
 #include "minic/typecheck.hpp"
 #include "service/client.hpp"
+#include "service/frontend.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 
 #ifndef VCFLIGHT_VCCD_PATH
 #define VCFLIGHT_VCCD_PATH "vccd"
@@ -41,25 +51,27 @@ std::string unique_socket(const char* tag) {
          std::to_string(counter++) + ".sock";
 }
 
-/// In-process daemon: start() + serve() on a thread, drained in stop().
+/// In-process daemon: the front end over a ServiceServer, serve() on a
+/// thread, drained in stop().
 class InProcessServer {
  public:
   explicit InProcessServer(const char* tag)
-      : socket_(unique_socket(tag)) {
-    service::ServerOptions options;
-    options.socket_path = socket_;
-    server_ = std::make_unique<service::ServiceServer>(options);
+      : socket_(unique_socket(tag)), frontend_(socket_) {
     std::string error;
-    started_ = server_->start(&error);
-    EXPECT_TRUE(started_) << error;
-    if (started_) thread_ = std::thread([this] { exit_code_ = server_->serve(); });
+    const bool started = frontend_.start(&error);
+    EXPECT_TRUE(started) << error;
+    if (!started) return;
+    backend_ = std::make_unique<service::ServiceServer>(
+        &frontend_, service::ServerOptions{});
+    thread_ = std::thread(
+        [this] { exit_code_ = frontend_.serve(backend_.get()); });
   }
 
   ~InProcessServer() { stop(); }
 
   void stop() {
     if (!thread_.joinable()) return;
-    server_->request_drain();
+    frontend_.request_drain();
     thread_.join();
     EXPECT_EQ(exit_code_, 0);
   }
@@ -68,11 +80,59 @@ class InProcessServer {
 
  private:
   std::string socket_;
-  std::unique_ptr<service::ServiceServer> server_;
-  bool started_ = false;
+  service::Frontend frontend_;
+  std::unique_ptr<service::ServiceServer> backend_;
   int exit_code_ = -1;
   std::thread thread_;
 };
+
+/// A spawned `vccd --shards=N` supervisor, drained by stop() (or by the
+/// destructor if a test bailed out first, so no shard outlives the test).
+class ShardedDaemon {
+ public:
+  ShardedDaemon(const char* tag, int shards)
+      : socket_(unique_socket(tag)),
+        pid_(service::spawn_daemon(
+            VCFLIGHT_VCCD_PATH,
+            {"--socket=" + socket_, "--shards=" + std::to_string(shards)})) {
+    ready_ = pid_ > 0 && service::wait_until_ready(socket_, 30.0);
+  }
+
+  ~ShardedDaemon() {
+    if (pid_ > 0) stop();
+  }
+  ShardedDaemon(const ShardedDaemon&) = delete;
+  ShardedDaemon& operator=(const ShardedDaemon&) = delete;
+
+  /// SIGTERM drain; the supervisor's exit code.
+  int stop() {
+    const int code = service::terminate_daemon(pid_, 60.0);
+    pid_ = -1;
+    return code;
+  }
+
+  [[nodiscard]] bool ready() const { return ready_; }
+  [[nodiscard]] const std::string& socket() const { return socket_; }
+
+ private:
+  std::string socket_;
+  pid_t pid_;
+  bool ready_ = false;
+};
+
+json::Value op(const char* name) {
+  json::Value doc;
+  doc["op"] = json::Value(name);
+  return doc;
+}
+
+/// The daemon's status document, fetched over a fresh connection.
+json::Value query_status(const std::string& socket) {
+  service::ServiceClient client;
+  if (!client.connect(socket)) return json::Value();
+  const auto reply = client.call(op("status"));
+  return reply.has_value() ? reply->at("status") : json::Value();
+}
 
 /// One frame, little-endian length prefix + payload, as raw bytes.
 std::string framed(const std::string& payload) {
@@ -125,27 +185,60 @@ void expect_error_then_drop(const std::string& socket,
   // ...and the daemon is still alive for well-formed clients.
   service::ServiceClient client;
   ASSERT_TRUE(client.connect(socket));
-  json::Value ping;
-  ping["op"] = json::Value("ping");
-  const auto pong = client.call(ping);
+  const auto pong = client.call(op("ping"));
   ASSERT_TRUE(pong.has_value());
   EXPECT_TRUE(pong->at("pong").as_bool());
 }
 
-TEST(ServiceProtocolTest, PingAndStatusRoundTrip) {
-  InProcessServer server("ping");
+enum class Topology { InProcess, Sharded };
+
+/// The malformed-input cases run against both daemon topologies: a fresh
+/// in-process server per case, and one spawned `vccd --shards=2` shared by
+/// every case (which must still drain-exit 0 at the end).
+class ServiceProtocolTest : public ::testing::TestWithParam<Topology> {
+ protected:
+  static void TearDownTestSuite() {
+    if (sharded_ != nullptr) {
+      EXPECT_EQ(sharded_->stop(), 0);
+    }
+    sharded_.reset();
+  }
+
+  const std::string& socket() {
+    if (GetParam() == Topology::InProcess) {
+      if (local_ == nullptr) local_ = std::make_unique<InProcessServer>("proto");
+      return local_->socket();
+    }
+    if (sharded_ == nullptr) {
+      sharded_ = std::make_unique<ShardedDaemon>("proto-shards", 2);
+      EXPECT_TRUE(sharded_->ready());
+    }
+    return sharded_->socket();
+  }
+
+ private:
+  std::unique_ptr<InProcessServer> local_;
+  static std::unique_ptr<ShardedDaemon> sharded_;
+};
+
+std::unique_ptr<ShardedDaemon> ServiceProtocolTest::sharded_;
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, ServiceProtocolTest,
+    ::testing::Values(Topology::InProcess, Topology::Sharded),
+    [](const ::testing::TestParamInfo<Topology>& info) {
+      return info.param == Topology::InProcess ? "InProcess" : "Sharded";
+    });
+
+TEST_P(ServiceProtocolTest, PingAndStatusRoundTrip) {
   service::ServiceClient client;
-  ASSERT_TRUE(client.connect(server.socket()));
-  json::Value ping;
-  ping["op"] = json::Value("ping");
-  const auto pong = client.call(ping);
+  ASSERT_TRUE(client.connect(socket()));
+  const auto pong = client.call(op("ping"));
   ASSERT_TRUE(pong.has_value());
   EXPECT_TRUE(pong->at("ok").as_bool());
   EXPECT_TRUE(pong->at("pong").as_bool());
 
-  json::Value status_req;
-  status_req["op"] = json::Value("status");
-  const auto status = client.call(status_req);
+  const auto status = client.call(op("status"));
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->at("ok").as_bool());
   const json::Value& doc = status->at("status");
@@ -155,97 +248,87 @@ TEST(ServiceProtocolTest, PingAndStatusRoundTrip) {
   EXPECT_TRUE(doc.at("cache").is_object());
 }
 
-TEST(ServiceProtocolTest, MalformedJsonGetsErrorAndDrop) {
-  InProcessServer server("badjson");
-  expect_error_then_drop(server.socket(), framed("this is not json {{"));
+TEST_P(ServiceProtocolTest, MalformedJsonGetsErrorAndDrop) {
+  expect_error_then_drop(socket(), framed("this is not json {{"));
 }
 
-TEST(ServiceProtocolTest, ZeroLengthFrameIsRejected) {
-  InProcessServer server("zerolen");
-  expect_error_then_drop(server.socket(), raw_header(0));
+TEST_P(ServiceProtocolTest, ZeroLengthFrameIsRejected) {
+  expect_error_then_drop(socket(), raw_header(0));
 }
 
-TEST(ServiceProtocolTest, OversizeLengthIsRejected) {
-  InProcessServer server("oversize");
-  expect_error_then_drop(server.socket(),
+TEST_P(ServiceProtocolTest, OversizeLengthIsRejected) {
+  expect_error_then_drop(socket(),
                          raw_header(service::kMaxFrameBytes + 1));
 }
 
-TEST(ServiceProtocolTest, NonObjectPayloadIsRejected) {
-  InProcessServer server("nonobject");
-  expect_error_then_drop(server.socket(), framed("[1,2,3]"));
+TEST_P(ServiceProtocolTest, NonObjectPayloadIsRejected) {
+  expect_error_then_drop(socket(), framed("[1,2,3]"));
 }
 
-TEST(ServiceProtocolTest, UnknownOpIsRejected) {
-  InProcessServer server("unknownop");
-  expect_error_then_drop(server.socket(), framed("{\"op\":\"frobnicate\"}"));
+TEST_P(ServiceProtocolTest, UnknownOpIsRejected) {
+  expect_error_then_drop(socket(), framed("{\"op\":\"frobnicate\"}"));
 }
 
-TEST(ServiceProtocolTest, IllTypedFieldsAreRejected) {
-  InProcessServer server("illtyped");
+TEST_P(ServiceProtocolTest, IllTypedFieldsAreRejected) {
   // Non-string source.
-  expect_error_then_drop(server.socket(),
+  expect_error_then_drop(socket(),
                          framed("{\"op\":\"job\",\"id\":1,\"source\":12}"));
   // Job without an integer id.
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"source\":\"func f64 f(f64 x){return x;}\"}"));
   // Ill-typed run parameter.
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"exec_cycles\":\"nope\"}"));
   // Unknown config name.
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"config\":\"O9\"}"));
 }
 
-TEST(ServiceProtocolTest, UnknownJobKeysAreRejectedByName) {
-  InProcessServer server("unknownkey");
+TEST_P(ServiceProtocolTest, UnknownJobKeysAreRejectedByName) {
   // A typo'd knob must not silently run the default (structural) engine.
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"wcet_engin\":\"ipet\"}"),
       "'wcet_engin'");
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"bogus_field\":3}"),
       "'bogus_field'");
   // Known keys with ill-typed or unknown values are named too.
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"disable_passes\":\"cse\"}"),
       "'disable_passes'");
   expect_error_then_drop(
-      server.socket(),
+      socket(),
       framed("{\"op\":\"job\",\"id\":1,\"source\":\"func f64 f(f64 x)"
              "{return x;}\",\"disable_passes\":[\"ssa-gnv\"]}"),
       "unknown pass 'ssa-gnv'");
 }
 
-TEST(ServiceProtocolTest, TruncatedFrameDoesNotCrashTheDaemon) {
-  InProcessServer server("truncated");
-  const int fd = service::connect_unix(server.socket());
+TEST_P(ServiceProtocolTest, TruncatedFrameDoesNotCrashTheDaemon) {
+  const int fd = service::connect_unix(socket());
   ASSERT_GE(fd, 0);
   // Header promises 100 bytes; deliver 10 and vanish.
   raw_send(fd, raw_header(100));
   raw_send(fd, "0123456789");
   ::close(fd);
   // Partial header, then vanish.
-  const int fd2 = service::connect_unix(server.socket());
+  const int fd2 = service::connect_unix(socket());
   ASSERT_GE(fd2, 0);
   raw_send(fd2, "\x07");
   ::close(fd2);
   service::ServiceClient client;
-  ASSERT_TRUE(client.connect(server.socket()));
-  json::Value ping;
-  ping["op"] = json::Value("ping");
-  const auto pong = client.call(ping);
+  ASSERT_TRUE(client.connect(socket()));
+  const auto pong = client.call(op("ping"));
   ASSERT_TRUE(pong.has_value());
   EXPECT_TRUE(pong->at("pong").as_bool());
 }
@@ -372,14 +455,10 @@ TEST(ServiceSoakTest, TwoHundredJobMixIsDeterministicAcrossTopologies) {
 
   // Way 3: a spawned `vccd --shards=4` supervisor: round-robin forwarding
   // across four worker processes must still be invisible in the records.
-  const std::string socket = unique_socket("soak-shards");
-  const pid_t pid = service::spawn_daemon(
-      VCFLIGHT_VCCD_PATH, {"--socket=" + socket, "--shards=4"});
-  ASSERT_GT(pid, 0);
-  ASSERT_TRUE(service::wait_until_ready(socket, 30.0));
-  const SoakOutcome sharded = submit_jobs(socket, jobs, 8);
-  EXPECT_EQ(service::terminate_daemon(pid, 60.0), 0)
-      << "sharded daemon failed to drain-exit 0";
+  ShardedDaemon daemon("soak-shards", 4);
+  ASSERT_TRUE(daemon.ready());
+  const SoakOutcome sharded = submit_jobs(daemon.socket(), jobs, 8);
+  EXPECT_EQ(daemon.stop(), 0) << "sharded daemon failed to drain-exit 0";
   EXPECT_EQ(sharded.failures, 0u);
   ASSERT_EQ(sharded.records.size(), jobs.size());
   EXPECT_EQ(sharded.certified, serial.certified);
@@ -479,13 +558,10 @@ TEST(ServiceIncrementalTest, PipelinedMemoBurstDoesNotDeadlock) {
 // hit through `--shards=N` only happens because the placement map routes
 // the repeat back to the shard whose memo already holds it.
 TEST(ServiceIncrementalTest, ShardedResubmissionHitsTheOwningShardsMemo) {
-  const std::string socket = unique_socket("shardmemo");
-  const pid_t pid = service::spawn_daemon(
-      VCFLIGHT_VCCD_PATH, {"--socket=" + socket, "--shards=2"});
-  ASSERT_GT(pid, 0);
-  ASSERT_TRUE(service::wait_until_ready(socket, 30.0));
+  ShardedDaemon daemon("shardmemo", 2);
+  ASSERT_TRUE(daemon.ready());
   service::ServiceClient client;
-  ASSERT_TRUE(client.connect(socket));
+  ASSERT_TRUE(client.connect(daemon.socket()));
 
   service::JobRequest request;
   request.id = 1;
@@ -506,7 +582,7 @@ TEST(ServiceIncrementalTest, ShardedResubmissionHitsTheOwningShardsMemo) {
   EXPECT_EQ(second->at("cache").as_string(), "incremental");
   EXPECT_EQ(second->at("record").dump(), first->at("record").dump());
 
-  EXPECT_EQ(service::terminate_daemon(pid, 60.0), 0);
+  EXPECT_EQ(daemon.stop(), 0);
 }
 
 // Ablation arms over vccd: a disable_passes job is its own job. It runs the
@@ -570,11 +646,182 @@ TEST(ServiceIncrementalTest, FailedParseIsReportedPerJobNotAsProtocolError) {
   EXPECT_FALSE(reply->at("record").at("ok").as_bool(true));
   EXPECT_FALSE(reply->at("record").at("error").as_string().empty());
   // The connection survives a failed job (unlike a malformed frame).
-  json::Value ping;
-  ping["op"] = json::Value("ping");
-  const auto pong = client.call(ping);
+  const auto pong = client.call(op("ping"));
   ASSERT_TRUE(pong.has_value());
   EXPECT_TRUE(pong->at("pong").as_bool());
+}
+
+// --- one status schema, bounded latency ----------------------------------
+
+/// One job submitted three times (a compile, then two memo hits); returns
+/// the daemon's status afterwards.
+json::Value status_after_three_submissions(const std::string& socket) {
+  service::ServiceClient client;
+  EXPECT_TRUE(client.connect(socket));
+  service::JobRequest request;
+  request.name = "envelope";
+  request.source = "func f64 envelope(f64 x) { return 0.5 * x + 1.0; }\n";
+  request.entry = "envelope";
+  request.exec_cycles = 5;
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    request.id = id;
+    const auto reply = client.call(service::job_to_json(request));
+    EXPECT_TRUE(reply.has_value() && reply->at("ok").as_bool(false));
+  }
+  return query_status(socket);
+}
+
+std::set<std::string> keys_of(const json::Value& object) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : object.as_object()) keys.insert(key);
+  return keys;
+}
+
+// Both topologies serve through one front end, so their status documents
+// share one schema: the same cache taxonomy and latency entries, counted by
+// the same completion path.
+TEST(ServiceStatusTest, BothTopologiesReportOneCacheAndLatencySchema) {
+  InProcessServer server("schema");
+  const json::Value single = status_after_three_submissions(server.socket());
+  ShardedDaemon daemon("schema-shards", 2);
+  ASSERT_TRUE(daemon.ready());
+  const json::Value sharded = status_after_three_submissions(daemon.socket());
+  EXPECT_EQ(daemon.stop(), 0);
+
+  const std::set<std::string> cache_keys = {"full", "image", "incremental",
+                                            "miss"};
+  EXPECT_EQ(keys_of(single.at("cache")), cache_keys);
+  EXPECT_EQ(keys_of(sharded.at("cache")), cache_keys);
+  for (const json::Value* status : {&single, &sharded}) {
+    EXPECT_EQ(status->at("cache").at("incremental").as_u64(), 2u);
+    EXPECT_EQ(status->at("cache").at("miss").as_u64(), 1u);
+    EXPECT_EQ(status->at("jobs_completed").as_u64(), 3u);
+  }
+  ASSERT_EQ(keys_of(single.at("latency")), keys_of(sharded.at("latency")));
+  for (const auto& [job_class, entry] : single.at("latency").as_object()) {
+    EXPECT_EQ(keys_of(entry), keys_of(sharded.at("latency").at(job_class)));
+    EXPECT_EQ(entry.at("count").as_u64(), 3u);
+  }
+  // The backend-specific fields stay with their backend.
+  EXPECT_FALSE(single.at("batches").is_null());
+  EXPECT_TRUE(sharded.at("batches").is_null());
+  EXPECT_EQ(sharded.at("mode").as_string(), "supervisor");
+  EXPECT_EQ(sharded.at("shard_list").as_array().size(), 2u);
+}
+
+TEST(ServiceStatusTest, LatencyHistogramCountsExactlyAndQuantilesWithinABucket) {
+  service::LatencyHistogram histogram;
+  EXPECT_EQ(histogram.quantile(0.5), 0.0);
+  // Log-uniform samples from 20 us to 2 s.
+  Rng rng(20110318);
+  std::vector<double> samples;
+  for (int i = 0; i < 5000; ++i)
+    samples.push_back(20e-6 * std::pow(1e5, rng.next_unit()));
+  for (const double s : samples) histogram.add(s);
+  EXPECT_EQ(histogram.count(), samples.size());
+  std::sort(samples.begin(), samples.end());
+  for (const double p : {0.5, 0.99}) {
+    const double exact = samples[std::min(
+        samples.size() - 1, static_cast<std::size_t>(p * samples.size()))];
+    const double buckets_off = std::abs(std::log2(histogram.quantile(p) / exact)) *
+                               service::LatencyHistogram::kBucketsPerOctave;
+    EXPECT_LE(buckets_off, 1.0) << "p" << p;
+  }
+  // Samples outside 1 us .. 100 s land in the end buckets, still counted.
+  service::LatencyHistogram edges;
+  for (const double s : {0.0, 1e-9, 1e4}) edges.add(s);
+  EXPECT_EQ(edges.count(), 3u);
+  EXPECT_LT(edges.quantile(0.0), 2e-6);
+  EXPECT_GT(edges.quantile(1.0), 50.0);
+}
+
+// --- vccd flags ------------------------------------------------------------
+
+/// Runs vccd with `args`; its exit code and merged output. An accepted
+/// flag set starts a daemon that never exits, so it is killed after 10 s.
+std::pair<int, std::string> run_vccd(const std::string& args) {
+  const std::string cmd = std::string("timeout -s KILL 10 \"") +
+                          VCFLIGHT_VCCD_PATH + "\" " + args + " 2>&1";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+// Count flags are parsed by the one bounded parser: a value past its range
+// is rejected by name, never truncated into a running daemon.
+TEST(VccdFlagsTest, OutOfRangeCountsExitTwoNamingTheFlag) {
+  for (const std::string flag :
+       {"--jobs=4294967297", "--cache-budget-mb=99999999999", "--jobs=-1",
+        "--shards=65", "--shard-index=-1", "--jobs=4x"}) {
+    const auto [code, out] =
+        run_vccd("--socket=" + unique_socket("flags") + " " + flag);
+    EXPECT_EQ(code, 2) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(out.find("bad " + name + " value"), std::string::npos) << out;
+  }
+}
+
+// --- shard restart ---------------------------------------------------------
+
+// A shard SIGKILLed while jobs are pending: the supervisor respawns it and
+// resubmits its pending table, so every job is answered exactly once, the
+// restart is counted, and every shard is up again.
+TEST(ServiceShardTest, KilledShardIsRespawnedAndEveryJobAnsweredOnce) {
+  ShardedDaemon daemon("kill", 2);
+  ASSERT_TRUE(daemon.ready());
+  const json::Value before = query_status(daemon.socket());
+  const pid_t victim = static_cast<pid_t>(
+      before.at("shard_list").as_array().at(0).at("pid").as_i64());
+  ASSERT_GT(victim, 0);
+
+  std::vector<SuiteJob> jobs = make_job_mix();
+  jobs.resize(40);
+  service::ServiceClient client;
+  ASSERT_TRUE(client.connect(daemon.socket()));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].request.id = static_cast<std::int64_t>(i);
+    ASSERT_TRUE(client.send(service::job_to_json(jobs[i].request)));
+  }
+  // Kill the victim once its pending table holds work.
+  bool pending = false;
+  for (int i = 0; i < 200 && !pending; ++i)
+    pending = query_status(daemon.socket())
+                  .at("shard_list").as_array().at(0).at("pending")
+                  .as_u64() > 0;
+  ASSERT_TRUE(pending);
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  std::multiset<std::int64_t> ids;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto reply = client.recv();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->at("ok").as_bool(false)) << reply->dump();
+    EXPECT_TRUE(reply->at("record").at("ok").as_bool(false));
+    ids.insert(reply->at("id").as_i64());
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(ids.count(static_cast<std::int64_t>(i)), 1u) << "job " << i;
+
+  // The respawn may still be settling after the last reply.
+  json::Value status;
+  const auto all_up = [&status] {
+    for (const json::Value& shard : status.at("shard_list").as_array())
+      if (!shard.at("up").as_bool(false)) return false;
+    return true;
+  };
+  for (int i = 0; i < 100; ++i) {
+    status = query_status(daemon.socket());
+    if (status.at("shard_restarts").as_u64() >= 1 && all_up()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_GE(status.at("shard_restarts").as_u64(), 1u);
+  EXPECT_TRUE(all_up()) << status.dump();
+  EXPECT_NE(status.at("shard_list").as_array().at(0).at("pid").as_i64(),
+            victim);
+  EXPECT_EQ(daemon.stop(), 0);
 }
 
 }  // namespace

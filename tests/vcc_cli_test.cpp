@@ -180,16 +180,6 @@ TEST(VccCliTest, ParseWcetEngineName) {
   EXPECT_FALSE(parse_wcet_engine_name("").has_value());
 }
 
-TEST(VccCliTest, ParseCountFlag) {
-  EXPECT_EQ(parse_count_flag("8"), 8);
-  EXPECT_EQ(parse_count_flag("0"), 0);
-  EXPECT_FALSE(parse_count_flag("").has_value());
-  EXPECT_FALSE(parse_count_flag("abc").has_value());
-  EXPECT_FALSE(parse_count_flag("-1").has_value());
-  EXPECT_FALSE(parse_count_flag("8x").has_value());
-  EXPECT_FALSE(parse_count_flag("10000001").has_value());
-}
-
 TEST(VccCliTest, SplitFlagRecognizesFlagShapes) {
   const auto f = split_flag("--jobs=4");
   ASSERT_TRUE(f.has_value());
