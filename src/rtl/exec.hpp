@@ -37,6 +37,16 @@ class Executor {
   void write_global(const std::string& name, std::size_t index,
                     minic::Value v);
 
+  /// By-id cell access for callers that touch every cell of every global
+  /// between calls: resolve each name once with `global_id`, then index.
+  /// Ids are dense in `program.globals` declaration order, so two executors
+  /// of one program agree on them.
+  [[nodiscard]] SymbolId global_id(const std::string& name) const {
+    return global_syms_.find(name);
+  }
+  [[nodiscard]] minic::Value read_cell(SymbolId sym, std::size_t index) const;
+  void write_cell(SymbolId sym, std::size_t index, minic::Value v);
+
   /// Annotation events observed during the last call.
   [[nodiscard]] const std::vector<minic::AnnotEvent>& annotations() const {
     return annotations_;
@@ -46,9 +56,6 @@ class Executor {
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
 
  private:
-  [[nodiscard]] minic::Value read_cell(SymbolId sym, std::size_t index) const;
-  void write_cell(SymbolId sym, std::size_t index, minic::Value v);
-
   const minic::Program& program_;
   SymbolTable global_syms_;                         // name -> dense id
   std::vector<std::vector<minic::Value>> globals_;  // indexed by SymbolId

@@ -16,7 +16,9 @@
 //    node, corresponding phis must merge equivalent arguments edge-wise).
 //    Together with well-formedness of the after function this accepts
 //    exactly the sound subset: pure computations may move or collapse to
-//    copies, but nothing observable may change.
+//    copies, but nothing observable may change. Values are hash-consed terms
+//    (validate/term.hpp) shared by both functions, so the check is linear in
+//    function size however deep the value graph.
 //
 //  * `check_unroll_certificate` — verifies the annotation-rewrite
 //    certificate of ssa-unroll before the IPET engine or the runtime monitor
@@ -34,6 +36,7 @@
 #include "rtl/analysis.hpp"
 #include "ssa/internal.hpp"
 #include "ssa/ssa.hpp"
+#include "validate/term.hpp"
 #include "validate/validate.hpp"
 
 namespace vc::validate {
@@ -209,68 +212,86 @@ bool commutative_int(minic::BinOp op) {
   }
 }
 
-/// Symbolic expression strings per vreg. Phis and anchored definitions
-/// (loads, divisions) are opaque atoms assigned by structural position, so
-/// two functions produce comparable strings.
+/// Term kinds of the SSA equivalence checker.
+enum EKind : std::uint32_t {
+  kBad,     // imm: out-of-range vreg
+  kCycle,   // imm: vreg reached again while in progress (ill-formed input)
+  kUndef,   // imm: register class (undefined vregs read its zero)
+  kLdI,     // imm: the constant
+  kLdF,     // imm: the constant's bit pattern
+  kUn,      // kids: operand; imm: operator
+  kBin,     // kids: operands (by id when commutative); imm: operator
+  kParam,   // imm: parameter index
+  kOpaque,  // imm: vreg (an unexpected defining opcode)
+  kAnchor,  // imm: block << 32 | anchored-event index
+  kPhi,     // imm: block << 32 | phi destination
+};
+
+/// Symbolic value terms per vreg, over a term table shared by the two
+/// functions being compared. Phis and anchored definitions (loads,
+/// divisions) are opaque atoms assigned by structural position, so the two
+/// functions produce comparable terms.
 struct ExprCtx {
   const Function* fn = nullptr;
+  TermTable* terms = nullptr;
   std::vector<ssa::detail::DefSite> sites;
-  std::vector<std::string> atom;  // non-empty: treat as leaf
-  std::vector<std::string> memo;
+  std::vector<TermId> atom;  // kNoTerm: not an atom
+  std::vector<TermId> memo;
   std::vector<char> state;  // 0 = new, 1 = in progress, 2 = done
 
-  explicit ExprCtx(const Function& f)
+  ExprCtx(const Function& f, TermTable& t)
       : fn(&f),
+        terms(&t),
         sites(ssa::detail::def_sites(f)),
-        atom(f.vregs.size()),
-        memo(f.vregs.size()),
+        atom(f.vregs.size(), kNoTerm),
+        memo(f.vregs.size(), kNoTerm),
         state(f.vregs.size(), 0) {}
 };
 
-std::string expr_of(ExprCtx& cx, VReg v) {
-  if (v >= cx.fn->vregs.size()) return "bad:" + std::to_string(v);
-  if (!cx.atom[v].empty()) return cx.atom[v];
+TermId expr_of(ExprCtx& cx, VReg v) {
+  TermTable& t = *cx.terms;
+  if (v >= cx.fn->vregs.size()) return t.make(kBad, v);
+  if (cx.atom[v] != kNoTerm) return cx.atom[v];
   if (cx.state[v] == 2) return cx.memo[v];
-  if (cx.state[v] == 1) return "cycle:" + std::to_string(v);  // ill-formed
+  if (cx.state[v] == 1) return t.make(kCycle, v);  // ill-formed
   cx.state[v] = 1;
   const Instr* d = ssa::detail::def_instr(*cx.fn, cx.sites, v);
-  std::string e;
+  TermId e = kNoTerm;
   if (d == nullptr) {
     // Undefined vregs read the zero of their class (executor semantics).
-    e = "undef:" + rtl::to_string(cx.fn->vregs[v]);
+    e = t.make(kUndef, static_cast<int>(cx.fn->vregs[v]));
   } else {
     switch (d->op) {
       case Opcode::LdI:
-        e = "ldi:" + std::to_string(d->int_imm);
+        e = t.make(kLdI, d->int_imm);
         break;
       case Opcode::LdF: {
         std::uint64_t bits = 0;
         std::memcpy(&bits, &d->f64_imm, sizeof(bits));
-        e = "ldf:" + std::to_string(bits);
+        e = t.make(kLdF, static_cast<std::int64_t>(bits));
         break;
       }
       case Opcode::Mov:
         e = expr_of(cx, d->src1);
         break;
       case Opcode::Un:
-        e = "un:" + std::to_string(static_cast<int>(d->un_op)) + ":(" +
-            expr_of(cx, d->src1) + ")";
+        e = t.make(kUn, static_cast<int>(d->un_op), {expr_of(cx, d->src1)});
         break;
       case Opcode::Bin: {
-        std::string a = expr_of(cx, d->src1);
-        std::string b = expr_of(cx, d->src2);
-        if (commutative_int(d->bin_op) && a > b) std::swap(a, b);
-        e = "bin:" + std::to_string(static_cast<int>(d->bin_op)) + ":(" + a +
-            "):(" + b + ")";
+        const TermId a = expr_of(cx, d->src1);
+        const TermId b = expr_of(cx, d->src2);
+        const auto op = static_cast<int>(d->bin_op);
+        e = commutative_int(d->bin_op) ? t.make_commutative(kBin, a, b, op)
+                                       : t.make(kBin, op, {a, b});
         break;
       }
       case Opcode::GetParam:
-        e = "par:" + std::to_string(d->param_index);
+        e = t.make(kParam, d->param_index);
         break;
       default:
         // Anchored defs carry atoms; anything else here is unexpected and
         // compares unequal by construction.
-        e = "opaque:" + std::to_string(v);
+        e = t.make(kOpaque, v);
         break;
     }
   }
@@ -293,8 +314,9 @@ CheckResult check_ssa_equivalence(const Function& before,
   if (before.params.size() != after.params.size())
     return CheckResult::fail("parameter list changed");
 
-  ExprCtx cb(before);
-  ExprCtx ca(after);
+  TermTable terms;
+  ExprCtx cb(before, terms);
+  ExprCtx ca(after, terms);
 
   // Pass 1: CFG identity, anchored-sequence shape, atom assignment.
   struct AnchorPair {
@@ -334,8 +356,7 @@ CheckResult check_ssa_equivalence(const Function& before,
         return CheckResult::fail("anchored definition changed in bb" +
                                  std::to_string(b));
       if (db) {
-        const std::string tag =
-            "anc:" + std::to_string(b) + ":" + std::to_string(k);
+        const TermId tag = terms.make(kAnchor, pack_imm(b, k));
         cb.atom[*db] = tag;
         ca.atom[*da] = tag;
         if (before.vregs[*db] != after.vregs[*da])
@@ -352,8 +373,7 @@ CheckResult check_ssa_equivalence(const Function& before,
       const Instr& ap = after.blocks[b].instrs[ai++];
       if (ap.op != Opcode::Phi || ap.dst != bp.dst)
         return CheckResult::fail("phi set changed in bb" + std::to_string(b));
-      const std::string tag =
-          "phi:" + std::to_string(b) + ":" + std::to_string(bp.dst);
+      const TermId tag = terms.make(kPhi, pack_imm(b, bp.dst));
       cb.atom[bp.dst] = tag;
       ca.atom[ap.dst] = tag;
     }

@@ -81,9 +81,25 @@
 //     before the IPET engine or the runtime monitor consume the rewritten
 //     "loop <= N" rows.
 //
+// Symbolic terms
+// --------------
+// The three symbolic checkers (1, 5 and 9) share one value representation,
+// the hash-consed TermTable of validate/term.hpp: a term is a uint32 id keyed
+// by (kind, child ids, 64-bit immediate), with commutative operands ordered
+// by id. Comparing two symbolic values is one integer comparison and a
+// shared subterm is stored once, so each checker's cost is linear in the
+// length of the code it executes (a segment for checker 5, a function for 1
+// and 9), not in the size of the expression trees that code denotes.
+// Checker 5 resets its table per segment and renders a term to text only
+// inside a failure message, each rendered term capped at a fixed length.
+// `differential_check` (3) builds one executor pair per call and resolves
+// each global once.
+//
 // These checkers are themselves *tested* (seeded miscompilations must be
 // caught — tests/machine_validate_test.cpp, tests/validate_test.cpp), not
-// proved — the documented substitution for the Coq development.
+// proved — the documented substitution for the Coq development. Their
+// verdicts and failure messages on a corpus of seeded and generated mutants
+// are pinned in tests/data/validator_verdicts.txt.
 #pragma once
 
 #include <cstdint>
