@@ -9,14 +9,15 @@
 // pass (exactly what `vcc --disable-pass=NAME` wires up), plus the O1 and O0
 // configurations as the no-regalloc / no-anything endpoints. There is no
 // hand-rolled pipeline here — the bench measures the pipelines users can
-// actually select.
+// actually select. Each arm is one fleet campaign, so --jobs, --validate,
+// --target and --wcet-engine apply to every arm; the arms set --ssa and
+// --disable-pass themselves and execute nothing, so those flags and
+// --monitor exit 2.
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "wcet/wcet.hpp"
 
 using namespace vc;
 
@@ -52,24 +53,15 @@ const std::vector<Arm>& arms() {
   return kArms;
 }
 
-std::uint64_t wcet_of_arm(const bench::NodeBundle& bundle, const Arm& arm,
-                          const std::string& target, wcet::WcetEngine engine) {
-  driver::CompileOptions copts;
-  copts.target = target;
-  copts.disable_passes = arm.disable;
-  copts.ssa = arm.ssa;
-  const driver::Compiled compiled =
-      driver::compile_program(bundle.program, arm.config, copts);
-  wcet::WcetOptions wopts;
-  wopts.engine = engine;
-  return wcet::analyze_wcet(compiled.image, bundle.step_fn, wopts).wcet_cycles;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchFlags flags =
-      bench::parse_bench_flags(argc, argv, "bench_ablation_passes");
+  const char* const name = "bench_ablation_passes";
+  const bench::BenchFlags flags = bench::parse_bench_flags(argc, argv, name);
+  bench::reject_flag(flags.ssa, "--ssa", name);
+  bench::reject_flag(!flags.disable_passes.empty(), "--disable-pass", name);
+  bench::reject_flag(flags.monitor != machine::MonitorMode::Off, "--monitor",
+                     name);
   const int n_nodes = flags.nodes > 0 ? flags.nodes : 24;
   std::puts("=== Ablation: contribution of each verified-pipeline pass to "
             "the WCET gain ===");
@@ -78,35 +70,45 @@ int main(int argc, char** argv) {
               "verified configuration\n\n", n_nodes);
 
   const std::vector<bench::NodeBundle> suite = bench::make_suite(n_nodes);
+  const std::vector<driver::FleetUnit> units = bench::to_fleet_units(suite);
 
-  std::map<std::string, double> ratio_sum;
-  std::map<std::string, std::uint64_t> example;
-  for (const auto& bundle : suite) {
-    const std::uint64_t full =
-        wcet_of_arm(bundle, arms().front(), flags.target, flags.wcet_engine);
-    for (const Arm& arm : arms()) {
-      const std::uint64_t w =
-          wcet_of_arm(bundle, arm, flags.target, flags.wcet_engine);
-      ratio_sum[arm.label] +=
-          static_cast<double>(w) / static_cast<double>(full);
-      if (bundle.node.name() == "node0") example[arm.label] = w;
-    }
+  // bounds[arm][unit]: the bound of the engine --wcet-engine selects (the
+  // IPET one when it ran).
+  std::vector<std::vector<std::uint64_t>> bounds;
+  int status = 0;
+  for (const Arm& arm : arms()) {
+    driver::FleetOptions options = bench::fleet_options(flags);
+    options.configs = {arm.config};
+    options.disable_passes = arm.disable;
+    options.ssa = arm.ssa;
+    options.wcet = true;
+    const driver::FleetReport report = driver::run_fleet(units, options);
+    status |= bench::gate(report, name);
+    std::vector<std::uint64_t>& arm_bounds = bounds.emplace_back();
+    for (const driver::FleetRecord& r : report.records)
+      arm_bounds.push_back(r.wcet_ipet_cycles > 0 ? r.wcet_ipet_cycles
+                                                  : r.wcet_cycles);
   }
 
   std::printf("%-30s %16s %18s\n", "variant", "node0 WCET",
               "mean WCET vs full");
   bench::print_rule(68);
-  for (const Arm& arm : arms()) {
-    std::printf("%-30s %16llu %+17.1f%%\n", arm.label,
-                static_cast<unsigned long long>(example[arm.label]),
-                (ratio_sum[arm.label] / static_cast<double>(suite.size()) -
-                 1.0) *
-                    100.0);
+  for (std::size_t a = 0; a < arms().size(); ++a) {
+    double ratio_sum = 0.0;
+    std::uint64_t example = 0;
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      ratio_sum += static_cast<double>(bounds[a][u]) /
+                   static_cast<double>(bounds.front()[u]);
+      if (units[u].name == "node0") example = bounds[a][u];
+    }
+    std::printf("%-30s %16llu %+17.1f%%\n", arms()[a].label,
+                static_cast<unsigned long long>(example),
+                (ratio_sum / static_cast<double>(units.size()) - 1.0) * 100.0);
   }
   bench::print_rule(68);
   std::puts("\nexpected: removing register allocation dominates every other "
             "ablation (paper §3.3:\n\"the importance of a good register "
             "allocation and how other optimizations are\nhampered without "
             "it\").");
-  return 0;
+  return status;
 }

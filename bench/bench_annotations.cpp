@@ -23,6 +23,17 @@ using namespace vc;
 int main(int argc, char** argv) {
   const bench::BenchFlags flags =
       bench::parse_bench_flags(argc, argv, "bench_annotations");
+  bench::reject_flag(flags.monitor != machine::MonitorMode::Off, "--monitor",
+                     "bench_annotations");
+  // The knob flags shape every compile: target, SSA mid-end, disabled
+  // passes, and --validate (the campaigns' validated compile).
+  driver::CompileOptions copts;
+  static_cast<driver::PipelineSpec&>(copts) = flags;
+  const auto compile = [&](const minic::Program& program,
+                           driver::Config config) {
+    return validate::validated_compile(program, config, /*n_tests=*/6,
+                                       /*seed=*/1, flags.validate, copts);
+  };
   std::puts("=== §3.4: annotation transport and its effect on WCET analysis "
             "===\n");
 
@@ -39,8 +50,7 @@ int main(int argc, char** argv) {
     int derived = 0;
     int total_loops = 0;
     for (const auto& bundle : suite) {
-      const driver::Compiled compiled =
-          driver::compile_program(bundle.program, config);
+      const driver::Compiled compiled = compile(bundle.program, config);
       wcet::WcetOptions with;
       wcet::WcetOptions without;
       with.engine = flags.wcet_engine;
@@ -96,7 +106,7 @@ int main(int argc, char** argv) {
               "WCET w/o annots");
   bench::print_rule(60);
   for (driver::Config config : driver::kAllConfigs) {
-    const driver::Compiled compiled = driver::compile_program(program, config);
+    const driver::Compiled compiled = compile(program, config);
     wcet::WcetOptions with;
     wcet::WcetOptions without;
     with.engine = flags.wcet_engine;

@@ -9,9 +9,9 @@
 //   rewarm — fresh store object over the same directory, simulating a
 //            campaign *restart* (the persistent index is rebuilt from disk).
 //
-// It verifies that warm records are bit-identical to cold ones (modulo
-// timing/cache fields) and prints the speedup. --nodes=N scales the suite
-// (default 40; the paper-scale campaign is --nodes=2500), --jobs=N the
+// It verifies that warm records are bit-identical to cold ones
+// (driver::record_core_json) and prints the speedup. --nodes=N scales the
+// suite (default 40; the paper-scale campaign is --nodes=2500), --jobs=N the
 // workers. --cache-dir=DIR keeps the store after the run (NOTE: it is
 // cleared first — the cold phase must be genuinely cold; do not point it at
 // a store you want to keep). Default is a throwaway under the system temp
@@ -22,31 +22,6 @@
 #include "bench_common.hpp"
 
 using namespace vc;
-
-namespace {
-
-/// Semantic (non-timing, non-cache) record equality: the warm-rerun
-/// determinism contract of FleetOptions::store.
-bool records_equal(const driver::FleetRecord& a, const driver::FleetRecord& b) {
-  return a.name == b.name && a.config == b.config && a.ok == b.ok &&
-         a.error == b.error && a.code_bytes == b.code_bytes &&
-         a.exec.cycles == b.exec.cycles &&
-         a.exec.instructions == b.exec.instructions &&
-         a.exec.dcache_reads == b.exec.dcache_reads &&
-         a.exec.dcache_writes == b.exec.dcache_writes &&
-         a.exec.dcache_read_misses == b.exec.dcache_read_misses &&
-         a.exec.dcache_write_misses == b.exec.dcache_write_misses &&
-         a.exec.ifetch_line_misses == b.exec.ifetch_line_misses &&
-         a.exec.taken_branches == b.exec.taken_branches &&
-         a.observed_max_cycles == b.observed_max_cycles &&
-         a.wcet_cycles == b.wcet_cycles &&
-         a.wcet_nocache_cycles == b.wcet_nocache_cycles &&
-         a.wcet_ipet_cycles == b.wcet_ipet_cycles &&
-         a.wcet_ipet_capped_edges == b.wcet_ipet_capped_edges &&
-         a.wcet_ipet_certified == b.wcet_ipet_certified;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchFlags flags =
@@ -95,10 +70,14 @@ int main(int argc, char** argv) {
   const driver::FleetReport rewarm = run_with(&restarted);
   options.store = nullptr;
 
+  // The warm-rerun determinism contract of FleetOptions::store: every
+  // record's semantic core is byte-identical to the cold run's.
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < cold.records.size(); ++i) {
-    if (!records_equal(cold.records[i], warm.records[i])) ++mismatches;
-    if (!records_equal(cold.records[i], rewarm.records[i])) ++mismatches;
+    const std::string core = driver::record_core_json(cold.records[i]).dump();
+    for (const driver::FleetReport* rerun : {&warm, &rewarm})
+      if (driver::record_core_json(rerun->records[i]).dump() != core)
+        ++mismatches;
   }
 
   std::printf("%-28s %10s %12s %12s %12s\n", "phase", "wall s", "full hits",
@@ -130,9 +109,9 @@ int main(int argc, char** argv) {
 
   if (throwaway) std::filesystem::remove_all(cache_dir);
 
-  // Exit non-zero on a broken determinism contract or a cache that failed
-  // to serve the rerun — this bench is itself a check, like the soundness
-  // sweep in bench_wcet_tightness.
+  // Exit non-zero on a failed cold record (the campaign gate), a broken
+  // determinism contract or a cache that failed to serve the rerun.
+  const int status = bench::gate(cold, "bench_cache_warm");
   const bool all_hits =
       warm.cache_full_hits == warm.records.size() &&
       rewarm.cache_full_hits == rewarm.records.size();
@@ -146,5 +125,5 @@ int main(int argc, char** argv) {
                  rewarm.records.size());
     return 1;
   }
-  return 0;
+  return status;
 }

@@ -1,6 +1,7 @@
 // Shared infrastructure for the benchmark binaries: the generated node suite
 // (the stand-in for the paper's ~2500 ACG files), a hand-written pitch-axis
-// control law, input drivers, and table formatting.
+// control law, input drivers, table formatting, the shared flags, and the
+// campaign gate every fleet bench exits with.
 #pragma once
 
 #include <cmath>
@@ -243,6 +244,42 @@ inline std::unique_ptr<artifact::ArtifactStore> open_bench_store(
       artifact::ArtifactStore::Options{
           flags.cache_dir,
           static_cast<std::uint64_t>(flags.cache_budget_mb) * 1024 * 1024});
+}
+
+/// Exits 2 naming `flag` when it was given to a bench that cannot apply it:
+/// a silently ignored knob would mislabel the numbers.
+inline void reject_flag(bool given, const char* flag, const char* bench_name) {
+  if (!given) return;
+  std::fprintf(stderr, "%s: %s does not apply to this bench\n", bench_name,
+               flag);
+  std::exit(2);
+}
+
+/// The campaign verdict every fleet bench exits with. A record is ok only
+/// when its job compiled, passed its validators, ran without a monitor
+/// violation and got sound, certified bounds (driver::FleetRecord::ok), so
+/// the verdict is: every record ok, no rational IPET fallback, and an armed
+/// monitor that checked steps on every record. Prints each cause to stderr
+/// and returns the exit code (0 or 1).
+inline int gate(const driver::FleetReport& report, const char* bench_name) {
+  int status = 0;
+  const auto fail = [&](const std::string& cause) {
+    std::fprintf(stderr, "%s: FAILED: %s\n", bench_name, cause.c_str());
+    status = 1;
+  };
+  const bool armed = report.spec.monitor != machine::MonitorMode::Off;
+  for (const driver::FleetRecord& r : report.records) {
+    const std::string job = r.name + " " + driver::to_string(r.config) +
+                            " on " + report.spec.target;
+    if (!r.ok)
+      fail(job + ": " + r.error);
+    else if (armed && r.monitored_steps == 0)
+      fail(job + ": monitor armed but no step checked");
+  }
+  if (report.ipet_fast_fallbacks != 0)
+    fail(std::to_string(report.ipet_fast_fallbacks) +
+         " rational IPET fallback(s), expected 0");
+  return status;
 }
 
 /// Writes the machine-readable campaign report when --report-json was given.

@@ -247,17 +247,10 @@ int main(int argc, char** argv) {
   ref_options.wcet = true;
   const driver::FleetReport reference = driver::run_fleet(units, ref_options);
   std::map<std::string, std::string> ref_records;
-  std::uint64_t ref_certified = 0;
-  std::size_t ref_failures = 0;
-  for (const driver::FleetRecord& r : reference.records) {
+  for (const driver::FleetRecord& r : reference.records)
     ref_records[r.name] = driver::record_core_json(r).dump();
-    if (r.wcet_ipet_certified) ++ref_certified;
-    if (!r.ok) ++ref_failures;
-  }
-  std::printf("serial reference: %zu records in %.2fs (%zu failures, %llu "
-              "certified)\n\n",
-              reference.records.size(), reference.wall_seconds, ref_failures,
-              static_cast<unsigned long long>(ref_certified));
+  std::printf("serial reference: %zu records in %.2fs\n\n",
+              reference.records.size(), reference.wall_seconds);
 
   // --- daemon arms -------------------------------------------------------
   const std::filesystem::path scratch =
@@ -271,13 +264,11 @@ int main(int argc, char** argv) {
   if (flags.jobs > 0)
     daemon_args.push_back("--jobs=" + std::to_string(flags.jobs));
 
-  bool failed = false;
+  // The reference must pass the campaign gate; every arm must reproduce its
+  // records byte for byte, which carries the verdict over to the arms.
+  bool failed = bench::gate(reference, "bench_service") != 0;
   const auto check_arm = [&](const ArmResult& arm) {
     const bool match = arm.records == ref_records;
-    std::uint64_t certified = 0;
-    for (const auto& [name, dump] : arm.records)
-      if (dump.find("\"wcet_ipet_certified\":true") != std::string::npos)
-        ++certified;
     std::printf("%-8s %8.2fs  p50 %8.2fms  p99 %8.2fms  "
                 "inc/full/image/miss %llu/%llu/%llu/%llu  %s\n",
                 arm.arm.c_str(), arm.wall_seconds,
@@ -288,14 +279,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(arm.image),
                 static_cast<unsigned long long>(arm.miss),
                 match ? "records=IDENTICAL" : "records=MISMATCH");
-    if (!match || arm.protocol_errors != 0 || arm.duplicates != 0 ||
-        certified != ref_certified) {
+    if (!match || arm.protocol_errors != 0 || arm.duplicates != 0) {
       std::fprintf(stderr,
                    "bench_service: arm '%s' FAILED (match=%d errors=%zu "
-                   "dups=%zu certified=%llu/%llu)\n",
+                   "dups=%zu)\n",
                    arm.arm.c_str(), match ? 1 : 0, arm.protocol_errors,
-                   arm.duplicates, static_cast<unsigned long long>(certified),
-                   static_cast<unsigned long long>(ref_certified));
+                   arm.duplicates);
       failed = true;
     }
   };
@@ -413,7 +402,6 @@ int main(int argc, char** argv) {
     doc["validate"] = json::Value(driver::to_string(flags.validate));
     doc["monitor"] = json::Value(machine::to_string(flags.monitor));
     doc["reference_wall_seconds"] = json::Value(reference.wall_seconds);
-    doc["reference_certified"] = json::Value(ref_certified);
     doc["warm_p50_over_cold_p50"] =
         json::Value(cold_p50 > 0.0 ? warm_p50 / cold_p50 : 0.0);
     doc["shard_restarts"] = json::Value(restarts);

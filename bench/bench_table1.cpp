@@ -53,11 +53,7 @@ int main(int argc, char** argv) {
 
   std::map<driver::Config, Totals> totals;
   for (const driver::FleetRecord& r : report.records) {
-    if (!r.ok) {
-      std::printf("%-10s failed (%s): %s\n", r.name.c_str(),
-                  driver::to_string(r.config).c_str(), r.error.c_str());
-      continue;
-    }
+    if (!r.ok) continue;
     totals[r.config].reads += r.exec.dcache_reads;
     totals[r.config].writes += r.exec.dcache_writes;
     totals[r.config].code_bytes += r.code_bytes;
@@ -93,5 +89,5 @@ int main(int argc, char** argv) {
             "code size -26%");
   std::puts("expected shape: 'O1-noregalloc' changes little; 'verified' and "
             "'O2-full' remove most stack traffic.");
-  return 0;
+  return bench::gate(report, "bench_table1");
 }

@@ -6,7 +6,8 @@
 # Any arguments after the bench directory are appended to every fleet bench
 # invocation — CI's asan lane passes --validate=full so the three machine
 # checkers run under the sanitizers on every smoke compile.
-# Exits non-zero on the first failing bench.
+# Every fleet bench exits with its campaign verdict (bench::gate), so a
+# failed record fails the smoke run. Exits non-zero if any bench failed.
 set -eu
 
 dir="${1:-build/bench}"
@@ -41,8 +42,8 @@ done
 
 # The rv32 stanza: every fleet bench once more on the second target, so a
 # backend regression cannot hide behind the ppc default. bench_micro rejects
-# foreign flags and bench_crosstarget already iterates every registered
-# target, so both are skipped here.
+# foreign flags and bench_crosstarget iterates every registered target (and
+# rejects --target), so both are skipped here.
 for b in "$dir"/bench_*; do
   [ -x "$b" ] || continue
   case "$(basename "$b")" in
@@ -63,7 +64,8 @@ done
 # The SSA stanza: every fleet bench once more through the SSA mid-end
 # (build / GVN / LICM / rotation / unrolling / out-of-SSA), so a mid-end
 # regression cannot hide behind the scalar default. bench_micro rejects
-# foreign flags; bench_ablation_passes carries its own SSA arms.
+# foreign flags; bench_ablation_passes carries its own SSA arms (and
+# rejects --ssa).
 for b in "$dir"/bench_*; do
   [ -x "$b" ] || continue
   case "$(basename "$b")" in

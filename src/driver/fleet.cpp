@@ -207,6 +207,23 @@ void run_wcet_phase(const mach::Image& image, const FleetOptions& options,
   record->wcet_seconds = seconds_since(t_wcet);
 }
 
+/// Fails a job that executed above a bound it computed, naming the engine
+/// whose bound the run exceeded.
+void check_bounds_sound(const FleetOptions& options,
+                        const FleetRecord& record) {
+  const auto check_bound = [&](std::uint64_t bound, wcet::WcetEngine engine) {
+    if (record.observed_max_cycles > bound)
+      throw std::runtime_error(
+          "unsound WCET bound: observed " +
+          std::to_string(record.observed_max_cycles) + " > " +
+          wcet::to_string(engine) + " bound " + std::to_string(bound));
+  };
+  if (options.wcet_engine != wcet::WcetEngine::Ipet)
+    check_bound(record.wcet_cycles, wcet::WcetEngine::Structural);
+  if (record.wcet_ipet_cycles > 0)
+    check_bound(record.wcet_ipet_cycles, wcet::WcetEngine::Ipet);
+}
+
 /// Executes one (unit, config) job into `record`. Never throws. `source` is
 /// the unit's printed program text (only set when a store is attached).
 void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
@@ -290,6 +307,8 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
       run_exec_phase(unit, image, input_seed, options, &facts, record);
     if (options.wcet || options.wcet_nocache)
       run_wcet_phase(image, options, &facts, record);
+    if (options.exec_cycles > 0 && options.wcet)
+      check_bounds_sound(options, *record);
     record->ok = true;
 
     if (store != nullptr) {

@@ -85,8 +85,11 @@ std::uint64_t fleet_job_seed(std::uint64_t suite_seed, std::size_t index);
 struct FleetRecord {
   std::string name;
   Config config{};
+  /// The job compiled (and passed its validators), executed without a
+  /// monitor violation, got every requested bound (an IPET bound only with
+  /// a verified certificate), and no execution exceeded a bound it computed.
   bool ok = false;
-  std::string error;  // set when !ok (compile/exec/WCET failure)
+  std::string error;  // set when !ok: the first of those that failed
 
   std::uint32_t code_bytes = 0;       // entry function code size
   machine::ExecStats exec;            // accumulated over exec_cycles

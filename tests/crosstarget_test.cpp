@@ -20,7 +20,8 @@
 //     monitored and certified;
 //   * on every function of the reference suite, one shared set of WCET flow
 //     facts gives each engine and the nocache ablation exactly what the
-//     self-contained analyze_wcet computes.
+//     self-contained analyze_wcet computes;
+//   * the bench gate (bench_common.hpp) fails on each of its causes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -265,6 +266,56 @@ TEST(WcetFlowFacts, SharedFactsMatchTheWrapperOnTheReferenceSuite) {
     }
   }
   EXPECT_GE(analyzed, 2 * 41 * 4);
+}
+
+/// The bench gate's exit code on `report`; its stderr lands in `causes`.
+int run_gate(const driver::FleetReport& report, std::string* causes) {
+  ::testing::internal::CaptureStderr();
+  const int status = gate(report, "bench_x");
+  *causes = ::testing::internal::GetCapturedStderr();
+  return status;
+}
+
+// The campaign verdict every fleet bench exits with, on hand-made reports:
+// each cause fails the gate on its own and is named in its output.
+TEST(BenchGate, EachCauseFailsTheVerdictAndIsNamed) {
+  driver::FleetReport clean;
+  clean.spec.monitor = machine::MonitorMode::Full;
+  for (const char* name : {"node0", "node1"}) {
+    driver::FleetRecord r;
+    r.name = name;
+    r.config = driver::Config::Verified;
+    r.ok = true;
+    r.monitored_steps = 40;
+    clean.records.push_back(r);
+  }
+  std::string causes;
+  EXPECT_EQ(run_gate(clean, &causes), 0);
+  EXPECT_EQ(causes, "");
+
+  driver::FleetReport failed = clean;
+  failed.records[1].ok = false;
+  failed.records[1].error = "unsound WCET bound: observed 812 > ipet bound 790";
+  EXPECT_EQ(run_gate(failed, &causes), 1);
+  EXPECT_EQ(causes,
+            "bench_x: FAILED: node1 verified on ppc: unsound WCET bound: "
+            "observed 812 > ipet bound 790\n");
+
+  driver::FleetReport fallback = clean;
+  fallback.ipet_fast_fallbacks = 3;
+  EXPECT_EQ(run_gate(fallback, &causes), 1);
+  EXPECT_EQ(causes,
+            "bench_x: FAILED: 3 rational IPET fallback(s), expected 0\n");
+
+  driver::FleetReport unchecked = clean;
+  unchecked.records[0].monitored_steps = 0;
+  EXPECT_EQ(run_gate(unchecked, &causes), 1);
+  EXPECT_EQ(causes,
+            "bench_x: FAILED: node0 verified on ppc: monitor armed but no "
+            "step checked\n");
+  // Without an armed monitor, zero steps is the expected reading.
+  unchecked.spec.monitor = machine::MonitorMode::Off;
+  EXPECT_EQ(run_gate(unchecked, &causes), 0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Fleet runner: thread-count invariance (the determinism contract — any
 // worker count produces bit-identical per-node stats and WCET bounds),
 // record ordering, per-job failure isolation, the phase each failure
-// surfaces in, and the thread pool itself.
+// surfaces in, the rejection of unsound bounds, and the thread pool itself.
 #include <atomic>
 #include <gtest/gtest.h>
 
@@ -248,6 +248,48 @@ TEST(FleetTest, FailedRecordsPinErrorPhase) {
           "\"observed_max_cycles\":0,\"ok\":false,\"wcet_cycles\":0,"
           "\"wcet_ipet_capped_edges\":0,\"wcet_ipet_certified\":false,"
           "\"wcet_ipet_cycles\":0,\"wcet_nocache_cycles\":0}");
+}
+
+// An annotation that understates a loop yields a bound below the observed
+// execution time. With the monitor off nothing refutes the claim during
+// execution, so the job itself must reject the bound as unsound.
+TEST(FleetTest, UnsoundBoundFailsTheJob) {
+  minic::Program program = minic::parse_program(R"(
+    func i32 f(i32 n) {
+      local i32 i;
+      local i32 acc;
+      i = 0;
+      acc = n;
+      while (i < 20) {
+        __annot("loop <= 2");
+        acc = acc + i;
+        i = i + 1;
+      }
+      return acc;
+    }
+  )");
+  minic::type_check(program);
+  driver::FleetOptions options;
+  options.jobs = 1;
+  options.configs = {driver::Config::O0Pattern};
+  options.exec_cycles = 3;
+  options.wcet = true;
+  options.wcet_engine = wcet::WcetEngine::Both;
+  const driver::FleetReport report =
+      driver::run_fleet({{"u", &program, "f", std::nullopt}}, options);
+  const driver::FleetRecord& r = report.records.front();
+  EXPECT_FALSE(r.ok);
+  // The annotated bound covers 2 of the 20 trips.
+  EXPECT_EQ(r.error, "unsound WCET bound: observed 591 > structural bound 300");
+  // The failed job's executions are not observations.
+  EXPECT_EQ(r.observed_max_cycles, 0u);
+  // IPET alone reports its own bound.
+  options.wcet_engine = wcet::WcetEngine::Ipet;
+  const driver::FleetReport ipet =
+      driver::run_fleet({{"u", &program, "f", std::nullopt}}, options);
+  EXPECT_FALSE(ipet.records.front().ok);
+  EXPECT_EQ(ipet.records.front().error,
+            "unsound WCET bound: observed 591 > ipet bound 300");
 }
 
 /// A hand-assembled `f(n)` whose cycle A -> C -> B -> A is entered at A
