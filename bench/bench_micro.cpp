@@ -17,6 +17,7 @@
 #include "minic/typecheck.hpp"
 #include "support/alloccount.hpp"
 #include "validate/validate.hpp"
+#include "wcet/monitor_spec.hpp"
 #include "wcet/wcet.hpp"
 
 using namespace vc;
@@ -122,10 +123,18 @@ void BM_WcetIpet(benchmark::State& state) {
 }
 BENCHMARK(BM_WcetIpet);
 
-void BM_SimulatedStep(benchmark::State& state) {
+/// Simulates the medium node's step function in a loop, with the execution
+/// monitor armed at `mode` (Off: plain simulation).
+void simulate_steps(benchmark::State& state, machine::MonitorMode mode) {
   const driver::Compiled compiled = driver::compile_program(
       medium_node().program, driver::Config::Verified);
   machine::Machine m(compiled.image);
+  const machine::MonitorSpec spec =
+      mode == machine::MonitorMode::Off
+          ? machine::MonitorSpec{}
+          : wcet::build_monitor_spec(compiled.image, medium_node().step_fn,
+                                     mode);
+  m.arm_monitor(spec, mode);
   const minic::Function* fn =
       medium_node().program.find_function(medium_node().step_fn);
   std::vector<minic::Value> args;
@@ -133,14 +142,27 @@ void BM_SimulatedStep(benchmark::State& state) {
     args.push_back(p.type == minic::Type::F64 ? minic::Value::of_f64(1.25)
                                               : minic::Value::of_i32(1));
   std::uint64_t instructions = 0;
+  const AllocCounter allocs;
   for (auto _ : state) {
     m.call(medium_node().step_fn, args, minic::Type::I32);
     instructions += m.stats().instructions;
   }
+  allocs.report(state);
   state.counters["insns/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
+
+void BM_SimulatedStep(benchmark::State& state) {
+  simulate_steps(state, machine::MonitorMode::Off);
+}
 BENCHMARK(BM_SimulatedStep);
+
+// The same node under the Full monitor (spec built once, outside the loop),
+// so the per-step monitor cost is the gap between the two insns/s numbers.
+void BM_SimulatedStepMonitored(benchmark::State& state) {
+  simulate_steps(state, machine::MonitorMode::Full);
+}
+BENCHMARK(BM_SimulatedStepMonitored);
 
 }  // namespace
 

@@ -26,8 +26,22 @@ double seconds_for(const std::function<void()>& work) {
 int main(int argc, char** argv) {
   const bench::BenchFlags flags =
       bench::parse_bench_flags(argc, argv, "bench_validation");
+  bench::reject_flag(flags.monitor != machine::MonitorMode::Off, "--monitor",
+                     "bench_validation");
+  bench::reject_flag(flags.wcet_engine != wcet::WcetEngine::Structural,
+                     "--wcet-engine", "bench_validation");
+  // The knob flags shape both arms' compiles (target, SSA mid-end, disabled
+  // passes); --validate picks the validated arm's level (rtl when off).
+  driver::CompileOptions copts;
+  static_cast<driver::PipelineSpec&>(copts) = flags;
+  const driver::ValidateLevel level =
+      flags.validate == driver::ValidateLevel::Off ? driver::ValidateLevel::Rtl
+                                                   : flags.validate;
   std::puts("=== Translation validation: overhead and seeded-defect "
             "detection ===\n");
+  std::printf("target %s, ssa %s, validated arm at --validate=%s\n\n",
+              flags.target.c_str(), flags.ssa ? "on" : "off",
+              driver::to_string(level).c_str());
 
   std::vector<bench::NodeBundle> suite =
       bench::make_suite(flags.nodes > 0 ? flags.nodes : 12);
@@ -36,11 +50,12 @@ int main(int argc, char** argv) {
   for (driver::Config config :
        {driver::Config::Verified, driver::Config::O2Full}) {
     const double plain = seconds_for([&] {
-      for (const auto& b : suite) driver::compile_program(b.program, config);
+      for (const auto& b : suite)
+        driver::compile_program(b.program, config, copts);
     });
     const double validated = seconds_for([&] {
       for (const auto& b : suite)
-        validate::validated_compile(b.program, config, 8, 99);
+        validate::validated_compile(b.program, config, 8, 99, level, copts);
     });
     std::printf(
         "%-12s plain compile: %6.1f ms   validated: %7.1f ms   (x%.1f)\n",

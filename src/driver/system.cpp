@@ -36,17 +36,23 @@ void FlightSystem::elaborate() {
     const auto consumer =
         std::find_if(nodes_.begin(), nodes_.end(),
                      [&](const auto& n) { return n.name() == w.consumer; });
-    check(producer != nodes_.end(), "unknown producer '" + w.producer + "'");
-    check(consumer != nodes_.end(), "unknown consumer '" + w.consumer + "'");
-    check(w.out_index >= 0 && w.out_index < producer->output_count(),
-          "output index out of range on wire from '" + w.producer + "'");
+    check(producer != nodes_.end(),
+          [&] { return "unknown producer '" + w.producer + "'"; });
+    check(consumer != nodes_.end(),
+          [&] { return "unknown consumer '" + w.consumer + "'"; });
+    check(w.out_index >= 0 && w.out_index < producer->output_count(), [&] {
+      return "output index out of range on wire from '" + w.producer + "'";
+    });
     const minic::Function* fn = program_.find_function(
         dataflow::step_function_name(*consumer));
     check(fn != nullptr && w.in_index >= 0 &&
               static_cast<std::size_t>(w.in_index) < fn->params.size() &&
               fn->params[static_cast<std::size_t>(w.in_index)].type ==
                   minic::Type::F64,
-          "input index out of range on wire into '" + w.consumer + "'");
+          [&] {
+            return "input index out of range on wire into '" + w.consumer +
+                   "'";
+          });
   }
   elaborated_ = true;
 }
@@ -76,9 +82,10 @@ FlightSystem::FrameStats FlightSystem::run_frame(
     for (const Wire& w : wires_) {
       if (w.consumer != node.name()) continue;
       auto it = latched.find({w.producer, w.out_index});
-      check(it != latched.end(),
-            "wire from '" + w.producer + "' consumed before production "
-            "(schedule order)");
+      check(it != latched.end(), [&] {
+        return "wire from '" + w.producer +
+               "' consumed before production (schedule order)";
+      });
       args[static_cast<std::size_t>(w.in_index)] = it->second;
       wired[static_cast<std::size_t>(w.in_index)] = true;
     }
@@ -93,8 +100,9 @@ FlightSystem::FrameStats FlightSystem::run_frame(
                       ? minic::Value::of_f64(0.0)
                       : minic::Value::of_i32(0);
       }
-      check(args[i].type == decl->params[i].type,
-            "external input type mismatch for '" + node.name() + "'");
+      check(args[i].type == decl->params[i].type, [&] {
+        return "external input type mismatch for '" + node.name() + "'";
+      });
     }
 
     machine.call(fn, args, minic::Type::I32);

@@ -35,16 +35,18 @@ DataLayout::DataLayout(const minic::Program& program)
 std::uint32_t DataLayout::offset_of(const std::string& sym,
                                     std::int32_t elem) const {
   auto it = globals_.find(sym);
-  check(it != globals_.end(), "undefined global symbol '" + sym + "'");
+  check(it != globals_.end(),
+        [&] { return "undefined global symbol '" + sym + "'"; });
   check(elem >= 0 && static_cast<std::uint32_t>(elem) < it->second.count,
-        "global element out of range for '" + sym + "'");
+        [&] { return "global element out of range for '" + sym + "'"; });
   return it->second.offset +
          it->second.elem_size * static_cast<std::uint32_t>(elem);
 }
 
 std::uint32_t DataLayout::elem_size(const std::string& sym) const {
   auto it = globals_.find(sym);
-  check(it != globals_.end(), "undefined global symbol '" + sym + "'");
+  check(it != globals_.end(),
+        [&] { return "undefined global symbol '" + sym + "'"; });
   return it->second.elem_size;
 }
 
@@ -111,7 +113,9 @@ std::uint32_t Image::code_size_of(const std::string& fn) const {
 MInstr Image::fetch(std::uint32_t addr) const {
   check(addr >= kCodeBase && addr < kCodeBase + code_size_bytes() &&
             addr % 4 == 0,
-        "instruction fetch outside code segment: " + hex32(addr));
+        [&] {
+          return "instruction fetch outside code segment: " + hex32(addr);
+        });
   return decode(words[(addr - kCodeBase) / 4]);
 }
 

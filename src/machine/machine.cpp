@@ -51,25 +51,24 @@ const mach::TargetDesc& desc_of(const mach::Image& image) {
 
 }  // namespace
 
-Cache::Cache(mach::CacheConfig cfg) : cfg_(cfg) { clear(); }
+Cache::Cache(mach::CacheConfig cfg)
+    : cfg_(cfg), tags_(std::size_t{cfg.sets} * cfg.ways, ~0u) {}
 
-void Cache::clear() {
-  ways_.assign(cfg_.sets, std::vector<std::uint32_t>());
-}
+void Cache::clear() { std::fill(tags_.begin(), tags_.end(), ~0u); }
 
 bool Cache::access(std::uint32_t addr) {
-  const std::uint32_t set = cfg_.set_of(addr);
   const std::uint32_t tag = cfg_.tag_of(addr);
-  auto& lru = ways_[set];
-  auto it = std::find(lru.begin(), lru.end(), tag);
-  if (it != lru.end()) {
-    lru.erase(it);
-    lru.insert(lru.begin(), tag);
-    return true;
-  }
-  lru.insert(lru.begin(), tag);
-  if (lru.size() > cfg_.ways) lru.pop_back();
-  return false;
+  std::uint32_t* set =
+      tags_.data() + std::size_t{cfg_.set_of(addr)} * cfg_.ways;
+  std::uint32_t way = 0;
+  while (way < cfg_.ways && set[way] != tag) ++way;
+  const bool hit = way < cfg_.ways;
+  // A hit moves its way to the front; a miss shifts the whole set down,
+  // dropping the least-recently-used way.
+  if (!hit) way = cfg_.ways - 1;
+  std::copy_backward(set, set + way, set + way + 1);
+  set[0] = tag;
+  return hit;
 }
 
 Machine::Machine(const mach::Image& image)
@@ -77,6 +76,7 @@ Machine::Machine(const mach::Image& image)
 
 Machine::Machine(const mach::Image& image, mach::MachineConfig config)
     : image_(image),
+      decoded_(image.words.size()),
       desc_(&desc_of(image)),
       config_(config),
       icache_(config.icache),
@@ -184,6 +184,21 @@ minic::Value Machine::call(const std::string& fn_name,
   return minic::Value::of_f64(fpr_[desc_->ret_fpr]);
 }
 
+const Machine::Decoded& Machine::predecode(std::uint32_t pc) {
+  Decoded d;
+  d.ins = image_.fetch(pc);  // throws on an out-of-segment pc or a bad word
+  d.ready = true;
+  d.is_memory = mach::is_memory_op(d.ins.op);
+  d.is_store = d.ins.op == MOp::Stw || d.ins.op == MOp::Stwx ||
+               d.ins.op == MOp::Stfd || d.ins.op == MOp::Stfdx;
+  d.is_branch = mach::is_branch(d.ins.op);
+  mach::IssueModel::resources(d.ins, d.reads, &d.n_reads, d.writes,
+                              &d.n_writes);
+  Decoded& slot = decoded_[(pc - Image::kCodeBase) / 4];
+  slot = d;
+  return slot;
+}
+
 void Machine::run(std::uint32_t entry) {
   std::uint32_t pc = entry;
   std::uint64_t executed = 0;
@@ -200,7 +215,8 @@ void Machine::run(std::uint32_t entry) {
                           std::to_string(fuel_) +
                           " instruction(s): execution truncated");
     }
-    const MInstr ins = image_.fetch(pc);
+    const Decoded& d = fetch(pc);
+    const MInstr& ins = d.ins;
 
     // Instruction fetch through the I-cache, one lookup per line entered.
     std::uint32_t fetch_stall = 0;
@@ -217,8 +233,7 @@ void Machine::run(std::uint32_t entry) {
     next_pc_ = pc + 4;
     branch_taken_ = false;
     std::uint32_t mem_addr = 0;
-    bool has_mem = mach::is_memory_op(ins.op);
-    if (has_mem) {
+    if (d.is_memory) {
       switch (ins.op) {
         case MOp::Lwz: case MOp::Stw: case MOp::Lfd: case MOp::Stfd:
           mem_addr = gpr_[ins.ra] + static_cast<std::uint32_t>(ins.imm);
@@ -233,11 +248,9 @@ void Machine::run(std::uint32_t entry) {
 
     // Micro-architectural accounting.
     std::uint32_t extra_mem = 0;
-    if (has_mem) {
-      const bool is_store = ins.op == MOp::Stw || ins.op == MOp::Stwx ||
-                            ins.op == MOp::Stfd || ins.op == MOp::Stfdx;
+    if (d.is_memory) {
       const bool hit = dcache_.access(mem_addr);
-      if (is_store) {
+      if (d.is_store) {
         ++stats_.dcache_writes;
         if (!hit) {
           ++stats_.dcache_write_misses;
@@ -252,15 +265,11 @@ void Machine::run(std::uint32_t entry) {
       }
     }
 
-    int reads[mach::IssueModel::kMaxResourcesPerInstr];
-    int writes[mach::IssueModel::kMaxResourcesPerInstr];
-    int n_reads = 0;
-    int n_writes = 0;
-    mach::IssueModel::resources(ins, reads, &n_reads, writes, &n_writes);
-    pipe_.issue(ins, reads, n_reads, writes, n_writes, extra_mem, fetch_stall);
+    pipe_.issue(ins, d.reads, d.n_reads, d.writes, d.n_writes, extra_mem,
+                fetch_stall);
     ++stats_.instructions;
 
-    if (mach::is_branch(ins.op)) {
+    if (d.is_branch) {
       pipe_.drain();
       if (branch_taken_) {
         pipe_.add_stall(config_.taken_branch_penalty);
@@ -268,8 +277,7 @@ void Machine::run(std::uint32_t entry) {
         last_fetch_line = 0xFFFFFFFF;  // refetch after redirect
       }
     }
-    if (monitor_ != nullptr)
-      monitor_->after_step(pc, next_pc_, mach::is_branch(ins.op));
+    if (monitor_ != nullptr) monitor_->after_step(pc, next_pc_, d.is_branch);
     pc = next_pc_;
   }
   pipe_.drain();

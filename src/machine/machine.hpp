@@ -52,8 +52,9 @@ class Cache {
 
  private:
   mach::CacheConfig cfg_;
-  // ways_[set] is ordered most-recently-used first; empty slots hold ~0.
-  std::vector<std::vector<std::uint32_t>> ways_;
+  // One flat `sets × ways` tag array; each set's ways are ordered
+  // most-recently-used first, and an empty way holds ~0.
+  std::vector<std::uint32_t> tags_;
 };
 
 struct ExecStats {
@@ -120,6 +121,31 @@ class Machine : private CpuView {
   const std::uint8_t* mem_at(std::uint32_t addr, std::uint32_t size) const;
   std::uint8_t* mem_at_mut(std::uint32_t addr, std::uint32_t size);
 
+  /// One code word as `run` consumes it: the decoded instruction plus the
+  /// per-step facts derived from it, computed once per Machine.
+  struct Decoded {
+    mach::MInstr ins;
+    bool ready = false;  // filled on first fetch of the word
+    bool is_memory = false;
+    bool is_store = false;
+    bool is_branch = false;
+    int n_reads = 0;
+    int n_writes = 0;
+    int reads[mach::IssueModel::kMaxResourcesPerInstr] = {};
+    int writes[mach::IssueModel::kMaxResourcesPerInstr] = {};
+  };
+
+  /// The decoded word at `pc`. Decodes lazily, so an invalid word raises
+  /// decode's CompileError only if it is executed, and a pc outside the
+  /// code segment raises Image::fetch's InternalError.
+  const Decoded& fetch(std::uint32_t pc) {
+    const std::uint32_t index = (pc - mach::Image::kCodeBase) / 4;
+    if (index < decoded_.size() && pc % 4 == 0 && decoded_[index].ready)
+      return decoded_[index];
+    return predecode(pc);
+  }
+  const Decoded& predecode(std::uint32_t pc);
+
   void run(std::uint32_t entry);
   void execute(const mach::MInstr& ins, std::uint32_t pc);
 
@@ -139,6 +165,7 @@ class Machine : private CpuView {
   }
 
   const mach::Image& image_;
+  std::vector<Decoded> decoded_;  // one entry per word of image_.words
   const mach::TargetDesc* desc_;
   mach::MachineConfig config_;
   Cache icache_;

@@ -148,7 +148,8 @@ std::size_t Function::instruction_count() const {
 void Function::validate() const {
   check(!blocks.empty(), "function has no blocks");
   auto check_vreg = [&](VReg v, const char* what) {
-    check(v < vregs.size(), std::string("vreg out of range in ") + what);
+    check(v < vregs.size(),
+          [&] { return std::string("vreg out of range in ") + what; });
   };
   for (const auto& bb : blocks) {
     check(!bb.instrs.empty(), "empty basic block");
@@ -157,16 +158,19 @@ void Function::validate() const {
       const Instr& ins = bb.instrs[i];
       const bool last = i + 1 == bb.instrs.size();
       check(ins.is_terminator() == last,
-            "terminator placement violation in " + name);
+            [&] { return "terminator placement violation in " + name; });
       if (ins.op == Opcode::Phi) {
-        check(!seen_nonphi, "phi after non-phi instruction in " + name);
-        check(!ins.phi_args.empty(), "phi with no incoming args in " + name);
+        check(!seen_nonphi,
+              [&] { return "phi after non-phi instruction in " + name; });
+        check(!ins.phi_args.empty(),
+              [&] { return "phi with no incoming args in " + name; });
         for (std::size_t a = 0; a < ins.phi_args.size(); ++a) {
           check(ins.phi_args[a].pred < blocks.size(),
-                "phi predecessor out of range in " + name);
+                [&] { return "phi predecessor out of range in " + name; });
           if (a != 0)
-            check(ins.phi_args[a - 1].pred < ins.phi_args[a].pred,
-                  "phi args not sorted by predecessor in " + name);
+            check(ins.phi_args[a - 1].pred < ins.phi_args[a].pred, [&] {
+              return "phi args not sorted by predecessor in " + name;
+            });
         }
       } else {
         seen_nonphi = true;

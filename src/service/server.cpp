@@ -1,5 +1,6 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <stdexcept>
@@ -88,10 +89,17 @@ void ServiceServer::batch_loop() {
         continue;
       }
       // Tiny gather window: pipelined clients enqueue bursts; taking the
-      // burst as one batch amortizes the fleet fan-out.
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      lock.lock();
+      // burst as one batch amortizes the fleet fan-out. A queue of memo
+      // hits only has sends to do, so it is answered without the window.
+      const bool all_memo_hits =
+          std::all_of(queue_.begin(), queue_.end(), [](const Queued& q) {
+            return q.memo_record.has_value();
+          });
+      if (!all_memo_hits) {
+        lock.unlock();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        lock.lock();
+      }
       batch.assign(std::make_move_iterator(queue_.begin()),
                    std::make_move_iterator(queue_.end()));
       queue_.clear();

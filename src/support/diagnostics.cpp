@@ -18,10 +18,6 @@ ValidationError::ValidationError(std::string pass, const std::string& message)
     : std::runtime_error("validation failed [" + pass + "]: " + message),
       pass_(std::move(pass)) {}
 
-void check(bool condition, const std::string& message) {
-  if (!condition) throw InternalError(message);
-}
-
 void check(bool condition, const char* message) {
   if (!condition) throw InternalError(message);
 }

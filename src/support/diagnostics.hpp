@@ -7,6 +7,7 @@
 //    (potential miscompilation; the pipeline must not ship the result).
 #pragma once
 
+#include <concepts>
 #include <stdexcept>
 #include <string>
 
@@ -47,12 +48,20 @@ class ValidationError : public std::runtime_error {
   std::string pass_;
 };
 
-/// Throws InternalError with `message` if `condition` is false.
-void check(bool condition, const std::string& message);
-
-/// Literal-message overload: overload resolution prefers it for string
-/// literals, so hot paths (the ILP pivot kernel calls check() per arithmetic
-/// operation) pay no std::string construction on the non-throwing branch.
+/// Throws InternalError with `message` if `condition` is false. There is
+/// deliberately no `const std::string&` overload: a composed message must be
+/// built by a callable, so the passing path (the ILP pivot kernel checks
+/// every arithmetic operation, `rtl::Function::validate` every instruction)
+/// builds nothing.
 void check(bool condition, const char* message);
+
+/// Lazy-message overload: `make_message()` runs only when `condition` is
+/// false, e.g. `check(ok, [&] { return "bad symbol '" + sym + "'"; })`.
+template <typename MakeMessage>
+  requires std::invocable<MakeMessage&>
+void check(bool condition, MakeMessage&& make_message) {
+  if (!condition) [[unlikely]]
+    throw InternalError(std::string(make_message()));
+}
 
 }  // namespace vc

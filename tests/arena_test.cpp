@@ -14,12 +14,14 @@
 #include "dataflow/acg.hpp"
 #include "dataflow/generator.hpp"
 #include "driver/compiler.hpp"
+#include "machine/machine.hpp"
 #include "minic/typecheck.hpp"
 #include "support/alloccount.hpp"
 #include "support/arena.hpp"
 #include "support/diagnostics.hpp"
 #include "support/symtab.hpp"
 #include "support/workspace.hpp"
+#include "wcet/monitor_spec.hpp"
 #include "wcet/wcet.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -281,6 +283,41 @@ TEST(AllocCountTest, WarmCompileJobAllocationBudget) {
   // this node (O2 compile + both WCET engines, IPET certificate included).
   // 130k — roughly 2x — is the alarm line.
   EXPECT_LT(warm, 130000u) << "per-job allocation count regressed";
+}
+
+// A simulated step allocates nothing, monitor included: the fetch check
+// builds no message unless it fails, and the decode table and the LRU
+// caches are sized once per Machine. The warm-up call fills the decode
+// table; the cold-cache call after it must not touch the heap.
+TEST(AllocCountTest, SimulatedCallAllocatesNothing) {
+  dataflow::GeneratorOptions options;
+  options.min_blocks = 30;
+  options.max_blocks = 40;
+  const dataflow::Node node = dataflow::generate_node(987654, "simpin", options);
+  minic::Program program;
+  dataflow::generate_node(node, &program);
+  minic::type_check(program);
+  const driver::Compiled compiled =
+      driver::compile_program(program, driver::Config::Verified);
+  const std::string fn = dataflow::step_function_name(node);
+  const machine::MonitorSpec spec = wcet::build_monitor_spec(
+      compiled.image, fn, machine::MonitorMode::Full);
+  std::vector<minic::Value> args;
+  for (const auto& p : program.find_function(fn)->params)
+    args.push_back(p.type == minic::Type::F64 ? minic::Value::of_f64(1.25)
+                                              : minic::Value::of_i32(1));
+
+  machine::Machine m(compiled.image);
+  m.arm_monitor(spec, machine::MonitorMode::Full);
+  m.call(fn, args, minic::Type::I32);
+  m.clear_caches();
+  const std::uint64_t steps_before = m.monitor()->steps();
+  alloc::Scope scope;
+  m.call(fn, args, minic::Type::I32);
+  const std::uint64_t allocations = scope.delta().allocations;
+  EXPECT_GT(m.monitor()->steps() - steps_before, 100u);
+  EXPECT_EQ(allocations, 0u) << "over " << m.stats().instructions
+                             << " simulated step(s)";
 }
 #endif
 

@@ -213,6 +213,78 @@ TEST(Cache, LruEviction) {
   EXPECT_FALSE(cache.access(32));   // B was evicted
 }
 
+// An odd geometry (3 sets x 2 ways): each set keeps its own LRU order, and
+// clear() empties every way without changing the replacement order after.
+TEST(Cache, LruOrderPerSetAcrossClear) {
+  mach::CacheConfig cfg;
+  cfg.sets = 3;
+  cfg.ways = 2;
+  cfg.line_bytes = 32;
+  machine::Cache cache(cfg);
+  // Lines 0, 3, 6 map to set 0; lines 1, 4 to set 1 (addr = line * 32).
+  const auto line = [](std::uint32_t n) { return n * 32; };
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(cache.access(line(0)));
+    EXPECT_FALSE(cache.access(line(3)));
+    EXPECT_FALSE(cache.access(line(1)));  // set 1 leaves set 0 alone
+    EXPECT_TRUE(cache.access(line(0)));   // set 0: [0, 3]
+    EXPECT_FALSE(cache.access(line(6)));  // evicts 3: [6, 0]
+    EXPECT_TRUE(cache.access(line(0)));   // [0, 6]
+    EXPECT_FALSE(cache.access(line(3)));  // evicts 6: [3, 0]
+    EXPECT_FALSE(cache.access(line(6)));  // evicts 0: [6, 3]
+    EXPECT_TRUE(cache.access(line(3)));
+    EXPECT_TRUE(cache.access(line(1)));   // set 1 still holds line 1
+    EXPECT_FALSE(cache.access(line(4)));  // set 1: [4, 1]
+    EXPECT_TRUE(cache.access(line(1)));
+    cache.clear();
+  }
+  EXPECT_FALSE(cache.access(line(1)));  // clear() emptied set 1 as well
+}
+
+TEST(Machine, BranchOutOfImageIsAnInternalError) {
+  MInstr b;
+  b.op = MOp::B;
+  b.disp = 100;
+  const mach::Image image = assemble({b});
+  Machine m(image);
+  try {
+    m.call("f", {}, minic::Type::I32);
+    FAIL() << "expected an out-of-segment fetch";
+  } catch (const InternalError& e) {
+    EXPECT_STREQ(e.what(),
+                 "internal error: instruction fetch outside code segment: "
+                 "0x00001190");
+  }
+}
+
+TEST(Machine, InvalidWordFaultsOnlyWhenExecuted) {
+  MInstr blr;
+  blr.op = MOp::Blr;
+  // li r3,7; blr; <corrupt word>; blr
+  mach::Image image = assemble({ri(MOp::Li, 3, 0, 7), blr, blr});
+  constexpr std::uint32_t kBadWord = 0xFFFFFFFFu;
+  image.words[2] = kBadWord;
+  image.fn_entry["bad"] = mach::Image::kCodeBase + 2 * 4;
+  std::string decode_error;
+  try {
+    (void)mach::decode(kBadWord);
+  } catch (const CompileError& e) {
+    decode_error = e.what();
+  }
+  ASSERT_FALSE(decode_error.empty());
+
+  Machine m(image);
+  EXPECT_EQ(m.call("f", {}, minic::Type::I32).i, 7);
+  // The same machine entering at the corrupt word raises decode's error.
+  try {
+    m.call("bad", {}, minic::Type::I32);
+    FAIL() << "expected the decode error";
+  } catch (const CompileError& e) {
+    EXPECT_EQ(e.what(), decode_error);
+  }
+  EXPECT_EQ(m.call("f", {}, minic::Type::I32).i, 7);
+}
+
 TEST(IssueModel, DualIssueAndHazards) {
   mach::IssueModel pipe(mach::target_by_name("ppc"));
   pipe.reset();

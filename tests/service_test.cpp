@@ -503,6 +503,39 @@ TEST(ServiceIncrementalTest, ResubmissionIsAnsweredFromTheMemo) {
   EXPECT_NE(third->at("cache").as_string(), "incremental");
 }
 
+// A batch of memo hits only is sent without the batcher's 5 ms gather
+// window: twenty serial resubmissions take at least 100 ms with the window
+// and about 2 ms without it. The 60 ms bar leaves a wide margin for a
+// loaded host.
+TEST(ServiceIncrementalTest, SerialMemoHitsSkipTheGatherWindow) {
+  InProcessServer server("memofast");
+  service::ServiceClient client;
+  ASSERT_TRUE(client.connect(server.socket()));
+
+  service::JobRequest request;
+  request.id = 0;
+  request.name = "lowpass";
+  request.source = "func f64 lowpass(f64 x) { return 0.2 * x; }\n";
+  request.entry = "lowpass";
+  request.exec_cycles = 10;
+  const auto first = client.call(service::job_to_json(request));
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->at("ok").as_bool(false));
+
+  constexpr int kHits = 20;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 1; i <= kHits; ++i) {
+    request.id = i;
+    const auto reply = client.call(service::job_to_json(request));
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->at("cache").as_string(), "incremental");
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(60))
+      << kHits << " serial memo hits took "
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
+}
+
 // Regression: the warm-campaign pipelining deadlock. Memo-hit replies used
 // to be sent inline on the connection's read thread (holding the memo
 // mutex); a client that pipelined a resubmission burst larger than the
