@@ -12,9 +12,12 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "mach/target.hpp"
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
 #include "minic/typecheck.hpp"
+#include "opt/opt.hpp"
+#include "regalloc/regalloc.hpp"
 #include "support/alloccount.hpp"
 #include "validate/validate.hpp"
 #include "wcet/monitor_spec.hpp"
@@ -122,6 +125,44 @@ void BM_WcetIpet(benchmark::State& state) {
   allocs.report(state);
 }
 BENCHMARK(BM_WcetIpet);
+
+// The scalar passes that cost the compile most, one lane each
+// (0 constprop, 1 dce, 2 regalloc), on the medium node's step function:
+// constprop and dce on its freshly lowered RTL, regalloc on its optimized
+// RTL under the ppc register file. The input is restored outside the timed
+// region into the same buffers, so allocs/op is the pass's own traffic.
+void BM_ScalarPasses(benchmark::State& state) {
+  static constexpr const char* kNames[] = {"constprop", "dce", "regalloc"};
+  const auto lane = static_cast<std::size_t>(state.range(0));
+  state.SetLabel(kNames[lane]);
+  const driver::Compiled compiled = driver::compile_program(
+      medium_node().program, driver::Config::Verified);
+  const driver::FunctionArtifact& art =
+      compiled.artifacts.at(medium_node().step_fn);
+  const rtl::Function& input = lane == 2 ? art.rtl_optimized : art.rtl_lowered;
+  const mach::TargetDesc& ppc = mach::target_by_name("ppc");
+  rtl::Function work = input;
+  const AllocCounter allocs;
+  for (auto _ : state) {
+    state.PauseTiming();
+    work = input;
+    state.ResumeTiming();
+    switch (lane) {
+      case 0:
+        benchmark::DoNotOptimize(opt::constant_propagation(work));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(opt::dead_code_elimination(work));
+        break;
+      default:
+        benchmark::DoNotOptimize(regalloc::allocate_registers(
+            work, ppc.n_int_colors(), ppc.n_float_colors()));
+        break;
+    }
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_ScalarPasses)->Arg(0)->Arg(1)->Arg(2);
 
 /// Simulates the medium node's step function in a loop, with the execution
 /// monitor armed at `mode` (Off: plain simulation).

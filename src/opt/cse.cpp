@@ -278,33 +278,7 @@ class ScopedVN {
         changed = true;
       }
     };
-    switch (ins.op) {
-      case Opcode::Mov:
-      case Opcode::Un:
-      case Opcode::Branch:
-      case Opcode::StoreGlobal:
-      case Opcode::StoreStack:
-        rw(ins.src1);
-        break;
-      case Opcode::Bin:
-      case Opcode::BranchCmp:
-      case Opcode::StoreGlobalIdx:
-        rw(ins.src1);
-        rw(ins.src2);
-        break;
-      case Opcode::LoadGlobalIdx:
-        rw(ins.src1);
-        break;
-      case Opcode::Ret:
-        if (ins.src1 != rtl::kNoVReg) rw(ins.src1);
-        break;
-      case Opcode::Annot:
-        for (auto& a : ins.annot_args)
-          if (!a.is_slot) rw(a.vreg);
-        break;
-      default:
-        break;
-    }
+    rtl::for_each_use(ins, rw);
     return changed;
   }
 

@@ -48,7 +48,7 @@ void reverse_postorder(const Function& fn, CompileWorkspace& ws,
   (*visited)[0] = 1;
   while (!stack->empty()) {
     auto& [block, next_succ] = stack->back();
-    const std::vector<BlockId> succs = fn.blocks[block].successors();
+    const Successors succs = fn.blocks[block].successors();
     if (next_succ < succs.size()) {
       const BlockId s = succs[next_succ++];
       if (!(*visited)[s]) {
@@ -82,10 +82,13 @@ void compute_liveness(const Function& fn, CompileWorkspace& ws,
   reshape_bitsets(&*gen, nblocks, nvregs);
   reshape_bitsets(&*kill, nblocks, nvregs);
   for (BlockId b = 0; b < nblocks; ++b) {
+    DenseBitset& g = (*gen)[b];
+    DenseBitset& k = (*kill)[b];
     for (const Instr& ins : fn.blocks[b].instrs) {
-      for (VReg u : ins.uses())
-        if (!(*kill)[b].test(u)) (*gen)[b].set(u);
-      if (auto d = ins.def()) (*kill)[b].set(*d);
+      for_each_use(ins, [&](VReg u) {
+        if (!k.test(u)) g.set(u);
+      });
+      if (auto d = ins.def()) k.set(*d);
     }
   }
 
@@ -93,26 +96,25 @@ void compute_liveness(const Function& fn, CompileWorkspace& ws,
   predecessors(fn, ws, &*preds_lease);
   const auto& preds = *preds_lease;
 
-  // Backward worklist fixpoint, seeded in postorder so most blocks settle on
-  // the first visit; a block re-enters the list only when a successor's
-  // live-in grows.
+  // Backward worklist fixpoint. The list pops from the back, so it is
+  // seeded with the unreachable blocks first and then the reachable ones in
+  // reverse postorder: blocks are visited in postorder, successors before
+  // predecessors, and most settle on the first visit. A block re-enters the
+  // list only when a successor's live-in grows. Unreachable blocks still get
+  // live sets (some callers iterate all blocks), after the rest settled.
   auto worklist = ws.u32_pool.lease();
   auto queued = ws.u8_pool.lease();
   queued->assign(nblocks, 0);
   {
     auto rpo = ws.u32_pool.lease();
     reverse_postorder(fn, ws, &*rpo);
-    for (std::size_t i = rpo->size(); i-- > 0;) {
-      worklist->push_back((*rpo)[i]);
-      (*queued)[(*rpo)[i]] = 1;
-    }
-    // Unreachable blocks still get live sets (some callers iterate all
-    // blocks); one visit each suffices since nothing feeds back into them.
+    for (BlockId b : *rpo) (*queued)[b] = 1;
     for (BlockId b = 0; b < nblocks; ++b)
       if (!(*queued)[b]) {
         worklist->push_back(b);
         (*queued)[b] = 1;
       }
+    worklist->insert(worklist->end(), rpo->begin(), rpo->end());
   }
 
   auto in_lease = ws.bitset_pool.lease();

@@ -34,51 +34,6 @@ std::string to_string(Opcode op) {
   throw InternalError("bad rtl opcode");
 }
 
-std::vector<VReg> Instr::uses() const {
-  std::vector<VReg> out;
-  switch (op) {
-    case Opcode::LdI:
-    case Opcode::LdF:
-    case Opcode::LoadGlobal:
-    case Opcode::LoadStack:
-    case Opcode::GetParam:
-    case Opcode::Jump:
-      break;
-    case Opcode::Mov:
-    case Opcode::Un:
-    case Opcode::Branch:
-      out.push_back(src1);
-      break;
-    case Opcode::Bin:
-    case Opcode::BranchCmp:
-      out.push_back(src1);
-      out.push_back(src2);
-      break;
-    case Opcode::LoadGlobalIdx:
-      out.push_back(src1);  // index
-      break;
-    case Opcode::StoreGlobal:
-    case Opcode::StoreStack:
-      out.push_back(src1);  // value
-      break;
-    case Opcode::StoreGlobalIdx:
-      out.push_back(src1);  // value
-      out.push_back(src2);  // index
-      break;
-    case Opcode::Ret:
-      if (src1 != kNoVReg) out.push_back(src1);
-      break;
-    case Opcode::Annot:
-      for (const AnnotOperand& a : annot_args)
-        if (!a.is_slot) out.push_back(a.vreg);
-      break;
-    case Opcode::Phi:
-      for (const PhiArg& a : phi_args) out.push_back(a.src);
-      break;
-  }
-  return out;
-}
-
 std::optional<VReg> Instr::def() const {
   switch (op) {
     case Opcode::LdI:
@@ -117,12 +72,12 @@ const Instr& BasicBlock::terminator() const {
   return instrs.back();
 }
 
-std::vector<BlockId> BasicBlock::successors() const {
+Successors BasicBlock::successors() const {
   const Instr& t = terminator();
   switch (t.op) {
-    case Opcode::Jump: return {t.target};
+    case Opcode::Jump: return Successors(t.target);
     case Opcode::Branch:
-    case Opcode::BranchCmp: return {t.target, t.target2};
+    case Opcode::BranchCmp: return Successors(t.target, t.target2);
     case Opcode::Ret: return {};
     default:
       throw InternalError("bad terminator");
@@ -175,7 +130,7 @@ void Function::validate() const {
       } else {
         seen_nonphi = true;
       }
-      for (VReg u : ins.uses()) check_vreg(u, "use");
+      for_each_use(ins, [&](VReg u) { check_vreg(u, "use"); });
       if (auto d = ins.def()) check_vreg(*d, "def");
       if (ins.op == Opcode::LoadStack || ins.op == Opcode::StoreStack)
         check(ins.slot < slots.size(), "slot out of range");

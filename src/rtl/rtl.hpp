@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "minic/ast.hpp"
@@ -109,13 +110,90 @@ struct Instr {
            op == Opcode::BranchCmp || op == Opcode::Ret;
   }
 
-  /// Virtual registers read by this instruction (including annot args).
-  [[nodiscard]] std::vector<VReg> uses() const;
-  /// Virtual register written, if any.
+  /// Virtual register written, if any. (The registers read are walked by
+  /// for_each_use below.)
   [[nodiscard]] std::optional<VReg> def() const;
 
   /// True for pure value-producing instructions (candidates for CSE/DCE).
   [[nodiscard]] bool is_pure() const;
+};
+
+/// Calls `f` on every virtual register `ins` reads, in operand order (a
+/// store's value before its index; annot and phi args included). Given a
+/// mutable `ins`, `f` may take `VReg&` and rewrite the operand in place.
+/// Nothing is allocated: this is the one operand walk that liveness, the
+/// validators, the allocator and the SSA passes share.
+template <class InstrT, class F>
+  requires std::is_same_v<std::remove_const_t<InstrT>, Instr>
+void for_each_use(InstrT& ins, F&& f) {
+  switch (ins.op) {
+    case Opcode::Mov:
+    case Opcode::Un:
+    case Opcode::Branch:
+    case Opcode::LoadGlobalIdx:  // index
+    case Opcode::StoreGlobal:    // value
+    case Opcode::StoreStack:     // value
+      f(ins.src1);
+      break;
+    case Opcode::Bin:
+    case Opcode::BranchCmp:
+    case Opcode::StoreGlobalIdx:  // value, then index
+      f(ins.src1);
+      f(ins.src2);
+      break;
+    case Opcode::Ret:
+      if (ins.src1 != kNoVReg) f(ins.src1);
+      break;
+    case Opcode::Annot:
+      for (auto& a : ins.annot_args)
+        if (!a.is_slot) f(a.vreg);
+      break;
+    case Opcode::Phi:
+      for (auto& a : ins.phi_args) f(a.src);
+      break;
+    case Opcode::LdI:
+    case Opcode::LdF:
+    case Opcode::LoadGlobal:
+    case Opcode::LoadStack:
+    case Opcode::GetParam:
+    case Opcode::Jump:
+      break;
+  }
+}
+
+/// True if `pred` holds for some register `ins` reads (`pred` is not called
+/// again after the first hit).
+template <class P>
+bool any_use(const Instr& ins, P&& pred) {
+  bool hit = false;
+  for_each_use(ins, [&](VReg u) { hit = hit || pred(u); });
+  return hit;
+}
+
+/// A block's successor ids in (taken, fallthrough) order. A terminator has
+/// at most two, so they are held inline and a CFG walk allocates nothing.
+class Successors {
+ public:
+  Successors() = default;
+  explicit Successors(BlockId only) : ids_{only, 0}, n_(1) {}
+  Successors(BlockId taken, BlockId fallthrough)
+      : ids_{taken, fallthrough}, n_(2) {}
+
+  [[nodiscard]] const BlockId* begin() const { return ids_; }
+  [[nodiscard]] const BlockId* end() const { return ids_ + n_; }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] BlockId operator[](std::size_t i) const { return ids_[i]; }
+
+  bool operator==(const Successors& o) const {
+    if (n_ != o.n_) return false;
+    for (std::size_t i = 0; i < n_; ++i)
+      if (ids_[i] != o.ids_[i]) return false;
+    return true;
+  }
+
+ private:
+  BlockId ids_[2] = {0, 0};
+  std::uint8_t n_ = 0;
 };
 
 struct BasicBlock {
@@ -123,7 +201,7 @@ struct BasicBlock {
 
   [[nodiscard]] const Instr& terminator() const;
   /// Successor block ids in (taken, fallthrough) order.
-  [[nodiscard]] std::vector<BlockId> successors() const;
+  [[nodiscard]] Successors successors() const;
 };
 
 struct FuncParam {

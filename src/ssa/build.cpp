@@ -164,7 +164,7 @@ bool build_ssa(Function& fn) {
     std::vector<VReg> popped;  // original vars pushed in this block
   };
   std::vector<Frame> stack;
-  stack.push_back({0});
+  stack.push_back({0, 0, {}});
   while (!stack.empty()) {
     Frame& fr = stack.back();
     const BlockId b = fr.block;
@@ -179,7 +179,7 @@ bool build_ssa(Function& fn) {
           fr.popped.push_back(v);
           continue;
         }
-        detail::rewrite_uses(ins, read_var);
+        rtl::for_each_use(ins, [&](VReg& u) { u = read_var(u); });
         if (auto d = ins.def()) {
           const VReg v = *d;
           if (v < n_vars) {  // the entry zero constants keep their names
@@ -201,7 +201,7 @@ bool build_ssa(Function& fn) {
     }
     if (fr.child < children[b].size()) {
       const BlockId c = children[b][fr.child++];
-      stack.push_back({c});
+      stack.push_back({c, 0, {}});
       continue;
     }
     for (auto it = fr.popped.rbegin(); it != fr.popped.rend(); ++it)

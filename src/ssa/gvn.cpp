@@ -108,10 +108,10 @@ bool global_value_numbering(Function& fn) {
       fr.undo_mark = undo.size();
       for (Instr& ins : fn.blocks[b].instrs) {
         // Copy propagation: route every operand to its representative.
-        detail::rewrite_uses(ins, [&](VReg v) {
+        rtl::for_each_use(ins, [&](VReg& v) {
           const VReg r = find(v);
           if (r != v) changed = true;
-          return r;
+          v = r;
         });
         if (ins.op == Opcode::Mov) {
           vn[ins.dst] = find(ins.src1);

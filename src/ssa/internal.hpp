@@ -6,41 +6,6 @@
 
 namespace vc::ssa::detail {
 
-/// Applies `f` to every vreg operand read by `ins`, storing the result back.
-/// Mirrors Instr::uses() exactly (annot args and phi args included).
-template <class F>
-void rewrite_uses(rtl::Instr& ins, F f) {
-  using rtl::Opcode;
-  switch (ins.op) {
-    case Opcode::Mov:
-    case Opcode::Un:
-    case Opcode::Branch:
-    case Opcode::LoadGlobalIdx:
-    case Opcode::StoreGlobal:
-    case Opcode::StoreStack:
-      ins.src1 = f(ins.src1);
-      break;
-    case Opcode::Bin:
-    case Opcode::BranchCmp:
-    case Opcode::StoreGlobalIdx:
-      ins.src1 = f(ins.src1);
-      ins.src2 = f(ins.src2);
-      break;
-    case Opcode::Ret:
-      if (ins.src1 != rtl::kNoVReg) ins.src1 = f(ins.src1);
-      break;
-    case Opcode::Annot:
-      for (rtl::AnnotOperand& a : ins.annot_args)
-        if (!a.is_slot) a.vreg = f(a.vreg);
-      break;
-    case Opcode::Phi:
-      for (rtl::PhiArg& a : ins.phi_args) a.src = f(a.src);
-      break;
-    default:
-      break;
-  }
-}
-
 /// Definition site of every vreg: (block, index) or block == kNoBlock if the
 /// vreg has no definition. Meaningful on SSA-form functions (single def).
 struct DefSite {

@@ -76,11 +76,10 @@ bool loop_invariant_code_motion(Function& fn) {
       continue;
 
     const auto invariant = [&](const Instr& ins) {
-      for (VReg u : ins.uses()) {
+      return !rtl::any_use(ins, [&](VReg u) {
         const BlockId d = def_block[u];
-        if (d != kNoBlock && loop.contains(d)) return false;
-      }
-      return true;
+        return d != kNoBlock && loop.contains(d);
+      });
     };
 
     // Fixpoint: hoisting one instruction can make its dependents invariant.

@@ -59,8 +59,9 @@ void coalesce_phi_webs(Function& fn) {
         for (const rtl::PhiArg& a : ins.phi_args) phi_out[a.pred].set(a.src);
         continue;
       }
-      for (VReg u : ins.uses())
+      rtl::for_each_use(ins, [&](VReg u) {
         if (!kill[b].test(u)) gen[b].set(u);
+      });
       if (auto d = ins.def()) kill[b].set(*d);
     }
   }
@@ -102,7 +103,7 @@ void coalesce_phi_webs(Function& fn) {
         mark_against_live(*d, live);
         live.reset(*d);
       }
-      for (VReg u : ins.uses()) live.set(u);
+      rtl::for_each_use(ins, [&](VReg u) { live.set(u); });
     }
     // The phi run defines every dst in parallel at block top: each dst
     // interferes with whatever is live just below the run. The args died
@@ -149,7 +150,7 @@ void coalesce_phi_webs(Function& fn) {
   for (BasicBlock& bb : fn.blocks)
     for (Instr& ins : bb.instrs) {
       if (ins.def()) ins.dst = find(ins.dst);
-      detail::rewrite_uses(ins, [&](VReg u) { return find(u); });
+      rtl::for_each_use(ins, [&](VReg& u) { u = find(u); });
     }
 }
 

@@ -63,15 +63,15 @@ bool find_candidate(const Function& fn, Candidate* out) {
       }
       in_extras = true;
       if (!hi[i].is_pure()) { shape_ok = false; break; }
-      for (VReg u : hi[i].uses()) {
+      const bool reads_loop_value = rtl::any_use(hi[i], [&](VReg u) {
         const bool in_loop =
             std::binary_search(loop_defs.begin(), loop_defs.end(), u);
         const bool own_extra =
             std::find(extra_defs.begin(), extra_defs.end(), u) !=
             extra_defs.end();
-        if (in_loop && !own_extra) { shape_ok = false; break; }
-      }
-      if (!shape_ok) break;
+        return in_loop && !own_extra;
+      });
+      if (reads_loop_value) { shape_ok = false; break; }
       if (auto d = hi[i].def()) extra_defs.push_back(*d);
     }
     if (!shape_ok) continue;
@@ -202,9 +202,7 @@ void rotate_one(Function& fn, const Candidate& c) {
           if (a.src == pi.dst && !in(c.loop_blocks, a.pred)) return true;
         return false;
       }
-      for (VReg u : ins.uses())
-        if (u == pi.dst) return true;
-      return false;
+      return rtl::any_use(ins, [&](VReg u) { return u == pi.dst; });
     };
     bool used = false;
     for (BlockId b = 0; b < fn.blocks.size() && !used; ++b) {
@@ -236,8 +234,8 @@ void rotate_one(Function& fn, const Candidate& c) {
             if (a.src == pi.dst && !in(c.loop_blocks, a.pred))
               a.src = exit_name;
         } else {
-          detail::rewrite_uses(ins, [&](VReg u) {
-            return u == pi.dst ? exit_name : u;
+          rtl::for_each_use(ins, [&](VReg& u) {
+            if (u == pi.dst) u = exit_name;
           });
         }
       }

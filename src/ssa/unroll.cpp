@@ -79,13 +79,13 @@ bool match_loop(const Function& fn, const Loop& loop,
   for (std::size_t i = n_phi; i + 1 < hi.size(); ++i) {
     const Instr& ins = hi[i];
     if (!ins.is_pure()) return false;
-    for (VReg u : ins.uses()) {
+    const bool reads_loop_value = rtl::any_use(ins, [&](VReg u) {
       const auto& s = sites[u];
-      if (s.block == kNoBlock) continue;
-      if (s.block == h && fn.blocks[h].instrs[s.index].op == Opcode::Phi)
-        return false;
-      if (s.block != h && loop.contains(s.block)) return false;
-    }
+      if (s.block == kNoBlock) return false;
+      if (s.block == h) return fn.blocks[h].instrs[s.index].op == Opcode::Phi;
+      return loop.contains(s.block);
+    });
+    if (reads_loop_value) return false;
   }
 
   // Counter: a header phi advanced by exactly +1 each iteration, between
@@ -261,7 +261,7 @@ void unroll_one(Function& fn, const Candidate& c, UnrollCertificate* cert) {
                       return x.pred < y.pred;
                     });
         } else {
-          detail::rewrite_uses(ins, resolve);
+          rtl::for_each_use(ins, [&](VReg& u) { u = resolve(u); });
           if (auto d = ins.def()) ins.dst = vmap.at(*d);
           if (ins.op == Opcode::Jump || ins.op == Opcode::Branch ||
               ins.op == Opcode::BranchCmp) {

@@ -92,6 +92,13 @@ class DenseBitset {
     return changed;
   }
 
+  /// this |= a & b. Universes must match.
+  void union_with_intersection(const DenseBitset& a, const DenseBitset& b) {
+    assert(size_ == a.size_ && size_ == b.size_);
+    for (std::size_t i = 0; i < words_.size(); ++i)
+      words_[i] |= a.words_[i] & b.words_[i];
+  }
+
   /// this &= ~other. Universes must match.
   void subtract(const DenseBitset& other) {
     assert(size_ == other.size_);
@@ -103,6 +110,14 @@ class DenseBitset {
     return size_ == other.size_ && words_ == other.words_;
   }
   bool operator!=(const DenseBitset& other) const { return !(*this == other); }
+
+  /// The lowest set bit, or size() if there is none.
+  [[nodiscard]] std::size_t find_first() const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi)
+      if (words_[wi] != 0)
+        return wi * 64 + static_cast<std::size_t>(countr_zero(words_[wi]));
+    return size_;
+  }
 
   /// Calls fn(index) for every set bit, in ascending index order.
   template <typename Fn>

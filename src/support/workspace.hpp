@@ -14,7 +14,8 @@
 // std::uint32_t, so the analyses lease u32 pools directly.
 //
 // Leases are RAII: `auto v = ws.u32_pool.lease();` hands out a cleared
-// vector with retained capacity and returns it to the pool on scope exit.
+// vector with retained capacity and returns it to the pool on scope exit
+// (tables of rows keep their rows, each cleared; see lease()).
 // Pools are unsynchronized by design — one workspace per thread, enforced
 // socially (the fleet runner keeps one in thread_local storage).
 #pragma once
@@ -62,12 +63,19 @@ class ScratchPool {
     T obj_;
   };
 
-  /// A cleared object with whatever capacity its last user grew it to.
+  /// A cleared object with whatever capacity its last user grew it to. A
+  /// table of rows (a vector of vectors or of bitsets) keeps its rows and
+  /// only clears each one, so the rows' buffers survive as well; its users
+  /// resize it to the shape they need.
   [[nodiscard]] Lease lease() {
     if (free_.empty()) return Lease(this, T{});
     T obj = std::move(free_.back());
     free_.pop_back();
-    obj.clear();
+    if constexpr (requires { obj.begin()->clear(); }) {
+      for (auto& row : obj) row.clear();
+    } else {
+      obj.clear();
+    }
     return Lease(this, std::move(obj));
   }
 

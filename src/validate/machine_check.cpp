@@ -92,7 +92,7 @@ CheckResult check_register_allocation(const rtl::Function& before,
   for (const auto& bb : before.blocks)
     for (const Instr& ins : bb.instrs) {
       if (auto d = ins.def()) occurs[*d] = true;
-      for (VReg u : ins.uses()) occurs[u] = true;
+      rtl::for_each_use(ins, [&](VReg u) { occurs[u] = true; });
     }
 
   // Spilled vregs: occur in `before` but were not given a register. Each must
@@ -199,7 +199,7 @@ CheckResult check_register_allocation(const rtl::Function& before,
   for (const auto& bb : after.blocks)
     for (const Instr& ins : bb.instrs) {
       if (auto d = ins.def()) present[*d] = true;
-      for (VReg u : ins.uses()) present[u] = true;
+      rtl::for_each_use(ins, [&](VReg u) { present[u] = true; });
     }
   for (VReg v = 0; v < after.vregs.size(); ++v) {
     if (!present[v]) continue;
@@ -238,7 +238,7 @@ CheckResult check_register_allocation(const rtl::Function& before,
         if (!conflict.ok) return conflict;
         live.reset(*d);
       }
-      for (VReg u : ins.uses()) live.set(u);
+      rtl::for_each_use(ins, [&](VReg u) { live.set(u); });
     }
   }
   return CheckResult::pass();

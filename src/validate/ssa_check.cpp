@@ -155,10 +155,11 @@ CheckResult check_ssa_wellformed(const Function& fn) {
         }
       } else {
         seen_nonphi = true;
-        for (VReg u : ins.uses()) {
-          const std::string err = dominated_use(u, b, i, false, 0);
-          if (!err.empty()) return CheckResult::fail(err + " at " + at(b, i));
-        }
+        std::string err;
+        rtl::for_each_use(ins, [&](VReg u) {
+          if (err.empty()) err = dominated_use(u, b, i, false, 0);
+        });
+        if (!err.empty()) return CheckResult::fail(err + " at " + at(b, i));
       }
     }
   }
@@ -437,13 +438,18 @@ CheckResult check_ssa_equivalence(const Function& before,
         break;
     }
     // Value operands (order-sensitive: division and float compares are
-    // never commuted).
-    const auto ub = b.uses();
-    const auto ua = a.uses();
+    // never commuted). Anchored events are never phis, so each reads at
+    // most two.
     if (b.op != Opcode::Annot) {  // annot args compared above
-      if (ub.size() != ua.size())
+      VReg ub[2];
+      VReg ua[2];
+      std::size_t nb = 0;
+      std::size_t na = 0;
+      rtl::for_each_use(b, [&](VReg u) { ub[nb++] = u; });
+      rtl::for_each_use(a, [&](VReg u) { ua[na++] = u; });
+      if (nb != na)
         return CheckResult::fail("operand count diverged in " + where);
-      for (std::size_t k = 0; k < ub.size(); ++k)
+      for (std::size_t k = 0; k < nb; ++k)
         if (!equiv(ub[k], ua[k]))
           return CheckResult::fail("operand value diverged at a " +
                                    rtl::to_string(b.op) + " in " + where);

@@ -16,6 +16,7 @@
 #include "driver/compiler.hpp"
 #include "machine/machine.hpp"
 #include "minic/typecheck.hpp"
+#include "opt/opt.hpp"
 #include "support/alloccount.hpp"
 #include "support/arena.hpp"
 #include "support/diagnostics.hpp"
@@ -318,6 +319,36 @@ TEST(AllocCountTest, SimulatedCallAllocatesNothing) {
   EXPECT_GT(m.monitor()->steps() - steps_before, 100u);
   EXPECT_EQ(allocations, 0u) << "over " << m.stats().instructions
                              << " simulated step(s)";
+}
+
+// Constant propagation and dead code elimination over a function they
+// leave unchanged allocate nothing: operands and successors are walked in
+// place, and every table (dominators, slots, cells, liveness, predecessor
+// lists) comes from per-thread scratch that the warm-up call sized.
+TEST(AllocCountTest, IdleScalarPassesAllocateNothing) {
+  dataflow::GeneratorOptions options;
+  options.min_blocks = 30;
+  options.max_blocks = 40;
+  const dataflow::Node node = dataflow::generate_node(987654, "idlepin", options);
+  minic::Program program;
+  dataflow::generate_node(node, &program);
+  minic::type_check(program);
+  const driver::Compiled compiled =
+      driver::compile_program(program, driver::Config::Verified);
+  rtl::Function fn = compiled.artifacts.at(dataflow::step_function_name(node))
+                         .rtl_optimized;
+  // Settle the two passes' joint fixpoint (the pipeline's round group also
+  // runs CSE, whose output constprop may still fold).
+  while (opt::constant_propagation(fn) || opt::dead_code_elimination(fn)) {
+  }
+  ASSERT_FALSE(opt::constant_propagation(fn));  // warm-up
+  ASSERT_FALSE(opt::dead_code_elimination(fn));
+  alloc::Scope scope;
+  EXPECT_FALSE(opt::constant_propagation(fn));
+  EXPECT_FALSE(opt::dead_code_elimination(fn));
+  EXPECT_EQ(scope.delta().allocations, 0u)
+      << "over " << fn.instruction_count() << " instruction(s) in "
+      << fn.blocks.size() << " block(s)";
 }
 #endif
 

@@ -39,7 +39,7 @@ Suite small_suite(int count) {
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)
     s.units.push_back({nodes[i].name(), &s.programs[i],
-                       dataflow::step_function_name(nodes[i])});
+                       dataflow::step_function_name(nodes[i]), std::nullopt});
   return s;
 }
 

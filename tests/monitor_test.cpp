@@ -246,7 +246,7 @@ TEST(Monitor, FleetNeverRecordsStatsFromFailedExecution) {
   options.exec_cycles = 3;
   options.configs = {driver::Config::O0Pattern};
   const driver::FleetReport report =
-      driver::run_fleet({{"bad", &program, "bad"}}, options);
+      driver::run_fleet({{"bad", &program, "bad", std::nullopt}}, options);
   ASSERT_EQ(report.records.size(), 1u);
   const driver::FleetRecord& r = report.records[0];
   EXPECT_FALSE(r.ok);
@@ -275,7 +275,7 @@ Suite small_suite(int count) {
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)
     s.units.push_back({nodes[i].name(), &s.programs[i],
-                       dataflow::step_function_name(nodes[i])});
+                       dataflow::step_function_name(nodes[i]), std::nullopt});
   return s;
 }
 

@@ -268,7 +268,7 @@ TEST_P(SsaSweep, SsaCampaignDeterministicSoundAndMonitorClean) {
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)
     units.push_back({nodes[i].name(), &programs[i],
-                     dataflow::step_function_name(nodes[i])});
+                     dataflow::step_function_name(nodes[i]), std::nullopt});
 
   for (const std::string& target : mach::target_names()) {
     driver::FleetOptions options;

@@ -5,6 +5,8 @@
 
 #include <set>
 
+#include "driver/compiler.hpp"
+#include "machine/machine.hpp"
 #include "minic/interp.hpp"
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
@@ -48,7 +50,7 @@ void expect_valid_coloring(const rtl::Function& fn,
         });
         live.reset(*d);
       }
-      for (rtl::VReg u : ins.uses()) live.set(u);
+      rtl::for_each_use(ins, [&](rtl::VReg u) { live.set(u); });
     }
   }
 }
@@ -152,6 +154,59 @@ TEST(Regalloc, MoveBiasedColoringCoalescesCopies) {
       if (ins.op == rtl::Opcode::Mov && fn.vregs[ins.dst] == rtl::RegClass::F64)
         colors.insert(alloc.locs[ins.dst].color);
   EXPECT_LE(colors.size(), 2u);
+}
+
+// A function with `n` i32 locals that are all live at once: each is set
+// from the parameter, and only then are they summed.
+std::string wide_source(int n) {
+  std::string src = "func i32 wide(i32 x) {\n  local i32 s;\n";
+  for (int i = 0; i < n; ++i)
+    src += "  local i32 v" + std::to_string(i) + ";\n";
+  for (int i = 0; i < n; ++i)
+    src += "  v" + std::to_string(i) + " = x * " + std::to_string(i + 3) +
+           " + " + std::to_string(i) + ";\n";
+  src += "  s = 0;\n";
+  for (int i = 0; i < n; ++i) src += "  s = s + v" + std::to_string(i) + ";\n";
+  return src + "  return s;\n}\n";
+}
+
+// Every failed coloring round spills one register of the input function,
+// so the allocator finishes in at most that many rounds. A hundred or more
+// simultaneously live locals need far more rounds than a fixed cap allows.
+// rv32 reaches its frame slots through 12-bit immediates, so the ~290 spill
+// slots of the 300-local case do not fit: allocation finishes and emission
+// then rejects the frame with a named CompileError.
+TEST(Regalloc, WideFunctionCompiles) {
+  for (const int n : {100, 300}) {
+    const auto program = parse(wide_source(n));
+    minic::Interpreter interp(program);
+    const std::vector<Value> args{Value::of_i32(5)};
+    const Value expected = interp.call("wide", args);
+    for (const char* target : {"ppc", "rv32"})
+      for (const driver::Config config :
+           {driver::Config::Verified, driver::Config::O2Full}) {
+        SCOPED_TRACE(std::to_string(n) + " locals, " + target + " " +
+                     driver::to_string(config));
+        driver::CompileOptions options;
+        options.target = target;
+        if (n == 300 && std::string(target) == "rv32") {
+          try {
+            (void)driver::compile_program(program, config, options);
+            ADD_FAILURE() << "a 2320-byte frame compiled on rv32";
+          } catch (const CompileError& e) {
+            EXPECT_NE(std::string(e.what()).find("2047-byte immediate limit"),
+                      std::string::npos)
+                << e.what();
+          }
+          continue;
+        }
+        const driver::Compiled compiled =
+            driver::compile_program(program, config, options);
+        EXPECT_GT(compiled.artifacts.at("wide").spill_count, n / 2);
+        machine::Machine m(compiled.image);
+        EXPECT_EQ(m.call("wide", args, minic::Type::I32), expected);
+      }
+  }
 }
 
 }  // namespace

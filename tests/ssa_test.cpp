@@ -14,7 +14,6 @@
 #include "rtl/analysis.hpp"
 #include "rtl/lower.hpp"
 #include "rtl/rtl.hpp"
-#include "ssa/internal.hpp"
 #include "ssa/ssa.hpp"
 #include "validate/validate.hpp"
 
@@ -365,12 +364,11 @@ TEST(SsaMutation, WellformedRejectsNonDominatingUse) {
   bool planted = false;
   for (auto& i : fn.blocks[0].instrs) {
     if (planted) break;
-    ssa::detail::rewrite_uses(i, [&](rtl::VReg u) {
+    rtl::for_each_use(i, [&](rtl::VReg& u) {
       if (!planted && fn.vregs[u] == late_cls) {
         planted = true;
-        return late;
+        u = late;
       }
-      return u;
     });
   }
   ASSERT_TRUE(planted);

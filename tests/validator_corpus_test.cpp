@@ -33,7 +33,6 @@
 #include "pass/pass.hpp"
 #include "rtl/analysis.hpp"
 #include "rtl/lower.hpp"
-#include "ssa/internal.hpp"
 #include "ssa/ssa.hpp"
 #include "support/rng.hpp"
 #include "validate/validate.hpp"
@@ -405,12 +404,11 @@ void seeded_ssa_mutants(Corpus& c) {
     bool planted = false;
     for (auto& i : bad.blocks[0].instrs) {
       if (planted) break;
-      ssa::detail::rewrite_uses(i, [&](rtl::VReg u) {
+      rtl::for_each_use(i, [&](rtl::VReg& u) {
         if (!planted && bad.vregs[u] == late_cls) {
           planted = true;
-          return late;
+          u = late;
         }
-        return u;
       });
     }
     c.rtl_pair("ssa/non-dominating-use", loopy, before, bad);
