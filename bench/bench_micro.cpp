@@ -93,14 +93,22 @@ void BM_CompileO2(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileO2);
 
+// One validated compile of the medium node under the verified config at
+// --validate=full, with the campaigns' test count and seed, per target
+// (0 ppc, 1 rv32): every per-step checker plus the end-to-end cross-check.
 void BM_ValidatedCompile(benchmark::State& state) {
+  static constexpr const char* kTargets[] = {"ppc", "rv32"};
+  driver::CompileOptions options;
+  options.target = kTargets[state.range(0)];
+  state.SetLabel(options.target);
   const AllocCounter allocs;
   for (auto _ : state)
     benchmark::DoNotOptimize(validate::validated_compile(
-        medium_node().program, driver::Config::Verified, 4, 7));
+        medium_node().program, driver::Config::Verified, 6, 1,
+        driver::ValidateLevel::Full, options));
   allocs.report(state);
 }
-BENCHMARK(BM_ValidatedCompile);
+BENCHMARK(BM_ValidatedCompile)->Arg(0)->Arg(1);
 
 void BM_WcetAnalysis(benchmark::State& state) {
   const driver::Compiled compiled = driver::compile_program(

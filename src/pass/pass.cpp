@@ -226,11 +226,15 @@ void PassManager::run(FunctionState& state) const {
       while (j < steps_.size() && steps_[j].level == Level::Rtl &&
              steps_[j].fixpoint && !steps_[j].structural)
         ++j;
+      // The steps are deterministic, so every round after one that ends
+      // where it started would replay it: stop there, with the cap's output.
+      rtl::Function round_input;
       for (int round = 0; round < options_.rtl_rounds; ++round) {
+        round_input = state.rtl;
         bool changed = false;
         for (std::size_t s = i; s < j; ++s)
           changed |= execute(state, steps_[s]) > 0;
-        if (!changed) break;
+        if (!changed || rtl::identical(state.rtl, round_input)) break;
       }
       state.rtl.validate();
       i = j;

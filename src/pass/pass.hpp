@@ -21,9 +21,15 @@
 //     aggregated across functions (and across fleet jobs by driver/fleet).
 //
 // Execution semantics:
-//   * consecutive RTL fixpoint steps form a round group iterated until no
-//     step changes anything (bounded by ManagerOptions::rtl_rounds), exactly
-//     the old opt::run_standard_pipeline behaviour;
+//   * consecutive RTL fixpoint steps form a round group. It stops after a
+//     round in which no step changed anything (convergence), after a round
+//     that ends with the function it started from (a repeated round), or
+//     after ManagerOptions::rtl_rounds rounds (the cap). The steps are
+//     deterministic, so every round after a repeated one would replay it
+//     and end in the same function: the output is the cap's, and the cap is
+//     only a bound. Repeats are common: CSE rewrites a second `LdI c` into
+//     a `Mov` from the first, and constprop folds that `Mov` back into
+//     `LdI c`, so both report a rewrite in every round;
 //   * a machine fixpoint step (peephole) iterates until it reports zero
 //     rewrites, bounded by ManagerOptions::machine_fixpoint_cap — exceeding
 //     the cap is an InternalError naming the function (a diverging rewrite
@@ -173,7 +179,8 @@ struct ManagerOptions {
   /// `dump_after`, `dump` is called with the step name and current state.
   std::string dump_after;
   std::function<void(const std::string& pass, const FunctionState&)> dump;
-  /// Bound on the RTL round-group iteration (the old standard-pipeline 4).
+  /// Bound on the RTL round-group iteration (the old standard-pipeline 4);
+  /// a group also stops earlier on convergence or a repeated round.
   int rtl_rounds = 4;
   /// Bound on any machine fixpoint step; exceeding it throws InternalError.
   int machine_fixpoint_cap = 64;
@@ -187,7 +194,7 @@ class PassManager {
               ManagerOptions options = {});
 
   /// Runs the pipeline over `state`. RTL fixpoint groups are iterated and
-  /// re-validated (rtl::Function::validate) after convergence.
+  /// re-validated (rtl::Function::validate) when the group stops.
   void run(FunctionState& state) const;
 
   [[nodiscard]] const std::vector<std::string>& pipeline() const {

@@ -1,7 +1,8 @@
 // Pass-framework tests: configuration-name round-tripping, pipeline
 // resolution (--passes / --disable-pass), per-pass telemetry, dump-after,
-// the machine fixpoint bound, and thread-count invariance of the hook
-// sequence (the fleet's determinism contract extended to per-pass events).
+// the machine fixpoint bound, the RTL round group's exit on a repeated
+// round, and thread-count invariance of the hook sequence (the fleet's
+// determinism contract extended to per-pass events).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,9 @@
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
 #include "pass/pass.hpp"
+#include "rtl/analysis.hpp"
+#include "rtl/lower.hpp"
+#include "rtl/rtl.hpp"
 #include "support/diagnostics.hpp"
 #include "support/threadpool.hpp"
 
@@ -244,6 +248,113 @@ TEST(PassManager, ConvergentFixpointStaysUnderTheCap) {
   EXPECT_EQ(budget, 0);
   ASSERT_NE(stats.find("shrink"), nullptr);
   EXPECT_EQ(stats.find("shrink")->rewrites, 3);
+}
+
+/// The first integer constant of `fn` (the test kernels have one).
+rtl::Instr& first_ldi(rtl::Function& fn) {
+  for (rtl::BasicBlock& bb : fn.blocks)
+    for (rtl::Instr& ins : bb.instrs)
+      if (ins.op == rtl::Opcode::LdI) return ins;
+  throw InternalError("no LdI in the test kernel");
+}
+
+pass::StepDef rtl_fixpoint_step(const char* name, int (*fn)(rtl::Function&)) {
+  pass::StepDef d;
+  d.name = name;
+  d.level = pass::Level::Rtl;
+  d.fixpoint = true;
+  d.run = [fn](pass::FunctionState& s) { return fn(s.rtl); };
+  return d;
+}
+
+// Two steps that undo each other, as CSE and constprop do on a repeated
+// LdI: `up` makes an odd constant even, `down` makes an even one odd (and
+// folds constants above 10 down by 11, so the first round moves 11 to 1).
+int step_up(rtl::Function& fn) {
+  rtl::Instr& ldi = first_ldi(fn);
+  if (ldi.int_imm % 2 == 0) return 0;
+  ++ldi.int_imm;
+  return 1;
+}
+int step_down(rtl::Function& fn) {
+  rtl::Instr& ldi = first_ldi(fn);
+  if (ldi.int_imm % 2 != 0) return 0;
+  ldi.int_imm -= ldi.int_imm > 10 ? 11 : 1;
+  return 1;
+}
+// Two steps that change the constant in every round: +2, then -1.
+int step_tick(rtl::Function& fn) {
+  first_ldi(fn).int_imm += 2;
+  return 1;
+}
+int step_tock(rtl::Function& fn) {
+  first_ldi(fn).int_imm -= 1;
+  return 1;
+}
+
+/// Runs `names` over the single function of `program` with the four test
+/// steps registered, recording the hook sequence and per-pass stats.
+rtl::Function run_round_group(const minic::Program& program,
+                              const std::vector<std::string>& names,
+                              std::vector<std::string>* fired,
+                              pass::PipelineStats* stats) {
+  pass::Registry registry = pass::Registry::builtin();
+  registry.add(rtl_fixpoint_step("up", step_up));
+  registry.add(rtl_fixpoint_step("down", step_down));
+  registry.add(rtl_fixpoint_step("tick", step_tick));
+  registry.add(rtl_fixpoint_step("tock", step_tock));
+
+  pass::FunctionState state;
+  state.program = &program;
+  state.source = &program.functions[0];
+  pass::ManagerOptions mopts;
+  mopts.stats = stats;
+  mopts.hook = [fired](const pass::StepTrace& t) {
+    fired->push_back(t.pass);
+    return 0;
+  };
+  const pass::PassManager manager(registry, names, std::move(mopts));
+  manager.run(state);
+  return state.rtl;
+}
+
+TEST(PassManager, RoundGroupStopsOnARepeatedRound) {
+  const minic::Program program = parse("func i32 f() { return 11; }");
+  std::vector<std::string> fired;
+  pass::PipelineStats stats;
+  const rtl::Function out =
+      run_round_group(program, {"lower", "up", "down"}, &fired, &stats);
+
+  // Round 0 moves 11 -> 12 -> 1; round 1 moves 1 -> 2 -> 1, its own input,
+  // so the group stops there instead of at the cap of 4 rounds.
+  EXPECT_EQ(fired, (std::vector<std::string>{"lower", "up", "down", "up",
+                                             "down"}));
+  EXPECT_EQ(stats.find("up")->runs, 2u);
+  EXPECT_EQ(stats.find("down")->runs, 2u);
+
+  // The output is the one running every round up to the cap produces.
+  rtl::Function capped = rtl::lower_function(program, program.functions[0],
+                                             rtl::LowerMode::Value);
+  rtl::remove_unreachable_blocks(capped);
+  for (int round = 0; round < pass::ManagerOptions{}.rtl_rounds; ++round) {
+    step_up(capped);
+    step_down(capped);
+  }
+  EXPECT_TRUE(rtl::identical(out, capped)) << rtl::print_function(out);
+  EXPECT_EQ(first_ldi(capped).int_imm, 1);
+}
+
+TEST(PassManager, RoundGroupThatKeepsChangingRunsToTheCap) {
+  const minic::Program program = parse("func i32 f() { return 11; }");
+  std::vector<std::string> fired;
+  pass::PipelineStats stats;
+  rtl::Function out =
+      run_round_group(program, {"lower", "tick", "tock"}, &fired, &stats);
+  const int rounds = pass::ManagerOptions{}.rtl_rounds;
+  EXPECT_EQ(stats.find("tick")->runs, static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(stats.find("tock")->runs, static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(fired.size(), 1u + 2u * static_cast<std::size_t>(rounds));
+  EXPECT_EQ(first_ldi(out).int_imm, 11 + rounds);
 }
 
 TEST(PassManager, UnknownPipelineNameThrows) {
