@@ -5,7 +5,6 @@
 // edges from the shared resource model).
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <iterator>
 #include <map>
 #include <set>
@@ -47,28 +46,6 @@ using rtl::VReg;
 //      assigned register).
 
 namespace {
-
-/// Field-by-field RTL instruction equality (f64 immediates by bit pattern).
-bool rtl_instr_equal(const Instr& x, const Instr& y) {
-  std::uint64_t fx = 0, fy = 0;
-  std::memcpy(&fx, &x.f64_imm, sizeof fx);
-  std::memcpy(&fy, &y.f64_imm, sizeof fy);
-  if (x.op != y.op || x.dst != y.dst || x.src1 != y.src1 ||
-      x.src2 != y.src2 || x.int_imm != y.int_imm || fx != fy ||
-      x.un_op != y.un_op || x.bin_op != y.bin_op || x.sym != y.sym ||
-      x.elem != y.elem || x.slot != y.slot ||
-      x.param_index != y.param_index || x.target != y.target ||
-      x.target2 != y.target2 || x.annot_format != y.annot_format ||
-      x.annot_args.size() != y.annot_args.size())
-    return false;
-  for (std::size_t k = 0; k < x.annot_args.size(); ++k) {
-    const auto& ax = x.annot_args[k];
-    const auto& ay = y.annot_args[k];
-    if (ax.is_slot != ay.is_slot || ax.vreg != ay.vreg || ax.slot != ay.slot)
-      return false;
-  }
-  return true;
-}
 
 std::string at(BlockId b, std::size_t i) {
   return "bb" + std::to_string(b) + " instr " + std::to_string(i);
@@ -184,7 +161,7 @@ CheckResult check_register_allocation(const rtl::Function& before,
         ++j;
       }
 
-      if (!rtl_instr_equal(x, y))
+      if (!rtl::identical(x, y))
         return CheckResult::fail(at(b, i) +
                                  ": instruction altered beyond spilling");
       bound.clear();  // reload temporaries are single-use
