@@ -1,79 +1,9 @@
 #include "mach/isa.hpp"
 
-#include <array>
-
 #include "support/strings.hpp"
 
 namespace vc::mach {
 namespace {
-
-enum class Format {
-  Reg3,        // rd, ra, rb, rc
-  RegImm,      // rd, ra, imm16
-  RegImmWide,  // rd, imm21 (lui's simm20 fits with a sign bit to spare)
-  Rlwinm,      // rd, ra, sh, mb, me
-  Cmp,         // crf, ra, rb
-  CmpImm,      // crf, ra, imm16
-  CmpBranch,   // ra, rb, disp16 (fused compare-and-branch)
-  Cror,        // crbd, crba, crbb
-  Mfcr,        // rd
-  B,           // disp26
-  Bc,          // crbit, expect, disp16
-  None,        // blr, nop
-};
-
-Format format_of(MOp op) {
-  switch (op) {
-    case MOp::Li: case MOp::Lis: case MOp::Ori: case MOp::Xori:
-    case MOp::Addi: case MOp::Mr:
-    case MOp::Lwz: case MOp::Stw: case MOp::Lfd: case MOp::Stfd:
-    case MOp::Slli: case MOp::Sltiu:
-      return Format::RegImm;
-    case MOp::Lui:
-      return Format::RegImmWide;
-    case MOp::Add: case MOp::Subf: case MOp::Mullw: case MOp::Divw:
-    case MOp::And: case MOp::Or: case MOp::Xor: case MOp::Nor:
-    case MOp::Neg: case MOp::Slw: case MOp::Sraw: case MOp::Srw:
-    case MOp::Fadd: case MOp::Fsub: case MOp::Fmul: case MOp::Fdiv:
-    case MOp::Fmadd: case MOp::Fmsub:
-    case MOp::Fneg: case MOp::Fabs: case MOp::Fmr:
-    case MOp::Fcti: case MOp::Icvf:
-    case MOp::Lwzx: case MOp::Stwx: case MOp::Lfdx: case MOp::Stfdx:
-    case MOp::Sll: case MOp::Srl: case MOp::Sra:
-    case MOp::Slt: case MOp::Sltu: case MOp::Rem:
-    case MOp::Feq: case MOp::Flt: case MOp::Fle:
-      return Format::Reg3;
-    case MOp::Rlwinm:
-      return Format::Rlwinm;
-    case MOp::Cmpw: case MOp::Fcmpu:
-      return Format::Cmp;
-    case MOp::Cmpwi:
-      return Format::CmpImm;
-    case MOp::Cror:
-      return Format::Cror;
-    case MOp::Mfcr:
-      return Format::Mfcr;
-    case MOp::B:
-      return Format::B;
-    case MOp::Bc:
-      return Format::Bc;
-    case MOp::Beq: case MOp::Bne: case MOp::Blt: case MOp::Bge:
-      return Format::CmpBranch;
-    case MOp::Blr: case MOp::Nop:
-      return Format::None;
-  }
-  throw InternalError("bad MOp");
-}
-
-bool imm_is_signed(MOp op) {
-  switch (op) {
-    case MOp::Ori:
-    case MOp::Xori:
-      return false;
-    default:
-      return true;
-  }
-}
 
 constexpr std::uint32_t kOpShift = 26;
 
@@ -90,161 +20,56 @@ bool MInstr::operator==(const MInstr& o) const {
          crbit == o.crbit && expect == o.expect && disp == o.disp;
 }
 
-std::string mnemonic(MOp op) {
-  switch (op) {
-    case MOp::Li: return "li";
-    case MOp::Lis: return "lis";
-    case MOp::Ori: return "ori";
-    case MOp::Xori: return "xori";
-    case MOp::Addi: return "addi";
-    case MOp::Mr: return "mr";
-    case MOp::Add: return "add";
-    case MOp::Subf: return "subf";
-    case MOp::Mullw: return "mullw";
-    case MOp::Divw: return "divw";
-    case MOp::And: return "and";
-    case MOp::Or: return "or";
-    case MOp::Xor: return "xor";
-    case MOp::Nor: return "nor";
-    case MOp::Neg: return "neg";
-    case MOp::Slw: return "slw";
-    case MOp::Sraw: return "sraw";
-    case MOp::Srw: return "srw";
-    case MOp::Rlwinm: return "rlwinm";
-    case MOp::Cmpw: return "cmpw";
-    case MOp::Cmpwi: return "cmpwi";
-    case MOp::Fcmpu: return "fcmpu";
-    case MOp::Cror: return "cror";
-    case MOp::Mfcr: return "mfcr";
-    case MOp::Fadd: return "fadd";
-    case MOp::Fsub: return "fsub";
-    case MOp::Fmul: return "fmul";
-    case MOp::Fdiv: return "fdiv";
-    case MOp::Fmadd: return "fmadd";
-    case MOp::Fmsub: return "fmsub";
-    case MOp::Fneg: return "fneg";
-    case MOp::Fabs: return "fabs";
-    case MOp::Fmr: return "fmr";
-    case MOp::Fcti: return "fcti";
-    case MOp::Icvf: return "icvf";
-    case MOp::Lwz: return "lwz";
-    case MOp::Stw: return "stw";
-    case MOp::Lwzx: return "lwzx";
-    case MOp::Stwx: return "stwx";
-    case MOp::Lfd: return "lfd";
-    case MOp::Stfd: return "stfd";
-    case MOp::Lfdx: return "lfdx";
-    case MOp::Stfdx: return "stfdx";
-    case MOp::B: return "b";
-    case MOp::Bc: return "bc";
-    case MOp::Blr: return "blr";
-    case MOp::Nop: return "nop";
-    case MOp::Lui: return "lui";
-    case MOp::Sll: return "sll";
-    case MOp::Srl: return "srl";
-    case MOp::Sra: return "sra";
-    case MOp::Slli: return "slli";
-    case MOp::Slt: return "slt";
-    case MOp::Sltu: return "sltu";
-    case MOp::Sltiu: return "sltiu";
-    case MOp::Rem: return "rem";
-    case MOp::Feq: return "feq.d";
-    case MOp::Flt: return "flt.d";
-    case MOp::Fle: return "fle.d";
-    case MOp::Beq: return "beq";
-    case MOp::Bne: return "bne";
-    case MOp::Blt: return "blt";
-    case MOp::Bge: return "bge";
-  }
-  throw InternalError("bad MOp");
-}
-
 std::string format_instr(const MInstr& ins, std::uint32_t addr) {
-  const std::string m = mnemonic(ins.op);
-  auto gpr = [](int r) { return "r" + std::to_string(r); };
-  auto fpr = [](int r) { return "f" + std::to_string(r); };
-  const bool fp = (ins.op >= MOp::Fadd && ins.op <= MOp::Fmr) ||
-                  ins.op == MOp::Fcmpu;
-  auto reg = [&](int r) { return fp ? fpr(r) : gpr(r); };
+  const OpDesc& d = op_desc(ins.op);
+  std::string out = d.mnemonic;
+  const char* sep = " ";
+  auto put = [&](const std::string& operand) {
+    out += sep;
+    out += operand;
+    sep = ", ";
+  };
+  auto reg = [](RegUse use, int r) {
+    return (is_fpr(use) ? "f" : "r") + std::to_string(r);
+  };
 
-  switch (format_of(ins.op)) {
-    case Format::RegImm:
-      switch (ins.op) {
-        case MOp::Li:
-        case MOp::Lis:
-          return m + " " + gpr(ins.rd) + ", " + std::to_string(ins.imm);
-        case MOp::Mr:
-          return m + " " + gpr(ins.rd) + ", " + gpr(ins.ra);
-        case MOp::Lwz:
-          return m + " " + gpr(ins.rd) + ", " + std::to_string(ins.imm) + "(" +
-                 gpr(ins.ra) + ")";
-        case MOp::Lfd:
-          return m + " " + fpr(ins.rd) + ", " + std::to_string(ins.imm) + "(" +
-                 gpr(ins.ra) + ")";
-        case MOp::Stw:
-          return m + " " + gpr(ins.rd) + ", " + std::to_string(ins.imm) + "(" +
-                 gpr(ins.ra) + ")";
-        case MOp::Stfd:
-          return m + " " + fpr(ins.rd) + ", " + std::to_string(ins.imm) + "(" +
-                 gpr(ins.ra) + ")";
-        default:
-          return m + " " + gpr(ins.rd) + ", " + gpr(ins.ra) + ", " +
-                 std::to_string(ins.imm);
-      }
-    case Format::Reg3:
-      switch (ins.op) {
-        case MOp::Neg: case MOp::Fneg: case MOp::Fabs: case MOp::Fmr:
-          return m + " " + reg(ins.rd) + ", " + reg(ins.ra);
-        case MOp::Fcti:
-          return m + " " + gpr(ins.rd) + ", " + fpr(ins.ra);
-        case MOp::Icvf:
-          return m + " " + fpr(ins.rd) + ", " + gpr(ins.ra);
-        case MOp::Fmadd: case MOp::Fmsub:
-          return m + " " + fpr(ins.rd) + ", " + fpr(ins.ra) + ", " +
-                 fpr(ins.rb) + ", " + fpr(ins.rc);
-        case MOp::Lwzx: case MOp::Stwx:
-          return m + " " + gpr(ins.rd) + ", " + gpr(ins.ra) + ", " + gpr(ins.rb);
-        case MOp::Feq: case MOp::Flt: case MOp::Fle:
-          return m + " " + gpr(ins.rd) + ", " + fpr(ins.ra) + ", " + fpr(ins.rb);
-        case MOp::Lfdx: case MOp::Stfdx:
-          return m + " " + fpr(ins.rd) + ", " + gpr(ins.ra) + ", " + gpr(ins.rb);
-        default:
-          return m + " " + reg(ins.rd) + ", " + reg(ins.ra) + ", " + reg(ins.rb);
-      }
-    case Format::RegImmWide:
-      return m + " " + gpr(ins.rd) + ", " + std::to_string(ins.imm);
-    case Format::Rlwinm:
-      return m + " " + gpr(ins.rd) + ", " + gpr(ins.ra) + ", " +
-             std::to_string(ins.sh) + ", " + std::to_string(ins.mb) + ", " +
-             std::to_string(ins.me);
-    case Format::CmpBranch:
-      return m + " " + gpr(ins.ra) + ", " + gpr(ins.rb) + ", " +
-             hex32(addr + static_cast<std::uint32_t>(ins.disp) * 4);
+  switch (d.format) {
     case Format::Cmp:
-      return m + " cr" + std::to_string(ins.crf) + ", " + reg(ins.ra) + ", " +
-             reg(ins.rb);
     case Format::CmpImm:
-      return m + " cr" + std::to_string(ins.crf) + ", " + gpr(ins.ra) + ", " +
-             std::to_string(ins.imm);
+      put("cr" + std::to_string(ins.crf));
+      break;
     case Format::Cror:
-      return m + " " + std::to_string(ins.crbd) + ", " +
-             std::to_string(ins.crba) + ", " + std::to_string(ins.crbb);
-    case Format::Mfcr:
-      return m + " " + gpr(ins.rd);
-    case Format::B:
-      return m + " " + hex32(addr + static_cast<std::uint32_t>(ins.disp) * 4);
+      put(std::to_string(ins.crbd));
+      put(std::to_string(ins.crba));
+      put(std::to_string(ins.crbb));
+      break;
     case Format::Bc: {
       static const char* names[4] = {"lt", "gt", "eq", "so"};
-      const std::string cond = std::string(ins.expect ? "" : "!") + "cr" +
-                               std::to_string(ins.crbit / 4) + "." +
-                               names[ins.crbit % 4];
-      return m + " " + cond + ", " +
-             hex32(addr + static_cast<std::uint32_t>(ins.disp) * 4);
+      put(std::string(ins.expect ? "" : "!") + "cr" +
+          std::to_string(ins.crbit / 4) + "." + names[ins.crbit % 4]);
+      break;
     }
-    case Format::None:
-      return m;
+    default:
+      break;
   }
-  throw InternalError("bad format");
+  if (d.rd != RegUse::No) put(reg(d.rd, ins.rd));
+  if (is_memory_op(ins.op) && !is_x_form(ins.op)) {  // d-form: imm(ra)
+    put(std::to_string(ins.imm) + "(" + reg(d.ra, ins.ra) + ")");
+    return out;
+  }
+  if (d.ra != RegUse::No) put(reg(d.ra, ins.ra));
+  if (d.rb != RegUse::No) put(reg(d.rb, ins.rb));
+  if (d.rc != RegUse::No) put(reg(d.rc, ins.rc));
+  if (d.format == Format::Rlwinm) {
+    put(std::to_string(ins.sh));
+    put(std::to_string(ins.mb));
+    put(std::to_string(ins.me));
+  }
+  if (d.imm != Imm::No) put(std::to_string(ins.imm));
+  if (d.format == Format::B || d.format == Format::Bc ||
+      d.format == Format::CmpBranch)
+    put(hex32(addr + static_cast<std::uint32_t>(ins.disp) * 4));
+  return out;
 }
 
 std::uint32_t encode(const MInstr& ins) {
@@ -255,11 +80,11 @@ std::uint32_t encode(const MInstr& ins) {
     require_fits(v < 32, what);
     w |= v << shift;
   };
-  switch (format_of(ins.op)) {
+  switch (op_desc(ins.op).format) {
     case Format::RegImm: {
       r5(ins.rd, 21, "rd");
       r5(ins.ra, 16, "ra");
-      if (imm_is_signed(ins.op))
+      if (op_desc(ins.op).imm != Imm::U)
         require_fits(ins.imm >= -32768 && ins.imm <= 32767, "simm16");
       else
         require_fits(ins.imm >= 0 && ins.imm <= 65535, "uimm16");
@@ -336,12 +161,13 @@ MInstr decode(std::uint32_t word) {
   auto sext16 = [](std::uint32_t v) {
     return static_cast<std::int32_t>(static_cast<std::int16_t>(v & 0xFFFF));
   };
-  switch (format_of(ins.op)) {
+  switch (op_desc(ins.op).format) {
     case Format::RegImm:
       ins.rd = (word >> 21) & 31;
       ins.ra = (word >> 16) & 31;
-      ins.imm = imm_is_signed(ins.op) ? sext16(word)
-                                      : static_cast<std::int32_t>(word & 0xFFFF);
+      ins.imm = op_desc(ins.op).imm != Imm::U
+                    ? sext16(word)
+                    : static_cast<std::int32_t>(word & 0xFFFF);
       break;
     case Format::Reg3:
       ins.rd = (word >> 21) & 31;
@@ -401,30 +227,6 @@ MInstr decode(std::uint32_t word) {
       break;
   }
   return ins;
-}
-
-bool is_memory_op(MOp op) {
-  switch (op) {
-    case MOp::Lwz: case MOp::Stw: case MOp::Lwzx: case MOp::Stwx:
-    case MOp::Lfd: case MOp::Stfd: case MOp::Lfdx: case MOp::Stfdx:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_branch(MOp op) {
-  return op == MOp::B || op == MOp::Blr || is_cond_branch(op);
-}
-
-bool is_cond_branch(MOp op) {
-  switch (op) {
-    case MOp::Bc:
-    case MOp::Beq: case MOp::Bne: case MOp::Blt: case MOp::Bge:
-      return true;
-    default:
-      return false;
-  }
 }
 
 std::optional<BranchCond> branch_condition(const MInstr& ins) {

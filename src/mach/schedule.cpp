@@ -43,8 +43,7 @@ int schedule_region(std::vector<AsmOp>& ops, std::size_t begin,
     rd[i].assign(reads, reads + n_reads);
     wr[i].assign(writes, writes + n_writes);
     is_mem[i] = is_memory_op(m.op);
-    is_load[i] = m.op == MOp::Lwz || m.op == MOp::Lwzx || m.op == MOp::Lfd ||
-                 m.op == MOp::Lfdx;
+    is_load[i] = mach::is_load(m.op);
   }
   auto intersects = [](const std::vector<int>& a, const std::vector<int>& b) {
     for (int x : a)

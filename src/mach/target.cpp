@@ -31,10 +31,6 @@ void validate_target(const TargetDesc& d) {
 
   if (d.issue_width < 1 || d.issue_width > 4)
     bad(d.name, "issue_width", "must be 1..4");
-  if (d.max_resources_per_instr < 1 ||
-      d.max_resources_per_instr > IssueModel::kMaxResourcesPerInstr)
-    bad(d.name, "max_resources_per_instr",
-        "must be 1.." + std::to_string(IssueModel::kMaxResourcesPerInstr));
 
   check_gpr(d, "stack_ptr", d.stack_ptr);
   check_gpr(d, "data_base", d.data_base);
@@ -92,27 +88,11 @@ void validate_target(const TargetDesc& d) {
   if (d.peephole.fold_cmp_imm && !d.has_cr)
     bad(d.name, "peephole.fold_cmp_imm", "requires a CR file");
 
-  // Resource-list capacity: every legal op, with worst-case operands, must
-  // fit the declared per-target cap (the counts depend only on the opcode).
-  int reads[IssueModel::kMaxResourcesPerInstr];
-  int writes[IssueModel::kMaxResourcesPerInstr];
   for (std::size_t i = 0; i < kNumOps; ++i) {
     const MOp op = static_cast<MOp>(i);
     if (!d.op(op).legal) continue;
-    const bool needs_cr = op == MOp::Cmpw || op == MOp::Cmpwi ||
-                          op == MOp::Fcmpu || op == MOp::Cror ||
-                          op == MOp::Mfcr || op == MOp::Bc;
-    if (needs_cr && !d.has_cr)
+    if (op_desc(op).cr != 0 && !d.has_cr)
       bad(d.name, "ops[" + mnemonic(op) + "].legal", "requires a CR file");
-    MInstr ins;
-    ins.op = op;
-    int n_reads = 0;
-    int n_writes = 0;
-    IssueModel::resources(ins, reads, &n_reads, writes, &n_writes);
-    if (n_reads > d.max_resources_per_instr ||
-        n_writes > d.max_resources_per_instr)
-      bad(d.name, "max_resources_per_instr",
-          "is exceeded by op '" + mnemonic(op) + "'");
     if (d.op(op).latency == 0)
       bad(d.name, "ops[" + mnemonic(op) + "].latency", "must be nonzero");
   }

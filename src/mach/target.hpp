@@ -77,10 +77,6 @@ struct TargetDesc {
   std::array<OpInfo, kNumOps> ops{};
   int issue_width = 1;
   bool iu_pairing = false;  // may a second *simple* IU op share the cycle?
-  /// Declared cap on resource-list lengths for this target's legal ops.
-  /// Validated at startup: every legal op must fit, and the cap must fit the
-  /// compile-time buffer bound IssueModel::kMaxResourcesPerInstr.
-  int max_resources_per_instr = 0;
 
   /// Immediate range of the short-immediate forms (li/addi and the d-form
   /// displacement). Codegen splits larger constants; the add-fold peephole
@@ -113,10 +109,9 @@ struct TargetDesc {
 
 /// Checks a descriptor for internal consistency: register roles in range and
 /// distinct from allocatable registers, issue width within the model's
-/// limits, cache geometry power-of-two, CR-dependent peepholes only with a
-/// CR file, and every legal op's resource lists within the declared
-/// `max_resources_per_instr` (itself within the compile-time buffer bound).
-/// Throws InternalError naming the offending field.
+/// limits, cache geometry power-of-two, CR-dependent peepholes and ops only
+/// with a CR file, and a nonzero latency for every legal op. Throws
+/// InternalError naming the offending field.
 void validate_target(const TargetDesc& desc);
 
 /// Registry lookup (linked from src/targets). Throws CompileError listing

@@ -74,10 +74,10 @@ class IssueModel {
   static constexpr int kCrBase = 64;
   static constexpr int kWholeCr = 72;
   static constexpr int kNumResources = 73;
-  /// Upper bound on how many entries `resources` writes into either list.
-  /// The current maximum is Mfcr (8 CR-field reads + 1 GPR write); callers
-  /// size their stack buffers with this constant and `resources` asserts it.
-  static constexpr int kMaxResourcesPerInstr = 9;
+  /// Length of the longest read or write list `resources` produces (Mfcr:
+  /// 8 CR-field reads). Callers size their stack buffers with it; timing.cpp
+  /// checks it against the op table at compile time.
+  static constexpr int kMaxResourcesPerInstr = 8;
 
   explicit IssueModel(const TargetDesc& desc) : desc_(&desc) {}
 
@@ -100,9 +100,9 @@ class IssueModel {
 
   [[nodiscard]] std::uint64_t current_cycle() const { return cycle_; }
 
-  /// Resource read/write sets of an instruction, shared by both clients.
-  /// Fills `reads`/`writes` (size >= kMaxResourcesPerInstr each) and returns
-  /// the counts; overflow of either list is a checked internal error.
+  /// Resource read/write sets of an instruction, shared by both clients and
+  /// derived from the op table's operand roles (mach/isa.hpp). Fills
+  /// `reads`/`writes` (size >= kMaxResourcesPerInstr each) and their counts.
   static void resources(const MInstr& ins, int* reads, int* n_reads,
                         int* writes, int* n_writes);
 

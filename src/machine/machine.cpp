@@ -189,8 +189,8 @@ const Machine::Decoded& Machine::predecode(std::uint32_t pc) {
   d.ins = image_.fetch(pc);  // throws on an out-of-segment pc or a bad word
   d.ready = true;
   d.is_memory = mach::is_memory_op(d.ins.op);
-  d.is_store = d.ins.op == MOp::Stw || d.ins.op == MOp::Stwx ||
-               d.ins.op == MOp::Stfd || d.ins.op == MOp::Stfdx;
+  d.is_store = mach::is_store(d.ins.op);
+  d.is_x_form = mach::is_x_form(d.ins.op);
   d.is_branch = mach::is_branch(d.ins.op);
   mach::IssueModel::resources(d.ins, d.reads, &d.n_reads, d.writes,
                               &d.n_writes);
@@ -233,16 +233,10 @@ void Machine::run(std::uint32_t entry) {
     next_pc_ = pc + 4;
     branch_taken_ = false;
     std::uint32_t mem_addr = 0;
-    if (d.is_memory) {
-      switch (ins.op) {
-        case MOp::Lwz: case MOp::Stw: case MOp::Lfd: case MOp::Stfd:
-          mem_addr = gpr_[ins.ra] + static_cast<std::uint32_t>(ins.imm);
-          break;
-        default:  // x-form
-          mem_addr = gpr_[ins.ra] + gpr_[ins.rb];
-          break;
-      }
-    }
+    if (d.is_memory)
+      mem_addr = gpr_[ins.ra] + (d.is_x_form
+                                     ? gpr_[ins.rb]
+                                     : static_cast<std::uint32_t>(ins.imm));
     if (monitor_ != nullptr) monitor_->before_execute(pc, *this);
     execute(ins, pc);
 

@@ -77,7 +77,6 @@ TargetDesc make_ppc() {
   fill_ops(d);
   d.issue_width = 2;
   d.iu_pairing = true;
-  d.max_resources_per_instr = 9;  // mfcr: 8 CR-field reads + 1 GPR write
 
   d.imm_min = -32768;  // 16-bit d-form immediates
   d.imm_max = 32767;

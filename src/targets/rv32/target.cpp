@@ -78,7 +78,6 @@ TargetDesc make_rv32() {
   fill_ops(d);
   d.issue_width = 1;
   d.iu_pairing = false;
-  d.max_resources_per_instr = 4;  // fmadd: 3 FPR reads + 1 write
 
   d.imm_min = -2048;  // 12-bit I-type immediates
   d.imm_max = 2047;

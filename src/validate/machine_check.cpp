@@ -840,8 +840,7 @@ CheckResult check_region(const AsmFunction& before, const AsmFunction& after,
     rd[i].assign(reads, reads + n_reads);
     wr[i].assign(writes, writes + n_writes);
     is_mem[i] = mach::is_memory_op(m.op);
-    is_load[i] = m.op == MOp::Lwz || m.op == MOp::Lwzx || m.op == MOp::Lfd ||
-                 m.op == MOp::Lfdx;
+    is_load[i] = mach::is_load(m.op);
   }
   auto intersects = [](const std::vector<int>& a, const std::vector<int>& b) {
     for (int x : a)

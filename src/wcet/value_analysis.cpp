@@ -173,23 +173,10 @@ class Analyzer {
     std::int32_t imm = 0;
   };
 
-  /// The GPR an instruction defines, or -1. Used by the copy tracker; listing
-  /// a non-GPR destination here is conservative (it only drops equalities).
+  /// The GPR an instruction defines (rd, where the op table lists it as a
+  /// written GPR), or -1. Used by the copy tracker.
   static int def_gpr(const MInstr& m) {
-    switch (m.op) {
-      case MOp::Li: case MOp::Lis: case MOp::Ori: case MOp::Xori:
-      case MOp::Addi: case MOp::Mr: case MOp::Add: case MOp::Subf:
-      case MOp::Mullw: case MOp::Divw: case MOp::Neg: case MOp::And:
-      case MOp::Or: case MOp::Xor: case MOp::Nor: case MOp::Slw:
-      case MOp::Srw: case MOp::Sraw: case MOp::Rlwinm: case MOp::Mfcr:
-      case MOp::Fcti: case MOp::Lwz: case MOp::Lwzx:
-      case MOp::Lui: case MOp::Sll: case MOp::Srl: case MOp::Sra:
-      case MOp::Slli: case MOp::Slt: case MOp::Sltu: case MOp::Sltiu:
-      case MOp::Rem: case MOp::Feq: case MOp::Flt: case MOp::Fle:
-        return m.rd;
-      default:
-        return -1;
-    }
+    return mach::op_desc(m.op).rd == mach::RegUse::GW ? m.rd : -1;
   }
 
   /// The GPR whose value a register-to-register copy duplicates, or -1.
@@ -469,13 +456,9 @@ class Analyzer {
       case MOp::Stwx:
       case MOp::Stfd:
       case MOp::Stfdx: {
-        const bool is_store = m.op == MOp::Stw || m.op == MOp::Stwx ||
-                              m.op == MOp::Stfd || m.op == MOp::Stfdx;
-        const bool is_f64 = m.op == MOp::Lfd || m.op == MOp::Lfdx ||
-                            m.op == MOp::Stfd || m.op == MOp::Stfdx;
-        const bool x_form = m.op == MOp::Lwzx || m.op == MOp::Stwx ||
-                            m.op == MOp::Lfdx || m.op == MOp::Stfdx;
-        Interval ea = x_form
+        const bool is_store = mach::is_store(m.op);
+        const bool is_f64 = mach::mem_bytes(m.op) == 8;
+        Interval ea = mach::is_x_form(m.op)
                           ? g[m.ra].add(g[m.rb])
                           : g[m.ra].add(Interval::constant(m.imm));
         ea = u32_interval(ea);

@@ -2,14 +2,12 @@
 // descriptor passes `validate_target` (it already ran at registration —
 // these tests re-run it directly), and a malformed descriptor is rejected
 // with an InternalError naming the offending field, so a broken port fails
-// loudly at startup instead of miscompiling or issuing past the pipeline
-// model's buffer bounds.
+// loudly at startup instead of miscompiling.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "mach/target.hpp"
-#include "mach/timing.hpp"
 #include "support/diagnostics.hpp"
 
 namespace vc::mach {
@@ -79,18 +77,6 @@ TEST(TargetValidation, BrokenDescriptorsAreNamedAndRejected) {
     expect_rejected(d, "issue_width");
   }
   {
-    // The declared resource cap must fit the compile-time buffer bound...
-    TargetDesc d = good;
-    d.max_resources_per_instr = IssueModel::kMaxResourcesPerInstr + 1;
-    expect_rejected(d, "max_resources_per_instr");
-  }
-  {
-    // ...and every legal op's resource lists must fit the declared cap.
-    TargetDesc d = good;
-    d.max_resources_per_instr = 1;
-    expect_rejected(d, "max_resources_per_instr");
-  }
-  {
     TargetDesc d = good;
     d.stack_ptr = 32;
     expect_rejected(d, "stack_ptr");
@@ -133,6 +119,13 @@ TEST(TargetValidation, BrokenDescriptorsAreNamedAndRejected) {
     d.has_cr = false;
     d.peephole.fold_cmp_imm = true;
     expect_rejected(d, "peephole.fold_cmp_imm");
+  }
+  {
+    // An op whose row names a CR role, legal on a CR-less target.
+    TargetDesc d = good;
+    d.has_cr = false;
+    d.peephole.fold_cmp_imm = false;
+    expect_rejected(d, "ops[cmpw].legal");
   }
   {
     TargetDesc d = good;
