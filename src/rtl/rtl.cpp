@@ -102,7 +102,7 @@ std::size_t Function::instruction_count() const {
   return n;
 }
 
-bool same_except_phi_args(const Instr& x, const Instr& y) {
+bool identical(const Instr& x, const Instr& y) {
   std::uint64_t fx = 0, fy = 0;
   std::memcpy(&fx, &x.f64_imm, sizeof fx);
   std::memcpy(&fy, &y.f64_imm, sizeof fy);
@@ -112,7 +112,8 @@ bool same_except_phi_args(const Instr& x, const Instr& y) {
       x.elem != y.elem || x.slot != y.slot ||
       x.param_index != y.param_index || x.target != y.target ||
       x.target2 != y.target2 || x.annot_format != y.annot_format ||
-      x.annot_args.size() != y.annot_args.size())
+      x.annot_args.size() != y.annot_args.size() ||
+      x.phi_args.size() != y.phi_args.size())
     return false;
   for (std::size_t k = 0; k < x.annot_args.size(); ++k) {
     const auto& ax = x.annot_args[k];
@@ -120,12 +121,6 @@ bool same_except_phi_args(const Instr& x, const Instr& y) {
     if (ax.is_slot != ay.is_slot || ax.vreg != ay.vreg || ax.slot != ay.slot)
       return false;
   }
-  return true;
-}
-
-bool identical(const Instr& x, const Instr& y) {
-  if (!same_except_phi_args(x, y) || x.phi_args.size() != y.phi_args.size())
-    return false;
   for (std::size_t k = 0; k < x.phi_args.size(); ++k)
     if (x.phi_args[k].pred != y.phi_args[k].pred ||
         x.phi_args[k].src != y.phi_args[k].src)

@@ -229,10 +229,8 @@ struct Function {
   void validate() const;
 };
 
-/// Every field but the phi args: `f64_imm` by bit pattern (so -0.0 and 0.0
-/// differ and a NaN equals itself), annotation args in order.
-[[nodiscard]] bool same_except_phi_args(const Instr& x, const Instr& y);
-/// Structural equality: `same_except_phi_args` and the phi args in order.
+/// Structural equality of every field: `f64_imm` by bit pattern (so -0.0 and
+/// 0.0 differ and a NaN equals itself), annotation and phi args in order.
 [[nodiscard]] bool identical(const Instr& x, const Instr& y);
 /// Every field of two functions: name, register and slot classes, params,
 /// return class, and each block's instructions under `identical`.

@@ -510,8 +510,8 @@ CheckResult check_structure_preserving(const rtl::Function& before,
   for (BlockId b = 0; b < before.blocks.size(); ++b) {
     if (walked[b]) continue;
     for (std::size_t i = 0; i < before.blocks[b].instrs.size(); ++i)
-      if (!rtl::same_except_phi_args(before.blocks[b].instrs[i],
-                                     after.blocks[b].instrs[i]))
+      if (!rtl::identical(before.blocks[b].instrs[i],
+                          after.blocks[b].instrs[i]))
         return CheckResult::fail("unreachable bb" + std::to_string(b) +
                                  " was rewritten");
   }
@@ -607,7 +607,7 @@ CheckResult check_dead_store_elimination(const rtl::Function& before,
         return CheckResult::fail("unreachable bb" + std::to_string(b) +
                                  " was rewritten");
       for (std::size_t i = 0; i < ib.size(); ++i)
-        if (!rtl::same_except_phi_args(ib[i], ia[i]))
+        if (!rtl::identical(ib[i], ia[i]))
           return CheckResult::fail("unreachable bb" + std::to_string(b) +
                                    " was rewritten");
       continue;
@@ -620,7 +620,7 @@ CheckResult check_dead_store_elimination(const rtl::Function& before,
     std::size_t j = ia.size();
     for (std::size_t i = ib.size(); i-- > 0;) {
       const Instr& x = ib[i];
-      if (j > 0 && rtl::same_except_phi_args(x, ia[j - 1])) {
+      if (j > 0 && rtl::identical(x, ia[j - 1])) {
         --j;
         location_transfer(x, locs, live);
         continue;
