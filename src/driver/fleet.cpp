@@ -195,7 +195,6 @@ void run_wcet_phase(const mach::Image& image, const FleetOptions& options,
       record->wcet_ipet_certified = r.ipet->certificate_verified;
       record->ipet_pivots = r.ipet->simplex_pivots;
       record->ipet_bnb_nodes = r.ipet->bnb_nodes;
-      record->ipet_fast_fallbacks = r.ipet->fast_fallbacks;
     }
   }
   if (options.wcet_nocache) {
@@ -411,11 +410,9 @@ std::string FleetReport::throughput_summary() const {
         static_cast<unsigned long long>(ipet_capped_edge_records));
     out += buf;
     std::snprintf(buf, sizeof buf,
-                  "\nfleet: ipet solver: %lld pivot(s), %lld b&b node(s), "
-                  "%lld rational fallback(s)",
+                  "\nfleet: ipet solver: %lld pivot(s), %lld b&b node(s)",
                   static_cast<long long>(ipet_pivots),
-                  static_cast<long long>(ipet_bnb_nodes),
-                  static_cast<long long>(ipet_fast_fallbacks));
+                  static_cast<long long>(ipet_bnb_nodes));
     out += buf;
     if (spec.wcet_engine == wcet::WcetEngine::Both) {
       std::snprintf(
@@ -511,7 +508,6 @@ FleetReport run_fleet(const std::vector<FleetUnit>& units,
     report.cache_publish_seconds += r.cache_publish_seconds;
     report.ipet_pivots += r.ipet_pivots;
     report.ipet_bnb_nodes += r.ipet_bnb_nodes;
-    report.ipet_fast_fallbacks += r.ipet_fast_fallbacks;
     if (r.ok && r.wcet_ipet_cycles > 0) {
       ++report.ipet_records;
       if (r.wcet_ipet_certified) ++report.ipet_certified;

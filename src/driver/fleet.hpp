@@ -108,7 +108,6 @@ struct FleetRecord {
   /// part of the record core: it describes the solver, not the bound.
   std::int64_t ipet_pivots = 0;
   std::int64_t ipet_bnb_nodes = 0;
-  std::int64_t ipet_fast_fallbacks = 0;
 
   /// Execution-monitor outcome (zero when the monitor was off). Steps are
   /// monitor-checked instructions summed over the job's exec cycles;
@@ -159,11 +158,9 @@ struct FleetReport {
   std::uint64_t ipet_capped_edge_records = 0;  // ... with >= 1 capped edge
   double ipet_tightening_sum = 0.0;  // sum of (structural-ipet)/structural
   // IPET solver effort summed over the solves this run performed (a store
-  // hit adds 0): simplex pivots, branch-and-bound nodes, and LP solves the
-  // int64 lane handed to the rational lane.
+  // hit adds 0): simplex pivots and branch-and-bound nodes.
   std::int64_t ipet_pivots = 0;
   std::int64_t ipet_bnb_nodes = 0;
-  std::int64_t ipet_fast_fallbacks = 0;
 
   // Execution-monitor aggregates (mode Off => all zero).
   std::uint64_t monitored_records = 0;  // records that ran armed

@@ -89,9 +89,10 @@ json::Value to_json(const FleetReport& report) {
   // v6: the header's "target" field (the campaign's target ISA).
   // v7: the header's "ssa" field (SSA mid-end enabled for the campaign) and
   // the SSA bracket steps appearing in "pass_stats". The "wcet" stanza's
-  // IPET solver sums (ipet_pivots / _bnb_nodes / _fast_fallbacks) were added
-  // to v7 later; they are additive keys, so the schema name stayed.
-  doc["schema"] = json::Value("vcflight-fleet-report-v7");
+  // IPET solver sums (pivots, b&b nodes, rational re-solves) were added to
+  // v7 later; they are additive keys, so the schema name stayed.
+  // v8: the "wcet" stanza's rational re-solve count is gone (one ILP kernel).
+  doc["schema"] = json::Value("vcflight-fleet-report-v8");
   doc["compiler_version"] = json::Value(kCompilerVersion);
   doc["target"] = json::Value(report.spec.target);
   doc["ssa"] = json::Value(report.spec.ssa);
@@ -115,7 +116,6 @@ json::Value to_json(const FleetReport& report) {
   wcet_doc["ipet_tightening_sum"] = json::Value(report.ipet_tightening_sum);
   wcet_doc["ipet_pivots"] = json::Value(report.ipet_pivots);
   wcet_doc["ipet_bnb_nodes"] = json::Value(report.ipet_bnb_nodes);
-  wcet_doc["ipet_fast_fallbacks"] = json::Value(report.ipet_fast_fallbacks);
   doc["wcet"] = std::move(wcet_doc);
 
   json::Value monitor;

@@ -1,26 +1,26 @@
 // Two-phase dense tableau simplex with Bland's rule for anti-cycling and
-// depth-first branch-and-bound for integrality, in two exact pivot kernels:
+// depth-first branch-and-bound for integrality, on one exact pivot kernel
+// (`Tableau64`). Rows live in one flat row-major int64 numerator array with
+// a single denominator per row. A row update has two cases. When the pivot
+// row and the touched row are both integral (denominator 1), it is one
+// 128-bit multiply-subtract per nonzero column of the pivot row, listed once
+// per pivot: the dense update would start its gcd at 1 and never run it, and
+// would leave every column where the pivot row is zero unchanged, so
+// skipping those columns writes the same numbers. Otherwise it is two
+// 128-bit multiplies and a subtract per cell followed by one gcd
+// normalization pass — no per-cell gcd, no per-cell allocation. IPET
+// tableaux are flow conservation plus a few loop rows: on the perfbench
+// suite no row turns fractional and a pivot row has ~6% nonzero columns, so
+// the integral case is all the work there is. Tableau buffers come from a
+// per-thread scratch pool reused across branch-and-bound nodes and across
+// fleet jobs.
 //
-//  * Int64 fast lane (`Tableau64`): rows live in one flat row-major int64
-//    numerator array with a single denominator per row. A row update has
-//    two cases. When the pivot row and the touched row are both integral
-//    (denominator 1), it is one 128-bit multiply-subtract per nonzero column
-//    of the pivot row, listed once per pivot: the dense update would start
-//    its gcd at 1 and never run it, and would leave every column where the
-//    pivot row is zero unchanged, so skipping those columns writes the same
-//    numbers. Otherwise it is two 128-bit multiplies and a subtract per cell
-//    followed by one gcd normalization pass — no per-cell gcd, no per-cell
-//    allocation. IPET tableaux are flow conservation plus a few loop rows:
-//    on the perfbench suite no row turns fractional and a pivot row has ~6%
-//    nonzero columns, so the integral case is all the work there is.
-//    Tableau buffers come from a per-thread scratch pool reused across
-//    branch-and-bound nodes and across fleet jobs.
-//  * Rational lane (`Tableau`): the original per-cell Rat tableau.
-//
-// Both lanes follow the same Bland rule over the same exact values, so they
-// take identical pivot sequences and produce bit-identical solutions; when a
-// reduced fast-lane row no longer fits int64 the LP is transparently
-// re-solved on the rational lane (Solution::fast_fallbacks counts these).
+// A reduced value that no longer fits int64 is an InternalError ("ilp:
+// int64 pivot kernel overflow"), never a wrapped or rounded cell. The
+// per-cell rational tableau this kernel replaced is kept as the reference
+// of the parity tests (tests/ilp_reference_tableau.hpp): both follow the
+// same Bland rule over the same exact values, so they take identical pivot
+// sequences and return bit-identical solutions.
 //
 // Untrusted by design: callers must pass the result through
 // check_certificate (verify.cpp) before believing it. Pivot and node
@@ -37,13 +37,11 @@ namespace {
 constexpr std::int64_t kMaxPivots = 200000;
 constexpr std::int64_t kMaxBnbNodes = 20000;
 
-/// Internal unwinding token of the fast lane: a reduced value fell outside
-/// the int64 budget, so the LP must be re-solved on the rational lane. Never
-/// escapes solve_lp_counted.
-struct FastOverflow {};
-
+/// Narrows a reduced value to a tableau cell. The lazy-message check keeps
+/// the passing path inline in the row updates.
 std::int64_t fit64(__int128 v) {
-  if (v > INT64_MAX || v < INT64_MIN) throw FastOverflow{};
+  check(v <= INT64_MAX && v >= INT64_MIN,
+        [] { return "ilp: int64 pivot kernel overflow"; });
   return static_cast<std::int64_t>(v);
 }
 
@@ -87,14 +85,10 @@ SolveScratch& thread_scratch() {
   return scratch;
 }
 
-// ---------------------------------------------------------------------------
-// Int64 fast lane
-// ---------------------------------------------------------------------------
-
 /// Dense simplex tableau over int64 numerators with one denominator per row.
-/// Column layout matches the rational lane: [structural | slack/artificial]
-/// plus one rhs column; the objective row stores reduced costs with its rhs
-/// cell holding the negated objective value.
+/// Column layout: [structural | slack/artificial] plus one rhs column; the
+/// objective row stores reduced costs with its rhs cell holding the negated
+/// objective value.
 class Tableau64 {
  public:
   Tableau64(const Problem& problem, std::int64_t* pivot_budget,
@@ -111,8 +105,8 @@ class Tableau64 {
     set_phase2_objective(problem);
     if (!run_simplex()) return Status::Unbounded;
     // -obj_rhs / obj_den, negated without Rat::operator- so the only
-    // failure mode here is FastOverflow (fraction() cannot throw on
-    // already-reduced int64 inputs).
+    // failure mode here is the kernel's own overflow check (fraction()
+    // cannot throw on already-reduced int64 inputs).
     const std::int64_t neg = fit64(-static_cast<__int128>(s_.obj[rhs_col()]));
     *objective = Rat::fraction(neg, obj_den_);
     values->assign(static_cast<std::size_t>(n_struct_), Rat(0));
@@ -141,7 +135,8 @@ class Tableau64 {
     std::vector<int> artif_col(static_cast<std::size_t>(m), -1);
     for (int i = 0; i < m; ++i) {
       const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      // Decide after sign normalization, exactly like the rational lane.
+      // Le rows with rhs >= 0 start feasible on their slack; everything else
+      // needs an artificial. Decide after sign normalization.
       const bool flip = c.rhs < Rat(0);
       Sense sense = c.sense;
       if (flip && sense == Sense::Le) sense = Sense::Ge;
@@ -464,233 +459,7 @@ class Tableau64 {
   SolveScratch& s_;
 };
 
-// ---------------------------------------------------------------------------
-// Rational lane (the original tableau, now the overflow fallback)
-// ---------------------------------------------------------------------------
-
-/// Dense simplex tableau over per-cell rationals. Column layout: see
-/// Tableau64; the two lanes must make identical pivoting decisions.
-class Tableau {
- public:
-  Tableau(const Problem& problem, std::int64_t* pivot_budget)
-      : n_struct_(problem.num_vars), pivot_budget_(pivot_budget) {
-    build(problem);
-  }
-
-  /// Runs phase 1 (if artificials exist) and phase 2. Returns the status;
-  /// on Optimal, fills `values` (structural vars only) and `objective`.
-  Status solve(const Problem& problem, std::vector<Rat>* values,
-               Rat* objective) {
-    if (!artificial_.empty()) {
-      if (!run_phase1()) return Status::Infeasible;
-    }
-    set_phase2_objective(problem);
-    if (!run_simplex()) return Status::Unbounded;
-    *objective = -obj_[width_ - 1];
-    values->assign(static_cast<std::size_t>(n_struct_), Rat(0));
-    for (std::size_t i = 0; i < basis_.size(); ++i)
-      if (basis_[i] < n_struct_)
-        (*values)[static_cast<std::size_t>(basis_[i])] = rows_[i][rhs_col()];
-    return Status::Optimal;
-  }
-
- private:
-  [[nodiscard]] std::size_t rhs_col() const {
-    return static_cast<std::size_t>(width_ - 1);
-  }
-
-  void build(const Problem& problem) {
-    const int m = static_cast<int>(problem.constraints.size());
-    // One slack/surplus column per inequality, one artificial per Ge/Eq row.
-    int n_total = n_struct_;
-    std::vector<int> slack_col(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i)
-      if (problem.constraints[static_cast<std::size_t>(i)].sense != Sense::Eq)
-        slack_col[static_cast<std::size_t>(i)] = n_total++;
-    std::vector<int> artif_col(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i) {
-      const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      // Le rows with rhs >= 0 start feasible on their slack; everything
-      // else needs an artificial. (Negative-rhs rows are sign-flipped
-      // below, which can turn Le into Ge and vice versa — decide after
-      // normalization, so compute the flipped sense here.)
-      const bool flip = c.rhs < Rat(0);
-      Sense sense = c.sense;
-      if (flip && sense == Sense::Le) sense = Sense::Ge;
-      else if (flip && sense == Sense::Ge) sense = Sense::Le;
-      if (sense != Sense::Le) artif_col[static_cast<std::size_t>(i)] = n_total++;
-    }
-    width_ = n_total + 1;
-    artificial_.assign(static_cast<std::size_t>(n_total), false);
-
-    rows_.assign(static_cast<std::size_t>(m),
-                 std::vector<Rat>(static_cast<std::size_t>(width_), Rat(0)));
-    basis_.assign(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i) {
-      const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      std::vector<Rat>& row = rows_[static_cast<std::size_t>(i)];
-      for (const LinTerm& t : c.terms) {
-        check(t.var >= 0 && t.var < n_struct_,
-              "ilp: constraint references variable out of range");
-        row[static_cast<std::size_t>(t.var)] += t.coeff;
-      }
-      row[rhs_col()] = c.rhs;
-      const bool flip = c.rhs < Rat(0);
-      Sense sense = c.sense;
-      if (flip) {
-        for (Rat& v : row) v = -v;
-        if (sense == Sense::Le) sense = Sense::Ge;
-        else if (sense == Sense::Ge) sense = Sense::Le;
-      }
-      const int sc = slack_col[static_cast<std::size_t>(i)];
-      if (sc >= 0)
-        row[static_cast<std::size_t>(sc)] =
-            (sense == Sense::Ge) ? Rat(-1) : Rat(1);
-      const int ac = artif_col[static_cast<std::size_t>(i)];
-      if (ac >= 0) {
-        row[static_cast<std::size_t>(ac)] = Rat(1);
-        artificial_[static_cast<std::size_t>(ac)] = true;
-        basis_[static_cast<std::size_t>(i)] = ac;
-      } else {
-        basis_[static_cast<std::size_t>(i)] = sc;  // Le row: slack is basic
-      }
-    }
-    // Shrink artificial_ bookkeeping: if no artificials were allocated,
-    // phase 1 is skipped entirely.
-    if (std::none_of(artificial_.begin(), artificial_.end(),
-                     [](bool b) { return b; }))
-      artificial_.clear();
-  }
-
-  /// Phase 1: maximize -(sum of artificials). Returns false if the optimum
-  /// is < 0 (original system infeasible).
-  bool run_phase1() {
-    obj_.assign(static_cast<std::size_t>(width_), Rat(0));
-    for (int j = 0; j < width_ - 1; ++j)
-      if (artificial_[static_cast<std::size_t>(j)])
-        obj_[static_cast<std::size_t>(j)] = Rat(-1);
-    price_out_basis();
-    check(run_simplex(), "ilp: phase-1 objective unbounded");  // impossible
-    if (-obj_[rhs_col()] < Rat(0)) return false;
-    eliminate_basic_artificials();
-    return true;
-  }
-
-  /// Rebuilds the reduced-cost row so basic columns read zero.
-  void price_out_basis() {
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
-      const std::size_t bj = static_cast<std::size_t>(basis_[i]);
-      if (obj_[bj].is_zero()) continue;
-      const Rat factor = obj_[bj];
-      for (std::size_t j = 0; j < static_cast<std::size_t>(width_); ++j)
-        obj_[j] -= factor * rows_[i][j];
-    }
-  }
-
-  /// After a feasible phase 1, artificials still in the basis sit at zero.
-  /// Pivot each out on any admissible column, or drop its (redundant) row.
-  void eliminate_basic_artificials() {
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
-      if (!artificial_[static_cast<std::size_t>(basis_[i])]) continue;
-      int pivot_col = -1;
-      for (int j = 0; j < width_ - 1; ++j) {
-        if (artificial_[static_cast<std::size_t>(j)]) continue;
-        if (!rows_[i][static_cast<std::size_t>(j)].is_zero()) {
-          pivot_col = j;
-          break;
-        }
-      }
-      if (pivot_col >= 0) {
-        pivot(static_cast<int>(i), pivot_col);
-      } else {
-        // Row is zero across all real columns: a redundant constraint.
-        rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(i));
-        basis_.erase(basis_.begin() + static_cast<std::ptrdiff_t>(i));
-        --i;
-      }
-    }
-  }
-
-  void set_phase2_objective(const Problem& problem) {
-    obj_.assign(static_cast<std::size_t>(width_), Rat(0));
-    for (const LinTerm& t : problem.objective) {
-      check(t.var >= 0 && t.var < n_struct_,
-            "ilp: objective references variable out of range");
-      obj_[static_cast<std::size_t>(t.var)] += t.coeff;
-    }
-    price_out_basis();
-  }
-
-  /// Bland's rule simplex to optimality. Returns false on unboundedness.
-  bool run_simplex() {
-    for (;;) {
-      // Entering: the lowest-index admissible column with positive reduced
-      // cost (Bland's rule half 1 — this is what prevents cycling).
-      int enter = -1;
-      for (int j = 0; j < width_ - 1; ++j) {
-        // Artificial columns never re-enter once nonbasic (equivalent to
-        // deleting them from the problem; required for phase-2 soundness).
-        if (!artificial_.empty() && artificial_[static_cast<std::size_t>(j)])
-          continue;
-        if (obj_[static_cast<std::size_t>(j)] > Rat(0)) {
-          enter = j;
-          break;
-        }
-      }
-      if (enter < 0) return true;  // optimal
-      // Leaving: min ratio rhs/col over positive col entries, ties broken
-      // by the lowest basis variable index (Bland's rule half 2).
-      int leave = -1;
-      Rat best_ratio;
-      for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const Rat& a = rows_[i][static_cast<std::size_t>(enter)];
-        if (!(a > Rat(0))) continue;
-        const Rat ratio = rows_[i][rhs_col()] / a;
-        if (leave < 0 || ratio < best_ratio ||
-            (ratio == best_ratio &&
-             basis_[i] < basis_[static_cast<std::size_t>(leave)])) {
-          leave = static_cast<int>(i);
-          best_ratio = ratio;
-        }
-      }
-      if (leave < 0) return false;  // column unbounded
-      pivot(leave, enter);
-    }
-  }
-
-  void pivot(int leave, int enter) {
-    check(++*pivot_budget_ <= kMaxPivots,
-          "ilp: simplex pivot limit exceeded (possible cycling or malformed "
-          "system)");
-    std::vector<Rat>& prow = rows_[static_cast<std::size_t>(leave)];
-    const Rat inv = Rat(1) / prow[static_cast<std::size_t>(enter)];
-    for (Rat& v : prow) v *= inv;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (static_cast<int>(i) == leave) continue;
-      const Rat factor = rows_[i][static_cast<std::size_t>(enter)];
-      if (factor.is_zero()) continue;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(width_); ++j)
-        rows_[i][j] -= factor * prow[j];
-    }
-    const Rat ofactor = obj_[static_cast<std::size_t>(enter)];
-    if (!ofactor.is_zero())
-      for (std::size_t j = 0; j < static_cast<std::size_t>(width_); ++j)
-        obj_[j] -= ofactor * prow[j];
-    basis_[static_cast<std::size_t>(leave)] = enter;
-  }
-
- private:
-  int n_struct_;
-  int width_ = 0;  // total columns incl. rhs
-  std::vector<std::vector<Rat>> rows_;
-  std::vector<Rat> obj_;
-  std::vector<int> basis_;
-  std::vector<bool> artificial_;  // empty when no artificial columns exist
-  std::int64_t* pivot_budget_;
-};
-
-Solution solve_lp_counted(const Problem& problem, PivotKernel kernel,
-                          std::int64_t* pivots, std::int64_t* fallbacks) {
+Solution solve_lp_counted(const Problem& problem, std::int64_t* pivots) {
   Solution sol;
   if (problem.num_vars == 0) {
     // Degenerate: only constant constraints. Feasible iff each holds at 0.
@@ -704,19 +473,7 @@ Solution solve_lp_counted(const Problem& problem, PivotKernel kernel,
     sol.status = Status::Optimal;
     return sol;
   }
-  if (kernel != PivotKernel::Rational) {
-    try {
-      Tableau64 tableau(problem, pivots, &thread_scratch());
-      sol.status = tableau.solve(problem, &sol.values, &sol.objective);
-      return sol;
-    } catch (const FastOverflow&) {
-      check(kernel != PivotKernel::Int64,
-            "ilp: int64 pivot kernel overflow (forced lane; Auto would fall "
-            "back to the rational tableau)");
-      ++*fallbacks;  // Auto: re-solve exactly on the rational lane
-    }
-  }
-  Tableau tableau(problem, pivots);
+  Tableau64 tableau(problem, pivots, &thread_scratch());
   sol.status = tableau.solve(problem, &sol.values, &sol.objective);
   return sol;
 }
@@ -732,9 +489,8 @@ int first_fractional(const Solution& relax) {
 /// already solved. Children extend `problem` in place with a bound
 /// constraint, which is restored on unwind; `problem` is read only when
 /// `relax` is fractional.
-void branch(Problem* problem, Solution relax, PivotKernel kernel,
-            Solution* best, std::int64_t* pivots, std::int64_t* nodes,
-            std::int64_t* fallbacks) {
+void branch(Problem* problem, Solution relax, Solution* best,
+            std::int64_t* pivots, std::int64_t* nodes) {
   check(++*nodes <= kMaxBnbNodes, "ilp: branch-and-bound node limit exceeded");
   if (relax.status != Status::Optimal) return;  // pruned: infeasible subtree
   if (best->status == Status::Optimal && relax.objective <= best->objective)
@@ -752,38 +508,32 @@ void branch(Problem* problem, Solution relax, PivotKernel kernel,
   bound.sense = Sense::Le;
   bound.rhs = Rat(v.floor());
   problem->constraints.push_back(bound);
-  branch(problem, solve_lp_counted(*problem, kernel, pivots, fallbacks),
-         kernel, best, pivots, nodes, fallbacks);
+  branch(problem, solve_lp_counted(*problem, pivots), best, pivots, nodes);
   problem->constraints.back().sense = Sense::Ge;
   problem->constraints.back().rhs = Rat(v.ceil());
-  branch(problem, solve_lp_counted(*problem, kernel, pivots, fallbacks),
-         kernel, best, pivots, nodes, fallbacks);
+  branch(problem, solve_lp_counted(*problem, pivots), best, pivots, nodes);
   problem->constraints.pop_back();
 }
 
 }  // namespace
 
-Solution solve_lp(const Problem& problem, PivotKernel kernel) {
+Solution solve_lp(const Problem& problem) {
   std::int64_t pivots = 0;
-  std::int64_t fallbacks = 0;
-  Solution sol = solve_lp_counted(problem, kernel, &pivots, &fallbacks);
+  Solution sol = solve_lp_counted(problem, &pivots);
   sol.pivots = pivots;
   sol.bnb_nodes = 1;
-  sol.fast_fallbacks = fallbacks;
   return sol;
 }
 
-Solution solve(const Problem& problem, PivotKernel kernel) {
-  if (!problem.integer) return solve_lp(problem, kernel);
+Solution solve(const Problem& problem) {
+  if (!problem.integer) return solve_lp(problem);
   std::int64_t pivots = 0;
-  std::int64_t fallbacks = 0;
   // Root relaxation decides infeasible/unbounded up front; branching only
   // ever tightens, so those statuses are final.
-  Solution root = solve_lp_counted(problem, kernel, &pivots, &fallbacks);
+  Solution root = solve_lp_counted(problem, &pivots);
   if (root.status != Status::Optimal) {
     root.pivots = pivots;
     root.bnb_nodes = 1;
-    root.fast_fallbacks = fallbacks;
     return root;
   }
   // The root relaxation is node 1 of the search, solved once. Bound rows
@@ -793,14 +543,12 @@ Solution solve(const Problem& problem, PivotKernel kernel) {
   std::int64_t nodes = 0;
   Problem scratch;
   if (first_fractional(root) >= 0) scratch = problem;
-  branch(&scratch, std::move(root), kernel, &best, &pivots, &nodes,
-         &fallbacks);
+  branch(&scratch, std::move(root), &best, &pivots, &nodes);
   check(best.status == Status::Optimal,
         "ilp: integer problem has a feasible relaxation but no integral "
         "point within the branch-and-bound budget");
   best.pivots = pivots;
   best.bnb_nodes = nodes;
-  best.fast_fallbacks = fallbacks;
   return best;
 }
 

@@ -10,8 +10,13 @@
 // accepted after verify.cpp::check_certificate re-evaluates every
 // constraint and the objective against the returned assignment using only
 // Rat arithmetic — a few dozen lines that are independent of the pivoting
-// machinery. A solver bug therefore shows up as a rejected certificate,
-// never as a silently wrong WCET bound.
+// machinery. That check proves the returned flow feasible and its objective
+// value right, so a solver bug that returns an infeasible flow or misstates
+// its objective is a rejected certificate. It does not prove optimality: a
+// feasible but suboptimal flow passes and yields a bound that is too low.
+// Only the constraint system being a relaxation of real executions, and the
+// checks of bounds against observed runs (driver::run_job, the property
+// sweep), stand against that case.
 #pragma once
 
 #include <cstdint>
@@ -47,37 +52,22 @@ struct Problem {
 
 enum class Status { Optimal, Infeasible, Unbounded };
 
-/// Pivot-kernel selection. `Int64` is the fast lane: flat row-major int64
-/// numerators with one shared denominator per row, pivoting in 128-bit
-/// intermediates. A pivot updates an integral row (denominator 1, by an
-/// integral pivot row) only over the pivot row's nonzero columns, the only
-/// columns the dense update would change, and any other row over every
-/// column with a single gcd normalization pass. IPET tableaux stay integral
-/// and their pivot rows are ~6% nonzero, so the sparse case carries them.
-/// `Rational` is the original per-cell Rat tableau. Both follow the same
-/// Bland pivot rule over the same exact values, so they take identical pivot
-/// sequences and return bit-identical solutions; `Auto` (the default) runs
-/// the fast lane and transparently re-solves on the rational lane when a
-/// reduced row no longer fits the int64 budget. Nothing here is trusted
-/// either way — every accepted solution still passes check_certificate.
-enum class PivotKernel { Auto, Int64, Rational };
-
 struct Solution {
   Status status = Status::Infeasible;
   Rat objective;
   std::vector<Rat> values;  ///< one per variable when status == Optimal
   std::int64_t pivots = 0;  ///< simplex pivots across all LP solves
   std::int64_t bnb_nodes = 0;  ///< branch-and-bound nodes explored (1 = pure LP)
-  std::int64_t fast_fallbacks = 0;  ///< LP solves re-run on the rational lane
 };
 
-/// Solves the LP relaxation (ignores Problem::integer).
-[[nodiscard]] Solution solve_lp(const Problem& problem,
-                                PivotKernel kernel = PivotKernel::Auto);
+/// Solves the LP relaxation (ignores Problem::integer). The pivot kernel
+/// keeps each row as int64 numerators over one denominator (solver.cpp); a
+/// value outside that budget, like an exhausted pivot or node budget, is an
+/// InternalError, never a rounded answer.
+[[nodiscard]] Solution solve_lp(const Problem& problem);
 
 /// Solves the problem; runs branch-and-bound when Problem::integer is set.
-[[nodiscard]] Solution solve(const Problem& problem,
-                             PivotKernel kernel = PivotKernel::Auto);
+[[nodiscard]] Solution solve(const Problem& problem);
 
 /// Independent certificate check (verify.cpp): confirms `values` is
 /// feasible for every constraint, non-negative, integral when required, and

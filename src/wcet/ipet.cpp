@@ -183,7 +183,6 @@ IpetInfo analyze_ipet(const Cfg& cfg, const ValueAnalysisResult& values,
   info.certificate_verified = true;
   info.simplex_pivots = sol.pivots;
   info.bnb_nodes = sol.bnb_nodes;
-  info.fast_fallbacks = sol.fast_fallbacks;
 
   check(sol.objective.is_integer() && sol.objective >= ilp::Rat(0),
         "ipet: optimal objective is not a non-negative integer");

@@ -32,7 +32,6 @@ struct IpetInfo {
   int lp_constraints = 0;
   std::int64_t simplex_pivots = 0;
   std::int64_t bnb_nodes = 0;
-  std::int64_t fast_fallbacks = 0;  ///< LP solves re-run on the rational lane
   /// Edges pinned to frequency 0 by value-analysis infeasibility (these are
   /// the constraints the structural engine cannot see).
   int capped_edges = 0;

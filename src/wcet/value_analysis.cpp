@@ -473,24 +473,19 @@ class Analyzer {
           result_.accesses.push_back(acc);
         }
         if (is_store) {
-          if (auto c = ea.as_constant()) {
-            if (in_stack(*c)) {
-              if (!is_f64)
-                s->stack[static_cast<std::uint32_t>(*c)] = g[m.rd];
-              else
-                s->stack.erase(static_cast<std::uint32_t>(*c));
-            }
-          } else if (ea.lo() <= kStackHi && ea.hi() >= kStackLo) {
-            // Imprecise store possibly into the stack: invalidate slots in
-            // range (cf. Gebhard et al. on imprecise memory accesses).
-            for (auto it = s->stack.begin(); it != s->stack.end();) {
-              if (static_cast<std::int64_t>(it->first) >= ea.lo() - 8 &&
-                  static_cast<std::int64_t>(it->first) <= ea.hi())
-                it = s->stack.erase(it);
-              else
-                ++it;
-            }
-          }
+          // A w-byte store at any a in [lo, hi] overlaps every tracked
+          // 4-byte cell k in [lo-3, hi+w-1]: drop them all, precise or not
+          // (cf. Gebhard et al. on imprecise memory accesses), and only then
+          // let a constant-address stw set its own cell.
+          const std::int64_t first = std::max<std::int64_t>(ea.lo() - 3, 0);
+          const std::int64_t last =
+              ea.hi() + static_cast<std::int64_t>(mach::mem_bytes(m.op)) - 1;
+          for (auto it = s->stack.lower_bound(static_cast<std::uint32_t>(first));
+               it != s->stack.end() &&
+               static_cast<std::int64_t>(it->first) <= last;)
+            it = s->stack.erase(it);
+          if (auto c = ea.as_constant(); c && !is_f64 && in_stack(*c))
+            s->stack[static_cast<std::uint32_t>(*c)] = g[m.rd];
         } else if (!is_f64) {
           Interval v = top();
           if (auto c = ea.as_constant()) {

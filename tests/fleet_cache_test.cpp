@@ -237,7 +237,7 @@ TEST_F(FleetCacheTest, ReportJsonRoundTripsTheRecordArray) {
       driver::run_fleet(suite.units, cached_options(&store, 2));
 
   const json::Value doc = driver::to_json(report);
-  EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v7");
+  EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v8");
   EXPECT_EQ(doc.at("units").as_u64(), report.units);
   EXPECT_EQ(doc.at("cache").at("enabled").as_bool(), true);
   // v2 carries the per-pass telemetry array (ordered by pipeline position).
@@ -301,12 +301,10 @@ TEST_F(FleetCacheTest, IpetSolverSumsCountOnlySolvesThisRunPerformed) {
   // Every IPET solve explores at least its root node.
   EXPECT_GE(cold.ipet_bnb_nodes,
             static_cast<std::int64_t>(cold.ipet_records));
-  EXPECT_EQ(cold.ipet_fast_fallbacks, 0);
   const json::Value doc = driver::to_json(cold);
   const json::Value& wcet_doc = doc.at("wcet");
   EXPECT_EQ(wcet_doc.at("ipet_pivots").as_i64(), cold.ipet_pivots);
   EXPECT_EQ(wcet_doc.at("ipet_bnb_nodes").as_i64(), cold.ipet_bnb_nodes);
-  EXPECT_EQ(wcet_doc.at("ipet_fast_fallbacks").as_i64(), 0);
   EXPECT_NE(cold.throughput_summary().find("fleet: ipet solver: " +
                                            std::to_string(cold.ipet_pivots) +
                                            " pivot(s)"),
@@ -330,7 +328,7 @@ TEST(FleetReportServiceStanzaTest, RoundTripsWhenEnabled) {
   report.service.queue_peak = 9;
   report.service.shard_restarts = 1;
   const json::Value doc = driver::to_json(report);
-  EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v7");
+  EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v8");
   const json::Value& service = doc.at("service");
   EXPECT_TRUE(service.at("enabled").as_bool(false));
   EXPECT_EQ(service.at("shards").as_i64(), 4);

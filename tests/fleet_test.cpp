@@ -374,7 +374,7 @@ TEST(FleetTest, JobSeedIsPureFunctionOfSuiteSeedAndIndex) {
 // plain in-process campaigns).
 TEST(FleetTest, ReportSchemaIsV5WithServiceStanza) {
   const json::Value doc = driver::to_json(driver::FleetReport{});
-  EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v7");
+  EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v8");
   EXPECT_FALSE(doc.at("service").at("enabled").as_bool(true));
 }
 

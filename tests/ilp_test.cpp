@@ -1,12 +1,14 @@
 // The exact-rational LP/ILP solver that backs the IPET WCET engine, with a
 // focus on its edge lanes: infeasible systems, unbounded objectives,
 // degenerate pivoting (Bland anti-cycling), rational overflow, branch and
-// bound on known small ILPs, and the independent certificate verifier's
-// rejection of corrupted assignments.
+// bound on known small ILPs, the independent certificate verifier's
+// rejection of corrupted assignments, and the int64 pivot kernel's parity
+// with the rational reference tableau (ilp_reference_tableau.hpp).
 #include <gtest/gtest.h>
 
 #include "ilp/rational.hpp"
 #include "ilp/solver.hpp"
+#include "ilp_reference_tableau.hpp"
 #include "support/diagnostics.hpp"
 #include "support/rng.hpp"
 
@@ -328,29 +330,24 @@ TEST(CertificateTest, NamesTheViolatedConstraintTag) {
 
 // ----------------------------------------------------- pivot-kernel parity
 //
-// The int64 fast lane and the rational lane follow the same Bland rule over
-// the same exact values, so on any problem where the fast lane fits they
-// must return bit-identical solutions — same status, same objective, same
-// assignment, same pivot/node counts. `Auto` must match both (it IS the
-// fast lane, with a transparent rational re-solve on overflow).
+// The int64 pivot kernel and the rational reference tableau
+// (ilp_reference_tableau.hpp) follow the same Bland rule over the same exact
+// values, so on any problem where the kernel fits they must return
+// bit-identical solutions — same status, same objective, same assignment,
+// same pivot/node counts.
 
-/// Both forced kernels and Auto agree exactly on `p`.
+/// The kernel and the rational reference agree exactly on `p`.
 void expect_kernels_agree(const Problem& p, const char* label) {
   SCOPED_TRACE(label);
-  const Solution rational = solve(p, PivotKernel::Rational);
-  const Solution fast = solve(p, PivotKernel::Int64);
-  const Solution chosen = solve(p);  // Auto
-  for (const Solution* s : {&fast, &chosen}) {
-    EXPECT_EQ(s->status, rational.status);
-    EXPECT_EQ(s->objective, rational.objective);
-    ASSERT_EQ(s->values.size(), rational.values.size());
-    for (std::size_t i = 0; i < rational.values.size(); ++i)
-      EXPECT_EQ(s->values[i], rational.values[i]) << "x" << i;
-    EXPECT_EQ(s->pivots, rational.pivots);
-    EXPECT_EQ(s->bnb_nodes, rational.bnb_nodes);
-  }
-  EXPECT_EQ(fast.fast_fallbacks, 0);
-  EXPECT_EQ(chosen.fast_fallbacks, 0);
+  const Solution rational = reference::rational_solve(p);
+  const Solution fast = solve(p);
+  EXPECT_EQ(fast.status, rational.status);
+  EXPECT_EQ(fast.objective, rational.objective);
+  ASSERT_EQ(fast.values.size(), rational.values.size());
+  for (std::size_t i = 0; i < rational.values.size(); ++i)
+    EXPECT_EQ(fast.values[i], rational.values[i]) << "x" << i;
+  EXPECT_EQ(fast.pivots, rational.pivots);
+  EXPECT_EQ(fast.bnb_nodes, rational.bnb_nodes);
   if (rational.status == Status::Optimal) {
     EXPECT_TRUE(
         check_certificate(p, rational.values, rational.objective).empty());
@@ -634,21 +631,20 @@ TEST(KernelParityTest, AgreesOnIpetShapedSystems) {
   }
 }
 
-TEST(KernelParityTest, OverflowFallsBackTransparently) {
+TEST(KernelParityTest, OverflowFailsLoudlyWhereTheReferenceSolves) {
   // One row whose coefficient denominators are eight large primes: each Rat
-  // cell is tiny (1/p), so the rational lane is comfortable, but the fast
-  // lane stores rows over a single shared denominator — the lcm, here the
-  // product of the primes, ~9.7e23 — which cannot fit the int64 budget.
-  // Auto must re-solve on the rational lane (counted in fast_fallbacks) and
-  // match it exactly; a forced Int64 kernel must refuse loudly instead of
-  // wrapping.
+  // cell is tiny (1/p), so the rational reference is comfortable, but the
+  // kernel stores rows over a single shared denominator — the lcm, here the
+  // product of the primes, ~9.7e23 — which cannot fit the int64 budget. The
+  // kernel must refuse with an InternalError naming itself instead of
+  // wrapping or rounding.
   const std::int64_t primes[] = {947, 953, 967, 971, 977, 983, 991, 997};
   Problem p;
   p.num_vars = 9;
   // Only x8 carries objective weight; the prime row constrains x0..x7,
-  // which stay nonbasic at zero, so the rational lane never pivots on it
-  // and its per-cell fractions stay tiny. The fast lane, however, scales
-  // the whole row to its lcm denominator at build time and must bail.
+  // which stay nonbasic at zero, so the reference never pivots on it and
+  // its per-cell fractions stay tiny. The kernel, however, scales the whole
+  // row to its lcm denominator at build time and must fail.
   p.objective = {{8, Rat(1)}};
   Constraint mixed;
   for (int v = 0; v < 8; ++v)
@@ -659,17 +655,17 @@ TEST(KernelParityTest, OverflowFallsBackTransparently) {
   p.constraints.push_back(std::move(mixed));
   p.constraints.push_back(cons({{8, Rat(1)}}, Sense::Le, Rat(2), "cap-x8"));
 
-  const Solution rational = solve_lp(p, PivotKernel::Rational);
-  const Solution chosen = solve_lp(p);  // Auto
+  const Solution rational = reference::rational_solve_lp(p);
   ASSERT_EQ(rational.status, Status::Optimal);
   EXPECT_EQ(rational.objective, Rat(2));  // cap-x8 binds; prime row slack
-  EXPECT_EQ(chosen.status, rational.status);
-  EXPECT_EQ(chosen.objective, rational.objective);
-  ASSERT_EQ(chosen.values.size(), rational.values.size());
-  for (std::size_t i = 0; i < rational.values.size(); ++i)
-    EXPECT_EQ(chosen.values[i], rational.values[i]) << "x" << i;
-  EXPECT_GT(chosen.fast_fallbacks, 0);
-  EXPECT_THROW((void)solve_lp(p, PivotKernel::Int64), InternalError);
+  try {
+    (void)solve_lp(p);
+    ADD_FAILURE() << "solve_lp returned on a row outside the int64 budget";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("int64 pivot kernel"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "driver/compiler.hpp"
 #include "machine/machine.hpp"
+#include "mach/isa.hpp"
 #include "mach/target.hpp"
 #include "minic/interp.hpp"
 #include "minic/parser.hpp"
@@ -82,6 +83,86 @@ TEST(WcetValueAnalysis, MemoryAccessAddressesAreResolved) {
     }
   }
   EXPECT_TRUE(found_indexed);
+}
+
+mach::MInstr instr(mach::MOp op, int rd, int ra, std::int32_t imm,
+                       int rb = 0) {
+  mach::MInstr m;
+  m.op = op;
+  m.rd = static_cast<std::uint8_t>(rd);
+  m.ra = static_cast<std::uint8_t>(ra);
+  m.rb = static_cast<std::uint8_t>(rb);
+  m.imm = imm;
+  return m;
+}
+
+/// Runs `body; b +1; blr` as a ppc function with f1 = 1.5 and r7 = `r7`,
+/// and checks that the simulator's r6 lies in the interval analyze_values
+/// gives r6 after the body. Returns the simulated r6.
+std::int64_t expect_r6_in_analysis(const std::vector<mach::MInstr>& body,
+                                   std::int32_t r7,
+                                   const wcet::AnnotIndex& annots) {
+  mach::Image img;
+  img.target = "ppc";
+  for (const mach::MInstr& m : body) img.words.push_back(mach::encode(m));
+  mach::MInstr b;
+  b.op = mach::MOp::B;
+  b.disp = 1;
+  mach::MInstr blr;
+  blr.op = mach::MOp::Blr;
+  img.words.push_back(mach::encode(b));
+  img.words.push_back(mach::encode(blr));
+  const std::uint32_t after_body =
+      mach::Image::kCodeBase + 4 * static_cast<std::uint32_t>(body.size());
+  img.fn_entry["f"] = mach::Image::kCodeBase;
+  img.fn_end["f"] = after_body + 8;
+
+  machine::Machine m(img);
+  machine::Machine::Registers regs = m.registers();
+  regs.gpr[7] = static_cast<std::uint32_t>(r7);
+  m.set_registers(regs);
+  m.call("f", {minic::Value::of_f64(1.5)}, minic::Type::I32);
+  const std::int64_t r6 = static_cast<std::int32_t>(m.registers().gpr[6]);
+
+  const wcet::Cfg cfg = wcet::build_cfg(img, "f");
+  const auto values =
+      wcet::analyze_values(cfg, annots, mach::target_by_name("ppc"));
+  const int after = cfg.block_at(after_body + 4);
+  EXPECT_GE(after, 0);
+  if (after < 0) return r6;
+  const Interval& got =
+      values.block_in[static_cast<std::size_t>(after)].gpr[6];
+  EXPECT_TRUE(got.contains(r6))
+      << "r6 = " << r6 << " outside [" << got.lo() << ", " << got.hi() << "]";
+  return r6;
+}
+
+// An 8-byte store that partly overlaps a tracked 4-byte stack cell must drop
+// that cell: stfd at sp-12 writes sp-12..sp-5, so the word stw left at sp-8
+// is overwritten by the low half of 1.5 (0 on big-endian ppc). The same
+// holds when the store's address is only known to lie in an interval whose
+// top end overlaps the cell.
+TEST(WcetValueAnalysis, StoreDropsEveryTrackedCellItOverlaps) {
+  using mach::MOp;
+  const wcet::AnnotIndex none;
+  EXPECT_EQ(expect_r6_in_analysis({instr(MOp::Li, 5, 0, 7),
+                                   instr(MOp::Stw, 5, 1, -8),
+                                   instr(MOp::Stfd, 1, 1, -12),
+                                   instr(MOp::Lwz, 6, 1, -8)},
+                                  0, none),
+            0);
+
+  // stfdx f1, r1, r7 with r7 in [-16, -12]: sp-12 is the top of the range.
+  wcet::AnnotIndex r7_range;
+  r7_range.constraints[mach::Image::kCodeBase + 8].push_back(
+      {mach::MLoc{mach::MLoc::Kind::Gpr, 7, 0, false},
+       Interval::range(-16, -12)});
+  EXPECT_EQ(expect_r6_in_analysis({instr(MOp::Li, 5, 0, 7),
+                                   instr(MOp::Stw, 5, 1, -8),
+                                   instr(MOp::Stfdx, 1, 1, 0, 7),
+                                   instr(MOp::Lwz, 6, 1, -8)},
+                                  -12, r7_range),
+            0);
 }
 
 TEST(WcetCfg, LoopForestForNestedLoops) {
