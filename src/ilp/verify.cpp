@@ -3,10 +3,13 @@
 // This file is the trusted half of src/ilp: it knows nothing about
 // tableaux, bases, or pivots. Given the problem statement and a candidate
 // assignment, it re-evaluates every constraint and the objective with exact
-// Rat arithmetic. Keeping it this small is the point — the simplex and
-// branch-and-bound machinery in solver.cpp can be arbitrarily wrong and the
-// worst outcome is a rejected certificate (a hard, named error upstream),
-// never an unsound WCET bound.
+// Rat arithmetic. Keeping it this small is the point: whatever the simplex
+// and branch-and-bound machinery in solver.cpp gets wrong about feasibility
+// or the objective value shows up as a rejected certificate (a hard, named
+// error upstream). The check does not prove optimality. A feasible but
+// suboptimal flow passes and yields a WCET bound that is too low; only the
+// checks of bounds against observed runs stand against that (solver.hpp,
+// DESIGN.md §10).
 #include "ilp/solver.hpp"
 
 namespace vc::ilp {

@@ -2,10 +2,12 @@
 // covering every operation any supported target can execute. Each op is one
 // row: mnemonic, encoding format, immediate, operand roles, memory and
 // branch kind. The MOp enum, the listing, the op-class predicates and
-// IssueModel::resources are all derived from the rows (DESIGN.md §19);
-// tests/op_table_test.cpp checks the rows against the simulator and the
-// value analysis. Which subset is legal, and with what latencies and units,
-// is a per-target fact carried by mach::TargetDesc (mach/target.hpp) —
+// IssueModel::resources are all derived from the rows, and mach::step
+// (mach/semantics.hpp) gives each op its meaning (DESIGN.md §19);
+// tests/op_table_test.cpp checks the rows and that meaning in the
+// simulator, the machine checker and the value analysis against each
+// other. Which subset is legal, and with what latencies and units, is a
+// per-target fact carried by mach::TargetDesc (mach/target.hpp) —
 // shared subsystems (simulator, validators, liveness, scheduling, WCET)
 // switch over the universal op and never over a target name.
 //
@@ -85,9 +87,8 @@ enum class Branch : std::uint8_t { No, Jump, Cond, Return };
 //   X(op, mnemonic, format, imm, rd, ra, rb, rc, cr roles, memory, branch)
 // The enum, the mnemonics, the encoding formats, the operand roles (and from
 // them the listing's register classes and IssueModel::resources), and every
-// op-class predicate below are generated from these rows. Semantics live in
-// the three interpreters: machine.cpp `execute`, machine_check.cpp
-// `sym_step`, value_analysis.cpp `transfer_instr`.
+// op-class predicate below are generated from these rows. What each op does
+// is one case of mach::step (mach/semantics.hpp).
 #define VC_MACH_OPS(X) \
   /* Integer immediates and moves */ \
   X(Li,     "li",     RegImm,     S,  GW, No, No, No, 0,       No,    No)  /* rd <- simm16 */ \

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
+#include "mach/semantics.hpp"
 #include "support/strings.hpp"
 
 namespace vc::machine {
@@ -190,7 +190,6 @@ const Machine::Decoded& Machine::predecode(std::uint32_t pc) {
   d.ready = true;
   d.is_memory = mach::is_memory_op(d.ins.op);
   d.is_store = mach::is_store(d.ins.op);
-  d.is_x_form = mach::is_x_form(d.ins.op);
   d.is_branch = mach::is_branch(d.ins.op);
   mach::IssueModel::resources(d.ins, d.reads, &d.n_reads, d.writes,
                               &d.n_writes);
@@ -229,16 +228,12 @@ void Machine::run(std::uint32_t entry) {
       }
     }
 
-    // Architectural execution (also computes data addresses/taken flags).
+    // Architectural execution (also yields the data address and the
+    // taken flag).
     next_pc_ = pc + 4;
     branch_taken_ = false;
-    std::uint32_t mem_addr = 0;
-    if (d.is_memory)
-      mem_addr = gpr_[ins.ra] + (d.is_x_form
-                                     ? gpr_[ins.rb]
-                                     : static_cast<std::uint32_t>(ins.imm));
     if (monitor_ != nullptr) monitor_->before_execute(pc, *this);
-    execute(ins, pc);
+    const std::uint32_t mem_addr = execute(ins, pc);
 
     // Micro-architectural accounting.
     std::uint32_t extra_mem = 0;
@@ -278,266 +273,125 @@ void Machine::run(std::uint32_t entry) {
   stats_.cycles = pipe_.current_cycle();
 }
 
-void Machine::execute(const MInstr& ins, std::uint32_t pc) {
-  auto set_cr_field = [&](int crf, bool lt, bool gt, bool eq, bool so) {
-    const int shift = 28 - crf * 4;
-    cr_ &= ~(0xFu << shift);
-    std::uint32_t bits = 0;
-    if (lt) bits |= 8;
-    if (gt) bits |= 4;
-    if (eq) bits |= 2;
-    if (so) bits |= 1;
-    cr_ |= bits << shift;
-  };
-  auto cr_bit = [&](int bit) { return (cr_ >> (31 - bit)) & 1u; };
+/// mach::step's concrete domain: u32 GPRs, double FPRs and 4-bit CR fields
+/// over the machine's register files and memory.
+struct Machine::Concrete {
+  using U = std::uint32_t;
 
-  const auto ra = gpr_[ins.ra];
-  const auto rb = gpr_[ins.rb];
+  Machine& mc;
+  const MInstr& m;
+  U pc;
+  U mem_addr = 0;  // the last effective address
 
-  switch (ins.op) {
-    case MOp::Li:
-      gpr_[ins.rd] = static_cast<std::uint32_t>(ins.imm);
-      break;
-    case MOp::Lis:
-      gpr_[ins.rd] = static_cast<std::uint32_t>(ins.imm) << 16;
-      break;
-    case MOp::Ori:
-      gpr_[ins.rd] = ra | static_cast<std::uint32_t>(ins.imm);
-      break;
-    case MOp::Xori:
-      gpr_[ins.rd] = ra ^ static_cast<std::uint32_t>(ins.imm);
-      break;
-    case MOp::Addi:
-      gpr_[ins.rd] = ra + static_cast<std::uint32_t>(ins.imm);
-      break;
-    case MOp::Mr:
-      gpr_[ins.rd] = ra;
-      break;
-    case MOp::Add:
-      gpr_[ins.rd] = ra + rb;
-      break;
-    case MOp::Subf:
-      gpr_[ins.rd] = rb - ra;
-      break;
-    case MOp::Mullw:
-      gpr_[ins.rd] = ra * rb;
-      break;
-    case MOp::Divw: {
-      const auto a = static_cast<std::int32_t>(ra);
-      const auto b = static_cast<std::int32_t>(rb);
-      if (b == 0) throw MachineError("divw by zero at " + hex32(pc));
-      if (a == std::numeric_limits<std::int32_t>::min() && b == -1)
-        gpr_[ins.rd] = ra;  // overflow wraps
-      else
-        gpr_[ins.rd] = static_cast<std::uint32_t>(a / b);
-      break;
-    }
-    case MOp::And: gpr_[ins.rd] = ra & rb; break;
-    case MOp::Or: gpr_[ins.rd] = ra | rb; break;
-    case MOp::Xor: gpr_[ins.rd] = ra ^ rb; break;
-    case MOp::Nor: gpr_[ins.rd] = ~(ra | rb); break;
-    case MOp::Neg: gpr_[ins.rd] = 0u - ra; break;
-    case MOp::Slw: {
-      const std::uint32_t sh = rb & 0x3F;
-      gpr_[ins.rd] = sh >= 32 ? 0 : ra << sh;
-      break;
-    }
-    case MOp::Sraw: {
-      const std::uint32_t sh = rb & 0x3F;
-      const auto a = static_cast<std::int32_t>(ra);
-      if (sh >= 32)
-        gpr_[ins.rd] = a < 0 ? 0xFFFFFFFFu : 0;
-      else
-        gpr_[ins.rd] = static_cast<std::uint32_t>(a >> sh);
-      break;
-    }
-    case MOp::Srw: {
-      const std::uint32_t sh = rb & 0x3F;
-      gpr_[ins.rd] = sh >= 32 ? 0 : ra >> sh;
-      break;
-    }
-    case MOp::Rlwinm:
-      gpr_[ins.rd] = rotl32(ra, ins.sh) & rlwinm_mask(ins.mb, ins.me);
-      break;
-    case MOp::Cmpw: {
-      const auto a = static_cast<std::int32_t>(ra);
-      const auto b = static_cast<std::int32_t>(rb);
-      set_cr_field(ins.crf, a < b, a > b, a == b, false);
-      break;
-    }
-    case MOp::Cmpwi: {
-      const auto a = static_cast<std::int32_t>(ra);
-      set_cr_field(ins.crf, a < ins.imm, a > ins.imm, a == ins.imm, false);
-      break;
-    }
-    case MOp::Fcmpu: {
-      const double a = fpr_[ins.ra];
-      const double b = fpr_[ins.rb];
-      if (std::isnan(a) || std::isnan(b))
-        set_cr_field(ins.crf, false, false, false, true);
-      else
-        set_cr_field(ins.crf, a < b, a > b, a == b, false);
-      break;
-    }
-    case MOp::Cror: {
-      const std::uint32_t v = cr_bit(ins.crba) | cr_bit(ins.crbb);
-      cr_ = (cr_ & ~(1u << (31 - ins.crbd))) | (v << (31 - ins.crbd));
-      break;
-    }
-    case MOp::Mfcr:
-      gpr_[ins.rd] = cr_;
-      break;
-    case MOp::Fadd: fpr_[ins.rd] = fpr_[ins.ra] + fpr_[ins.rb]; break;
-    case MOp::Fsub: fpr_[ins.rd] = fpr_[ins.ra] - fpr_[ins.rb]; break;
-    case MOp::Fmul: fpr_[ins.rd] = fpr_[ins.ra] * fpr_[ins.rb]; break;
-    case MOp::Fdiv: fpr_[ins.rd] = fpr_[ins.ra] / fpr_[ins.rb]; break;
-    case MOp::Fmadd: {
-      // Non-fused semantics: fmadd here computes (a*b)+c in two IEEE
-      // rounding steps, exactly like the separate fmul/fadd pair the O2
-      // peephole replaced, so fusion is result-preserving by construction.
-      // (Separate statements prevent host FMA contraction.)
-      const double product = fpr_[ins.ra] * fpr_[ins.rb];
-      fpr_[ins.rd] = product + fpr_[ins.rc];
-      break;
-    }
-    case MOp::Fmsub: {
-      const double product = fpr_[ins.ra] * fpr_[ins.rb];
-      fpr_[ins.rd] = product - fpr_[ins.rc];
-      break;
-    }
-    case MOp::Fneg: fpr_[ins.rd] = -fpr_[ins.ra]; break;
-    case MOp::Fabs: fpr_[ins.rd] = std::fabs(fpr_[ins.ra]); break;
-    case MOp::Fmr: fpr_[ins.rd] = fpr_[ins.ra]; break;
-    case MOp::Fcti: {
-      const minic::Value v =
-          minic::eval_unop(minic::UnOp::F2I, minic::Value::of_f64(fpr_[ins.ra]));
-      gpr_[ins.rd] = static_cast<std::uint32_t>(v.i);
-      break;
-    }
-    case MOp::Icvf:
-      fpr_[ins.rd] = static_cast<double>(static_cast<std::int32_t>(ra));
-      break;
-    case MOp::Lwz:
-      gpr_[ins.rd] = read_u32(ra + static_cast<std::uint32_t>(ins.imm));
-      break;
-    case MOp::Stw:
-      write_u32(ra + static_cast<std::uint32_t>(ins.imm), gpr_[ins.rd]);
-      break;
-    case MOp::Lwzx:
-      gpr_[ins.rd] = read_u32(ra + rb);
-      break;
-    case MOp::Stwx:
-      write_u32(ra + rb, gpr_[ins.rd]);
-      break;
-    case MOp::Lfd:
-      fpr_[ins.rd] =
-          double_of(read_u64(ra + static_cast<std::uint32_t>(ins.imm)));
-      break;
-    case MOp::Stfd:
-      write_u64(ra + static_cast<std::uint32_t>(ins.imm),
-                bits_of(fpr_[ins.rd]));
-      break;
-    case MOp::Lfdx:
-      fpr_[ins.rd] = double_of(read_u64(ra + rb));
-      break;
-    case MOp::Stfdx:
-      write_u64(ra + rb, bits_of(fpr_[ins.rd]));
-      break;
-    case MOp::B:
-      next_pc_ = pc + static_cast<std::uint32_t>(ins.disp) * 4;
-      branch_taken_ = true;
-      break;
-    case MOp::Bc: {
-      const bool cond = cr_bit(ins.crbit) == (ins.expect ? 1u : 0u);
-      if (cond) {
-        next_pc_ = pc + static_cast<std::uint32_t>(ins.disp) * 4;
-        branch_taken_ = true;
-      }
-      break;
-    }
-    case MOp::Blr:
-      // The harness runs single functions; returning from the outermost
-      // frame jumps to the stop address.
-      next_pc_ = Image::kStopAddr;
-      branch_taken_ = true;
-      break;
-    case MOp::Nop:
-      break;
-    case MOp::Lui:
-      gpr_[ins.rd] = static_cast<std::uint32_t>(ins.imm) << 12;
-      break;
-    case MOp::Slli:
-      gpr_[ins.rd] = ra << (static_cast<std::uint32_t>(ins.imm) & 31);
-      break;
-    case MOp::Sll:
-      gpr_[ins.rd] = ra << (rb & 31);
-      break;
-    case MOp::Srl:
-      gpr_[ins.rd] = ra >> (rb & 31);
-      break;
-    case MOp::Sra:
-      gpr_[ins.rd] = static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(ra) >> (rb & 31));
-      break;
-    case MOp::Slt:
-      gpr_[ins.rd] = static_cast<std::int32_t>(ra) <
-                             static_cast<std::int32_t>(rb)
-                         ? 1u
-                         : 0u;
-      break;
-    case MOp::Sltu:
-      gpr_[ins.rd] = ra < rb ? 1u : 0u;
-      break;
-    case MOp::Sltiu:
-      gpr_[ins.rd] = ra < static_cast<std::uint32_t>(ins.imm) ? 1u : 0u;
-      break;
-    case MOp::Rem: {
-      const auto a = static_cast<std::int32_t>(ra);
-      const auto b = static_cast<std::int32_t>(rb);
-      if (b == 0) throw MachineError("rem by zero at " + hex32(pc));
-      if (a == std::numeric_limits<std::int32_t>::min() && b == -1)
-        gpr_[ins.rd] = 0;  // overflow case: remainder 0
-      else
-        gpr_[ins.rd] = static_cast<std::uint32_t>(a % b);
-      break;
-    }
-    case MOp::Feq:
-      gpr_[ins.rd] = fpr_[ins.ra] == fpr_[ins.rb] ? 1u : 0u;
-      break;
-    case MOp::Flt:
-      gpr_[ins.rd] = fpr_[ins.ra] < fpr_[ins.rb] ? 1u : 0u;
-      break;
-    case MOp::Fle:
-      gpr_[ins.rd] = fpr_[ins.ra] <= fpr_[ins.rb] ? 1u : 0u;
-      break;
-    case MOp::Beq:
-      if (ra == rb) {
-        next_pc_ = pc + static_cast<std::uint32_t>(ins.disp) * 4;
-        branch_taken_ = true;
-      }
-      break;
-    case MOp::Bne:
-      if (ra != rb) {
-        next_pc_ = pc + static_cast<std::uint32_t>(ins.disp) * 4;
-        branch_taken_ = true;
-      }
-      break;
-    case MOp::Blt:
-      if (static_cast<std::int32_t>(ra) < static_cast<std::int32_t>(rb)) {
-        next_pc_ = pc + static_cast<std::uint32_t>(ins.disp) * 4;
-        branch_taken_ = true;
-      }
-      break;
-    case MOp::Bge:
-      if (static_cast<std::int32_t>(ra) >= static_cast<std::int32_t>(rb)) {
-        next_pc_ = pc + static_cast<std::uint32_t>(ins.disp) * 4;
-        branch_taken_ = true;
-      }
-      break;
+  static std::int32_t s32(U v) { return static_cast<std::int32_t>(v); }
+  static U field(bool lt, bool gt, bool eq, bool so) {
+    return (lt ? 8u : 0u) | (gt ? 4u : 0u) | (eq ? 2u : 0u) | (so ? 1u : 0u);
   }
+
+  U gpr(int r) const { return mc.gpr_[static_cast<std::size_t>(r)]; }
+  double fpr(int r) const { return mc.fpr_[static_cast<std::size_t>(r)]; }
+  U crf(int f) const { return mc.cr_ >> (28 - 4 * f) & 0xFu; }
+  void set_gpr(int r, U v) { mc.gpr_[static_cast<std::size_t>(r)] = v; }
+  void set_fpr(int r, double v) { mc.fpr_[static_cast<std::size_t>(r)] = v; }
+  void set_crf(int f, U v) {
+    const int shift = 28 - 4 * f;
+    mc.cr_ = (mc.cr_ & ~(0xFu << shift)) | v << shift;
+  }
+  U imm() const { return static_cast<U>(m.imm); }
+
+  static U lis(U i) { return i << 16; }
+  static U lui(U i) { return i << 12; }
+  static U add(U a, U b) { return a + b; }
+  static U sub(U a, U b) { return a - b; }
+  static U mul(U a, U b) { return a * b; }
+  U div(U a, U b) const {
+    if (b == 0) throw MachineError("divw by zero at " + hex32(pc));
+    if (a == 0x80000000u && b == ~0u) return a;  // overflow wraps
+    return static_cast<U>(s32(a) / s32(b));
+  }
+  U rem(U a, U b) const {
+    if (b == 0) throw MachineError("rem by zero at " + hex32(pc));
+    if (a == 0x80000000u && b == ~0u) return 0;  // overflow: remainder 0
+    return static_cast<U>(s32(a) % s32(b));
+  }
+  static U and_(U a, U b) { return a & b; }
+  static U or_(U a, U b) { return a | b; }
+  static U xor_(U a, U b) { return a ^ b; }
+  static U nor(U a, U b) { return ~(a | b); }
+  static U neg(U a) { return 0u - a; }
+  static U slw(U a, U n) { return (n & 0x3F) >= 32 ? 0 : a << (n & 0x3F); }
+  static U srw(U a, U n) { return (n & 0x3F) >= 32 ? 0 : a >> (n & 0x3F); }
+  static U sraw(U a, U n) {
+    return static_cast<U>(s32(a) >> std::min<U>(n & 0x3F, 31));
+  }
+  static U sll(U a, U n) { return a << (n & 31); }
+  static U srl(U a, U n) { return a >> (n & 31); }
+  static U sra(U a, U n) { return static_cast<U>(s32(a) >> (n & 31)); }
+  static U rlwinm(U x, unsigned sh, unsigned mb, unsigned me) {
+    return rotl32(x, sh) & rlwinm_mask(mb, me);
+  }
+  static U slt(U a, U b) { return s32(a) < s32(b) ? 1 : 0; }
+  static U sltu(U a, U b) { return a < b ? 1 : 0; }
+  static U cmp(U a, U b) {
+    return field(s32(a) < s32(b), s32(a) > s32(b), a == b, false);
+  }
+  static U fcmp(double a, double b) {
+    if (std::isnan(a) || std::isnan(b)) return field(false, false, false, true);
+    return field(a < b, a > b, a == b, false);
+  }
+  static U cror(U old, U a, U b, int bd, int ba, int bb) {
+    const U bit = (a >> (3 - ba) | b >> (3 - bb)) & 1u;
+    return (old & ~(8u >> bd)) | bit << (3 - bd);
+  }
+  U mfcr() const { return mc.cr_; }
+  static double fadd(double a, double b) { return a + b; }
+  static double fsub(double a, double b) { return a - b; }
+  static double fmul(double a, double b) { return a * b; }
+  static double fdiv(double a, double b) { return a / b; }
+  static double fneg(double a) { return -a; }
+  static double fabs(double a) { return std::fabs(a); }
+  static U fcti(double a) {
+    return static_cast<U>(
+        minic::eval_unop(minic::UnOp::F2I, minic::Value::of_f64(a)).i);
+  }
+  static double icvf(U a) { return static_cast<double>(s32(a)); }
+  static U feq(double a, double b) { return a == b ? 1 : 0; }
+  static U flt(double a, double b) { return a < b ? 1 : 0; }
+  static U fle(double a, double b) { return a <= b ? 1 : 0; }
+  U ea(U base, U offset) { return mem_addr = base + offset; }
+  U load4(U a) const { return mc.read_u32(a); }
+  double load8(U a) const { return double_of(mc.read_u64(a)); }
+  void store4(U a, U v) { mc.write_u32(a, v); }
+  void store8(U a, double v) { mc.write_u64(a, bits_of(v)); }
+  static bool eq(U a, U b) { return a == b; }
+  static bool ne(U a, U b) { return a != b; }
+  static bool lt(U a, U b) { return s32(a) < s32(b); }
+  static bool ge(U a, U b) { return s32(a) >= s32(b); }
+  static bool crbit(U field, int bit, bool expect) {
+    return ((field >> (3 - bit % 4) & 1u) != 0) == expect;
+  }
+  void branch_if(bool taken) {
+    if (taken) jump();
+  }
+  void jump() {
+    mc.next_pc_ = pc + static_cast<U>(m.disp) * 4;
+    mc.branch_taken_ = true;
+  }
+  // The harness runs single functions; returning from the outermost frame
+  // jumps to the stop address.
+  void ret() {
+    mc.next_pc_ = Image::kStopAddr;
+    mc.branch_taken_ = true;
+  }
+};
+
+std::uint32_t Machine::execute(const MInstr& ins, std::uint32_t pc) {
+  Concrete d{*this, ins, pc};
+  mach::step(d, ins);
   // The hardwired zero register (when the target has one) absorbs writes.
   if (desc_->zero_gpr >= 0)
     gpr_[static_cast<std::size_t>(desc_->zero_gpr)] = 0;
+  return d.mem_addr;
 }
 
 void Machine::arm_monitor(const MonitorSpec& spec, MonitorMode mode) {

@@ -143,7 +143,6 @@ class Machine : private CpuView {
     bool ready = false;  // filled on first fetch of the word
     bool is_memory = false;
     bool is_store = false;
-    bool is_x_form = false;  // memory address ra + rb, not ra + imm
     bool is_branch = false;
     int n_reads = 0;
     int n_writes = 0;
@@ -163,7 +162,10 @@ class Machine : private CpuView {
   const Decoded& predecode(std::uint32_t pc);
 
   void run(std::uint32_t entry);
-  void execute(const mach::MInstr& ins, std::uint32_t pc);
+  /// Executes `ins` at `pc` through mach::step over the Concrete domain;
+  /// returns the data address a memory op accessed.
+  std::uint32_t execute(const mach::MInstr& ins, std::uint32_t pc);
+  struct Concrete;
 
   // CpuView: live architectural reads for the armed monitor. Stack slots are
   // addressed from the entry r1 the calling convention pins in call().

@@ -13,10 +13,11 @@
 #include <vector>
 
 #include "mach/liveness.hpp"
+#include "mach/semantics.hpp"
 #include "mach/timing.hpp"
 #include "rtl/analysis.hpp"
 #include "support/bitset.hpp"
-#include "validate/term.hpp"
+#include "validate/machine_terms.hpp"
 #include "validate/validate.hpp"
 
 namespace vc::validate {
@@ -240,36 +241,6 @@ CheckResult check_register_allocation(const rtl::Function& before,
 
 namespace {
 
-/// Term kinds of the machine checker. Leaves are a resource's value at
-/// segment entry, the n-th load of the segment, a constant, and a
-/// relocation; operators carry their operands as children and their fixed
-/// fields in the immediate. Memory accesses and control transfers are terms
-/// too, so event comparison is id comparison.
-enum MKind : std::uint32_t {
-  kInit,    // imm: segment << 32 | resource
-  kMem,     // imm: segment << 32 | load number
-  kConst,   // imm: the constant
-  kSym,     // imm: index into SegmentTerms::syms
-  kRel,     // kids: symbol; imm: reloc kind << 32 | addend bits
-  kRlwinm,  // kids: x; imm: sh << 16 | mb << 8 | me
-  kCrins,   // kids: old field, field a, field b; imm: bd << 16 | ba << 8 | bb
-  // Events.
-  kLoad4, kLoad8,    // kids: address
-  kStore4, kStore8,  // kids: address, value
-  kJump,             // imm: label
-  kJumpCond,         // kids: CR field; imm: label << 16 | crbit << 1 | expect
-  kReturn,
-  kCmpBranch,        // kids: a, b; imm: label << 8 | opcode
-  // Operators rendered "name(kid,...)", named by kOpName. The commutative
-  // ones (kAdd..kFeq) are built by make_commutative.
-  kAdd, kMul, kAnd, kOr, kXor, kNor, kFadd, kFmul, kFeq,
-  kSub, kDiv, kSlw, kSraw, kSrw, kCmp, kFcmp, kFsub, kFdiv, kSll, kSrl,
-  kSra, kSlt, kSltu, kRem, kFlt, kFle,
-  kLis, kNeg, kFneg, kFabs, kFcti, kIcvf, kLui,
-  kMfcr,  // kids: the eight CR fields
-  kNumKinds
-};
-
 constexpr const char* kOpName[] = {
     "add",  "mul",  "and", "or",   "xor",  "nor",  "fadd", "fmul", "feq",
     "sub",  "div",  "slw", "sraw", "srw",  "cmp",  "fcmp", "fsub", "fdiv",
@@ -281,386 +252,219 @@ static_assert(std::size(kOpName) == kNumKinds - kAdd);
 /// are cut and marked "...".
 constexpr std::size_t kMaxTermText = 1024;
 
-/// One segment's term table: ids 0..72 are the resources' values at segment
-/// entry, shared by both sides.
-struct SegmentTerms {
-  TermTable table;
-  std::vector<std::string_view> syms;  // kSym names, first-use order
-  std::size_t segment = 0;
-
-  void reset(std::size_t seg) {
-    table.clear();
-    syms.clear();
-    segment = seg;
-    for (std::size_t r = 0; r < IssueModel::kNumResources; ++r)
-      table.atom(kInit, pack_imm(segment, r));
-  }
-
-  /// The symbolic value of an instruction's immediate, folding in any
-  /// pending relocation so that `li rT,sym@x; op ..,rT` and a relocated
-  /// immediate form denote the same constant.
-  TermId imm_token(const AsmOp& op) {
-    if (op.reloc_sym.empty()) return table.make(kConst, op.ins.imm);
-    std::size_t s = 0;
-    while (s < syms.size() && syms[s] != op.reloc_sym) ++s;
-    if (s == syms.size()) syms.push_back(op.reloc_sym);
-    const TermId sym = table.make(kSym, static_cast<std::int64_t>(s));
-    return table.make(
-        kRel,
-        pack_imm(static_cast<std::uint64_t>(op.reloc_kind),
-                 static_cast<std::uint32_t>(op.reloc_addend)),
-        {sym});
-  }
-
-  /// The text of `root`, children of commutative operators sorted as
-  /// strings; `text` memoizes node texts across calls.
-  std::string render(TermId root, std::vector<std::string>& text) const {
-    text.resize(table.size());
-    table.for_each_reachable(root, [&](TermId t) {
-      if (text[t].empty()) text[t] = render_node(t, text);
-    });
-    return text[root];
-  }
-
- private:
-  std::string render_node(TermId t,
-                          const std::vector<std::string>& text) const {
-    const auto kind = static_cast<MKind>(table.kind(t));
-    const std::int64_t imm = table.imm(t);
-    const auto kids = table.kids(t);
-    const auto field = [imm](int shift, std::int64_t mask) {
-      return std::to_string(imm >> shift & mask);
-    };
-    const auto kid = [&](std::size_t k) -> const std::string& {
-      return text[kids[k]];
-    };
-    std::string s;
-    switch (kind) {
-      case kInit:
-        s = "init" + std::to_string(imm >> 32) + ":" + field(0, 0xFFFFFFFF);
-        break;
-      case kMem:
-        s = "mem" + std::to_string(imm >> 32) + ":" + field(0, 0xFFFFFFFF);
-        break;
-      case kConst:
-        s = "c" + std::to_string(imm);
-        break;
-      case kSym:
-        s = std::string(syms[static_cast<std::size_t>(imm)]);
-        break;
-      case kRel:
-        s = "rel" + std::to_string(imm >> 32) + ":" + kid(0) + "+" +
-            std::to_string(static_cast<std::int32_t>(imm & 0xFFFFFFFF));
-        break;
-      case kRlwinm:
-        s = "rlwinm(" + kid(0) + "," + field(16, 0xFF) + "," +
-            field(8, 0xFF) + "," + field(0, 0xFF) + ")";
-        break;
-      case kCrins:
-        s = "crins(" + kid(0) + "," + field(16, 0xFF) + ",bit(" + kid(1) +
-            "," + field(8, 0xFF) + ")|bit(" + kid(2) + "," + field(0, 0xFF) +
-            "))";
-        break;
-      case kLoad4:
-      case kLoad8:
-        s = std::string(kind == kLoad4 ? "l4[" : "l8[") + kid(0) + "]";
-        break;
-      case kStore4:
-      case kStore8:
-        s = std::string(kind == kStore4 ? "s4[" : "s8[") + kid(0) + "]=" +
-            kid(1);
-        break;
-      case kJump:
-        s = "b->" + std::to_string(imm);
-        break;
-      case kJumpCond:
-        s = "bc->" + std::to_string(imm >> 16) + ":" + field(1, 0x7FFF) +
-            "=" + field(0, 1) + ":" + kid(0);
-        break;
-      case kReturn:
-        s = "blr";
-        break;
-      case kCmpBranch:
-        s = mach::mnemonic(static_cast<MOp>(imm & 0xFF)) + "->" +
-            std::to_string(imm >> 8) + ":" + kid(0) + "," + kid(1);
-        break;
-      default: {
-        // Commutative operands in string order, as the texts compare.
-        const bool swap = kind <= kFeq && kid(1) < kid(0);
-        s = std::string(kOpName[kind - kAdd]) + "(";
-        for (std::size_t k = 0; k < kids.size(); ++k)
-          s += (k > 0 ? "," : "") + kid(swap ? 1 - k : k);
-        s += ")";
-        break;
-      }
-    }
-    if (s.size() > kMaxTermText) {
-      s.resize(kMaxTermText);
-      s += "...";
-    }
-    return s;
-  }
-};
-
-/// Register state: the current term of each of the 73 machine resources.
-struct SymEnv {
-  std::array<TermId, IssueModel::kNumResources> val;
-
-  SymEnv() {
-    for (std::size_t r = 0; r < val.size(); ++r)
-      val[r] = static_cast<TermId>(r);  // the segment's initial values
-  }
-  TermId& gpr(int r) { return val[static_cast<std::size_t>(r)]; }
-  TermId& fpr(int r) { return val[static_cast<std::size_t>(32 + r)]; }
-  TermId& crf(int f) {
-    return val[static_cast<std::size_t>(IssueModel::kCrBase + f)];
-  }
-};
-
-/// A memory access or control transfer, in program order within a segment.
-/// Branch events snapshot the full environment; the comparison restricts it
-/// to the live-after set of the *before* side's branch.
-struct MEvent {
-  TermId tag = kNoTerm;  // kind + operand terms
-  bool is_branch = false;
-  std::size_t pos = 0;   // op index (before side: liveness anchor)
-  std::array<TermId, IssueModel::kNumResources> env{};
-};
-
-/// Executes one op over `env`, appending memory/branch events. `n_loads`
-/// numbers loads within the segment: the j-th load of either side binds the
-/// same fresh symbol (their addresses are forced equal by event comparison).
-void sym_step(const AsmOp& op, std::size_t pos, SegmentTerms& st, SymEnv& env,
-              std::vector<MEvent>& events, int& n_loads) {
-  const MInstr& m = op.ins;
-  TermTable& t = st.table;
-  const auto un = [&](MKind k, TermId x) { return t.make(k, 0, {x}); };
-  const auto bin = [&](MKind k, TermId a, TermId b) {
-    return t.make(k, 0, {a, b});
+std::string render_node(const SegmentTerms& st, TermId t,
+                        const std::vector<std::string>& text) {
+  const TermTable& table = st.table;
+  const auto kind = static_cast<MKind>(table.kind(t));
+  const std::int64_t imm = table.imm(t);
+  const auto kids = table.kids(t);
+  const auto field = [imm](int shift, std::int64_t mask) {
+    return std::to_string(imm >> shift & mask);
   };
-  const auto comm = [&](MKind k, TermId a, TermId b) {
-    return t.make_commutative(k, a, b);
+  const auto kid = [&](std::size_t k) -> const std::string& {
+    return text[kids[k]];
   };
-  const auto imm = [&] { return st.imm_token(op); };
-  const auto mem_addr_d = [&] { return comm(kAdd, env.gpr(m.ra), imm()); };
-  const auto mem_addr_x = [&] {
-    return comm(kAdd, env.gpr(m.ra), env.gpr(m.rb));
-  };
-  const auto load = [&](MKind width, TermId addr) {
-    events.push_back({t.make(width, 0, {addr}), false, pos, {}});
-    return t.make(kMem, pack_imm(st.segment, n_loads++));
-  };
-  const auto store = [&](MKind width, TermId addr, TermId value) {
-    events.push_back({t.make(width, 0, {addr, value}), false, pos, {}});
-  };
-  const auto branch = [&](TermId tag) {
-    events.push_back({tag, true, pos, env.val});
-  };
-
-  switch (m.op) {
-    case MOp::Li:
-      env.gpr(m.rd) = imm();
+  std::string s;
+  switch (kind) {
+    case kInit:
+      s = "init" + std::to_string(imm >> 32) + ":" + field(0, 0xFFFFFFFF);
       break;
-    case MOp::Lis:
-      env.gpr(m.rd) = un(kLis, imm());
+    case kMem:
+      s = "mem" + std::to_string(imm >> 32) + ":" + field(0, 0xFFFFFFFF);
       break;
-    case MOp::Ori:
-      env.gpr(m.rd) = comm(kOr, env.gpr(m.ra), imm());
+    case kConst:
+      s = "c" + std::to_string(imm);
       break;
-    case MOp::Xori:
-      env.gpr(m.rd) = comm(kXor, env.gpr(m.ra), imm());
+    case kSym:
+      s = std::string(st.syms[static_cast<std::size_t>(imm)]);
       break;
-    case MOp::Addi:
-      env.gpr(m.rd) = comm(kAdd, env.gpr(m.ra), imm());
+    case kRel:
+      s = "rel" + std::to_string(imm >> 32) + ":" + kid(0) + "+" +
+          std::to_string(static_cast<std::int32_t>(imm & 0xFFFFFFFF));
       break;
-    case MOp::Mr:
-      env.gpr(m.rd) = env.gpr(m.ra);
+    case kRlwinm:
+      s = "rlwinm(" + kid(0) + "," + field(16, 0xFF) + "," +
+          field(8, 0xFF) + "," + field(0, 0xFF) + ")";
       break;
-    case MOp::Add:
-      env.gpr(m.rd) = comm(kAdd, env.gpr(m.ra), env.gpr(m.rb));
+    case kCrins:
+      s = "crins(" + kid(0) + "," + field(16, 0xFF) + ",bit(" + kid(1) +
+          "," + field(8, 0xFF) + ")|bit(" + kid(2) + "," + field(0, 0xFF) +
+          "))";
       break;
-    case MOp::Subf:  // rd <- rb - ra
-      env.gpr(m.rd) = bin(kSub, env.gpr(m.rb), env.gpr(m.ra));
+    case kLoad4:
+    case kLoad8:
+      s = std::string(kind == kLoad4 ? "l4[" : "l8[") + kid(0) + "]";
       break;
-    case MOp::Mullw:
-      env.gpr(m.rd) = comm(kMul, env.gpr(m.ra), env.gpr(m.rb));
+    case kStore4:
+    case kStore8:
+      s = std::string(kind == kStore4 ? "s4[" : "s8[") + kid(0) + "]=" +
+          kid(1);
       break;
-    case MOp::Divw:
-      env.gpr(m.rd) = bin(kDiv, env.gpr(m.ra), env.gpr(m.rb));
+    case kJump:
+      s = "b->" + std::to_string(imm);
       break;
-    case MOp::And:
-      env.gpr(m.rd) = comm(kAnd, env.gpr(m.ra), env.gpr(m.rb));
+    case kJumpCond:
+      s = "bc->" + std::to_string(imm >> 16) + ":" + field(1, 0x7FFF) +
+          "=" + field(0, 1) + ":" + kid(0);
       break;
-    case MOp::Or:
-      env.gpr(m.rd) = comm(kOr, env.gpr(m.ra), env.gpr(m.rb));
+    case kReturn:
+      s = "blr";
       break;
-    case MOp::Xor:
-      env.gpr(m.rd) = comm(kXor, env.gpr(m.ra), env.gpr(m.rb));
+    case kCmpBranch:
+      s = mach::mnemonic(static_cast<MOp>(imm & 0xFF)) + "->" +
+          std::to_string(imm >> 8) + ":" + kid(0) + "," + kid(1);
       break;
-    case MOp::Nor:
-      env.gpr(m.rd) = comm(kNor, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Neg:
-      env.gpr(m.rd) = un(kNeg, env.gpr(m.ra));
-      break;
-    case MOp::Slw:
-      env.gpr(m.rd) = bin(kSlw, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Sraw:
-      env.gpr(m.rd) = bin(kSraw, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Srw:
-      env.gpr(m.rd) = bin(kSrw, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Rlwinm:
-      env.gpr(m.rd) = t.make(kRlwinm, m.sh << 16 | m.mb << 8 | m.me,
-                             {env.gpr(m.ra)});
-      break;
-    case MOp::Cmpw:
-      env.crf(m.crf) = bin(kCmp, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Cmpwi:  // the folded form of li rT,imm; cmpw crf,ra,rT
-      env.crf(m.crf) = bin(kCmp, env.gpr(m.ra), imm());
-      break;
-    case MOp::Fcmpu:
-      env.crf(m.crf) = bin(kFcmp, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Cror: {
-      // Writes one bit of the destination field; the rest carries over.
-      TermId& d = env.crf(m.crbd / 4);
-      d = t.make(kCrins, m.crbd % 4 << 16 | m.crba % 4 << 8 | m.crbb % 4,
-                 {d, env.crf(m.crba / 4), env.crf(m.crbb / 4)});
+    default: {
+      // Commutative operands in string order, as the texts compare.
+      const bool swap = kind <= kFeq && kid(1) < kid(0);
+      s = std::string(kOpName[kind - kAdd]) + "(";
+      for (std::size_t k = 0; k < kids.size(); ++k)
+        s += (k > 0 ? "," : "") + kid(swap ? 1 - k : k);
+      s += ")";
       break;
     }
-    case MOp::Mfcr: {
-      std::array<TermId, 8> fields;
-      for (int f = 0; f < 8; ++f)
-        fields[static_cast<std::size_t>(f)] = env.crf(f);
-      env.gpr(m.rd) = t.make(kMfcr, 0, fields);
-      break;
-    }
-    case MOp::Fadd:
-      env.fpr(m.rd) = comm(kFadd, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Fsub:
-      env.fpr(m.rd) = bin(kFsub, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Fmul:
-      env.fpr(m.rd) = comm(kFmul, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Fdiv:
-      env.fpr(m.rd) = bin(kFdiv, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Fmadd:  // fd <- fa*fb + fc: the fused fmul;fadd pair
-      env.fpr(m.rd) = comm(kFadd, comm(kFmul, env.fpr(m.ra), env.fpr(m.rb)),
-                           env.fpr(m.rc));
-      break;
-    case MOp::Fmsub:  // fd <- fa*fb - fc
-      env.fpr(m.rd) = bin(kFsub, comm(kFmul, env.fpr(m.ra), env.fpr(m.rb)),
-                          env.fpr(m.rc));
-      break;
-    case MOp::Fneg:
-      env.fpr(m.rd) = un(kFneg, env.fpr(m.ra));
-      break;
-    case MOp::Fabs:
-      env.fpr(m.rd) = un(kFabs, env.fpr(m.ra));
-      break;
-    case MOp::Fmr:
-      env.fpr(m.rd) = env.fpr(m.ra);
-      break;
-    case MOp::Fcti:
-      env.gpr(m.rd) = un(kFcti, env.fpr(m.ra));
-      break;
-    case MOp::Icvf:
-      env.fpr(m.rd) = un(kIcvf, env.gpr(m.ra));
-      break;
-    case MOp::Lwz:
-      env.gpr(m.rd) = load(kLoad4, mem_addr_d());
-      break;
-    case MOp::Lwzx:
-      env.gpr(m.rd) = load(kLoad4, mem_addr_x());
-      break;
-    case MOp::Lfd:
-      env.fpr(m.rd) = load(kLoad8, mem_addr_d());
-      break;
-    case MOp::Lfdx:
-      env.fpr(m.rd) = load(kLoad8, mem_addr_x());
-      break;
-    case MOp::Stw:
-      store(kStore4, mem_addr_d(), env.gpr(m.rd));
-      break;
-    case MOp::Stwx:
-      store(kStore4, mem_addr_x(), env.gpr(m.rd));
-      break;
-    case MOp::Stfd:
-      store(kStore8, mem_addr_d(), env.fpr(m.rd));
-      break;
-    case MOp::Stfdx:
-      store(kStore8, mem_addr_x(), env.fpr(m.rd));
-      break;
-    case MOp::B:
-      branch(t.make(kJump, op.target_label));
-      break;
-    case MOp::Bc:
-      branch(t.make(kJumpCond,
-                    std::int64_t{op.target_label} << 16 | m.crbit << 1 |
-                        (m.expect ? 1 : 0),
-                    {env.crf(m.crbit / 4)}));
-      break;
-    case MOp::Blr:
-      branch(t.make(kReturn));
-      break;
-    case MOp::Nop:
-      break;
-    case MOp::Lui:
-      env.gpr(m.rd) = un(kLui, imm());
-      break;
-    case MOp::Sll:
-      env.gpr(m.rd) = bin(kSll, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Srl:
-      env.gpr(m.rd) = bin(kSrl, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Sra:
-      env.gpr(m.rd) = bin(kSra, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Slli:
-      env.gpr(m.rd) = bin(kSll, env.gpr(m.ra), imm());
-      break;
-    case MOp::Slt:
-      env.gpr(m.rd) = bin(kSlt, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Sltu:
-      env.gpr(m.rd) = bin(kSltu, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Sltiu:
-      env.gpr(m.rd) = bin(kSltu, env.gpr(m.ra), imm());
-      break;
-    case MOp::Rem:
-      env.gpr(m.rd) = bin(kRem, env.gpr(m.ra), env.gpr(m.rb));
-      break;
-    case MOp::Feq:
-      env.gpr(m.rd) = comm(kFeq, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Flt:
-      env.gpr(m.rd) = bin(kFlt, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Fle:
-      env.gpr(m.rd) = bin(kFle, env.fpr(m.ra), env.fpr(m.rb));
-      break;
-    case MOp::Beq:
-    case MOp::Bne:
-    case MOp::Blt:
-    case MOp::Bge:
-      // Compare-and-branch: the tag carries the tested operand terms, so
-      // both the condition and the target must agree.
-      branch(t.make(kCmpBranch,
-                    std::int64_t{op.target_label} << 8 |
-                        static_cast<std::uint8_t>(m.op),
-                    {env.gpr(m.ra), env.gpr(m.rb)}));
-      break;
   }
+  if (s.size() > kMaxTermText) {
+    s.resize(kMaxTermText);
+    s += "...";
+  }
+  return s;
 }
+
+/// The text of `root`, children of commutative operators sorted as
+/// strings; `text` memoizes node texts across calls.
+std::string render(const SegmentTerms& st, TermId root,
+                   std::vector<std::string>& text) {
+  text.resize(st.table.size());
+  st.table.for_each_reachable(root, [&](TermId t) {
+    if (text[t].empty()) text[t] = render_node(st, t, text);
+  });
+  return text[root];
+}
+
+}  // namespace
+
+namespace {
+
+/// mach::step's term domain: every value is a term of the segment's table,
+/// and loads, stores and branches append events.
+struct TermStep {
+  SegmentTerms& st;
+  SymEnv& env;
+  std::vector<MEvent>& events;
+  int& n_loads;
+  const AsmOp& op;
+  std::size_t pos;
+
+  TermId make(MKind k, std::int64_t imm, std::initializer_list<TermId> kids) {
+    return st.table.make(k, imm, kids);
+  }
+  TermId un(MKind k, TermId x) { return make(k, 0, {x}); }
+  TermId bin(MKind k, TermId a, TermId b) { return make(k, 0, {a, b}); }
+  TermId comm(MKind k, TermId a, TermId b) {
+    return st.table.make_commutative(k, a, b);
+  }
+
+  TermId gpr(int r) { return env.gpr(r); }
+  TermId fpr(int r) { return env.fpr(r); }
+  TermId crf(int f) { return env.crf(f); }
+  void set_gpr(int r, TermId v) { env.gpr(r) = v; }
+  void set_fpr(int r, TermId v) { env.fpr(r) = v; }
+  void set_crf(int f, TermId v) { env.crf(f) = v; }
+  TermId imm() { return st.imm_token(op); }
+
+  TermId lis(TermId i) { return un(kLis, i); }
+  TermId lui(TermId i) { return un(kLui, i); }
+  TermId add(TermId a, TermId b) { return comm(kAdd, a, b); }
+  TermId sub(TermId a, TermId b) { return bin(kSub, a, b); }
+  TermId mul(TermId a, TermId b) { return comm(kMul, a, b); }
+  TermId div(TermId a, TermId b) { return bin(kDiv, a, b); }
+  TermId rem(TermId a, TermId b) { return bin(kRem, a, b); }
+  TermId and_(TermId a, TermId b) { return comm(kAnd, a, b); }
+  TermId or_(TermId a, TermId b) { return comm(kOr, a, b); }
+  TermId xor_(TermId a, TermId b) { return comm(kXor, a, b); }
+  TermId nor(TermId a, TermId b) { return comm(kNor, a, b); }
+  TermId neg(TermId a) { return un(kNeg, a); }
+  TermId slw(TermId a, TermId n) { return bin(kSlw, a, n); }
+  TermId srw(TermId a, TermId n) { return bin(kSrw, a, n); }
+  TermId sraw(TermId a, TermId n) { return bin(kSraw, a, n); }
+  TermId sll(TermId a, TermId n) { return bin(kSll, a, n); }
+  TermId srl(TermId a, TermId n) { return bin(kSrl, a, n); }
+  TermId sra(TermId a, TermId n) { return bin(kSra, a, n); }
+  TermId rlwinm(TermId x, int sh, int mb, int me) {
+    return make(kRlwinm, sh << 16 | mb << 8 | me, {x});
+  }
+  TermId slt(TermId a, TermId b) { return bin(kSlt, a, b); }
+  TermId sltu(TermId a, TermId b) { return bin(kSltu, a, b); }
+  // cmpwi is the folded form of li rT,imm; cmpw crf,ra,rT.
+  TermId cmp(TermId a, TermId b) { return bin(kCmp, a, b); }
+  TermId fcmp(TermId a, TermId b) { return bin(kFcmp, a, b); }
+  TermId cror(TermId old, TermId a, TermId b, int bd, int ba, int bb) {
+    return make(kCrins, bd << 16 | ba << 8 | bb, {old, a, b});
+  }
+  TermId mfcr() {
+    std::array<TermId, 8> fields;
+    for (int f = 0; f < 8; ++f) fields[static_cast<std::size_t>(f)] = crf(f);
+    return st.table.make(kMfcr, 0, fields);
+  }
+  TermId fadd(TermId a, TermId b) { return comm(kFadd, a, b); }
+  TermId fsub(TermId a, TermId b) { return bin(kFsub, a, b); }
+  TermId fmul(TermId a, TermId b) { return comm(kFmul, a, b); }
+  TermId fdiv(TermId a, TermId b) { return bin(kFdiv, a, b); }
+  TermId fneg(TermId a) { return un(kFneg, a); }
+  TermId fabs(TermId a) { return un(kFabs, a); }
+  TermId fcti(TermId a) { return un(kFcti, a); }
+  TermId icvf(TermId a) { return un(kIcvf, a); }
+  TermId feq(TermId a, TermId b) { return comm(kFeq, a, b); }
+  TermId flt(TermId a, TermId b) { return bin(kFlt, a, b); }
+  TermId fle(TermId a, TermId b) { return bin(kFle, a, b); }
+  TermId ea(TermId base, TermId offset) { return add(base, offset); }
+  TermId load(MKind width, TermId addr) {
+    events.push_back({make(width, 0, {addr}), false, pos, {}});
+    return make(kMem, pack_imm(st.segment, n_loads++), {});
+  }
+  TermId load4(TermId addr) { return load(kLoad4, addr); }
+  TermId load8(TermId addr) { return load(kLoad8, addr); }
+  void store4(TermId addr, TermId v) {
+    events.push_back({make(kStore4, 0, {addr, v}), false, pos, {}});
+  }
+  void store8(TermId addr, TermId v) {
+    events.push_back({make(kStore8, 0, {addr, v}), false, pos, {}});
+  }
+  // A compare-and-branch tag carries the tested operand terms and the
+  // opcode, so both the condition and the target must agree.
+  TermId cmp_branch(TermId a, TermId b) {
+    return make(kCmpBranch,
+                std::int64_t{op.target_label} << 8 |
+                    static_cast<std::uint8_t>(op.ins.op),
+                {a, b});
+  }
+  TermId eq(TermId a, TermId b) { return cmp_branch(a, b); }
+  TermId ne(TermId a, TermId b) { return cmp_branch(a, b); }
+  TermId lt(TermId a, TermId b) { return cmp_branch(a, b); }
+  TermId ge(TermId a, TermId b) { return cmp_branch(a, b); }
+  TermId crbit(TermId field, int bit, bool expect) {
+    return make(kJumpCond,
+                std::int64_t{op.target_label} << 16 | bit << 1 |
+                    (expect ? 1 : 0),
+                {field});
+  }
+  void branch_if(TermId tag) { events.push_back({tag, true, pos, env.val}); }
+  void jump() { branch_if(make(kJump, op.target_label, {})); }
+  void ret() { branch_if(make(kReturn, 0, {})); }
+};
+
+}  // namespace
+
+void sym_step(const AsmOp& op, std::size_t pos, int zero_gpr,
+              SegmentTerms& st, SymEnv& env, std::vector<MEvent>& events,
+              int& n_loads) {
+  TermStep d{st, env, events, n_loads, op, pos};
+  mach::step(d, op.ins);
+  if (zero_gpr >= 0) env.gpr(zero_gpr) = static_cast<TermId>(zero_gpr);
+}
+
+namespace {
 
 /// Marker: a label or an annotation anchor. Identity ignores the op index
 /// (the rewrite moves anchors); same-position markers sort by identity so
@@ -751,9 +555,9 @@ CheckResult check_machine_equivalence(const AsmFunction& before,
     ev_a.clear();
     int loads_b = 0, loads_a = 0;
     for (std::size_t i = b0; i < b1; ++i)
-      sym_step(before.ops[i], i, st, env_b, ev_b, loads_b);
+      sym_step(before.ops[i], i, desc.zero_gpr, st, env_b, ev_b, loads_b);
     for (std::size_t i = a0; i < a1; ++i)
-      sym_step(after.ops[i], i, st, env_a, ev_a, loads_a);
+      sym_step(after.ops[i], i, desc.zero_gpr, st, env_a, ev_a, loads_a);
 
     if (ev_b.size() != ev_a.size())
       return CheckResult::fail(where() +
@@ -762,8 +566,8 @@ CheckResult check_machine_equivalence(const AsmFunction& before,
       if (ev_b[k].tag != ev_a[k].tag) {
         std::vector<std::string> text;
         return CheckResult::fail(where() + ": event " + std::to_string(k) +
-                                 " differs: " + st.render(ev_b[k].tag, text) +
-                                 " vs " + st.render(ev_a[k].tag, text));
+                                 " differs: " + render(st, ev_b[k].tag, text) +
+                                 " vs " + render(st, ev_a[k].tag, text));
       }
       if (!ev_b[k].is_branch) continue;
       // Every register that may still be read after the branch must agree.

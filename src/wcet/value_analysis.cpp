@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mach/semantics.hpp"
 #include "mach/target.hpp"
 #include "machine/machine.hpp"
 
@@ -81,6 +82,174 @@ bool AbsState::operator==(const AbsState& other) const {
 }
 
 namespace {
+
+/// mach::step's interval domain. GPRs are intervals and the tracked stack
+/// cells are memory; FPRs, CR fields and branch conditions carry nothing
+/// (Unit). An immediate is an Imm, which converts to its constant interval;
+/// ori, xori and slli have their own precision rules and overload on it.
+struct IntervalStep {
+  struct Unit {};
+  struct Imm {
+    std::int32_t v;
+    operator Interval() const { return Interval::constant(v); }
+  };
+
+  AbsState& s;
+  const MInstr& m;
+  std::vector<MemAccess>* accesses;  // the recording pass's, else null
+  int block;
+  int index;
+  std::uint32_t addr;
+
+  static Interval top() { return Interval::i32_range(); }
+  static std::uint32_t u32(std::int64_t v) {
+    return static_cast<std::uint32_t>(v);
+  }
+  static Interval constant(std::uint32_t v) {
+    return Interval::constant(static_cast<std::int32_t>(v));
+  }
+  static bool boolean(const Interval& v) {
+    return Interval::boolean().contains(v);
+  }
+
+  const Interval& gpr(int r) const { return s.gpr[r]; }
+  static Unit fpr(int) { return {}; }
+  static Unit crf(int) { return {}; }
+  void set_gpr(int r, const Interval& v) { s.gpr[r] = v; }
+  static void set_fpr(int, Unit) {}
+  static void set_crf(int, Unit) {}
+  Imm imm() const { return {m.imm}; }
+
+  static Interval lis(Imm i) { return constant(u32(i.v) << 16); }
+  static Interval lui(Imm i) { return constant(u32(i.v) << 12); }
+  static Interval add(const Interval& a, const Interval& b) {
+    return a.add(b).clamp_i32();
+  }
+  static Interval sub(const Interval& a, const Interval& b) {
+    return a.sub(b).clamp_i32();
+  }
+  static Interval mul(const Interval& a, const Interval& b) {
+    return a.mul(b).clamp_i32();
+  }
+  static Interval div(const Interval& a, const Interval& b) {
+    const Interval q = a.div(b).clamp_i32();
+    return q.is_bottom() ? top() : q;
+  }
+  static Interval rem(const Interval&, const Interval&) { return top(); }
+  // Common case: masking a boolean.
+  static Interval and_(const Interval& a, const Interval& b) {
+    return boolean(a) || boolean(b) ? Interval::boolean() : top();
+  }
+  static Interval or_(const Interval& a, const Interval& b) {
+    return boolean(a) && boolean(b) ? Interval::boolean() : top();
+  }
+  static Interval or_(const Interval& a, Imm i) {
+    const auto c = a.as_constant();
+    return c ? constant(u32(*c) | u32(i.v)) : top();
+  }
+  static Interval xor_(const Interval& a, const Interval& b) {
+    return or_(a, b);
+  }
+  static Interval xor_(const Interval& a, Imm i) {
+    if (const auto c = a.as_constant()) return constant(u32(*c) ^ u32(i.v));
+    return i.v == 1 && boolean(a) ? Interval::boolean() : top();
+  }
+  static Interval nor(const Interval&, const Interval&) { return top(); }
+  static Interval neg(const Interval& a) { return a.neg().clamp_i32(); }
+  static Interval slw(const Interval&, const Interval&) { return top(); }
+  static Interval srw(const Interval&, const Interval&) { return top(); }
+  static Interval sraw(const Interval&, const Interval&) { return top(); }
+  static Interval sll(const Interval&, const Interval&) { return top(); }
+  // slli by a constant is a multiplication by 2^sh, like slwi below.
+  static Interval sll(const Interval& a, Imm i) {
+    return mul(a, Interval::constant(std::int64_t{1} << (i.v & 31)));
+  }
+  static Interval srl(const Interval&, const Interval&) { return top(); }
+  static Interval sra(const Interval&, const Interval&) { return top(); }
+  static Interval rlwinm(const Interval& x, int sh, int mb, int me) {
+    if (mb == 0 && me == 31 - sh)  // slwi: multiply by 2^sh
+      return mul(x, Interval::constant(std::int64_t{1} << sh));
+    if (mb == 31 && me == 31) return Interval::boolean();  // one-bit extract
+    return top();
+  }
+  static Interval slt(const Interval&, const Interval&) {
+    return Interval::boolean();
+  }
+  static Interval sltu(const Interval&, const Interval&) {
+    return Interval::boolean();
+  }
+  static Unit cmp(const Interval&, const Interval&) { return {}; }
+  static Unit fcmp(Unit, Unit) { return {}; }
+  static Unit cror(Unit, Unit, Unit, int, int, int) { return {}; }
+  static Interval mfcr() { return top(); }
+  static Unit fadd(Unit, Unit) { return {}; }
+  static Unit fsub(Unit, Unit) { return {}; }
+  static Unit fmul(Unit, Unit) { return {}; }
+  static Unit fdiv(Unit, Unit) { return {}; }
+  static Unit fneg(Unit) { return {}; }
+  static Unit fabs(Unit) { return {}; }
+  static Interval fcti(Unit) { return top(); }
+  static Unit icvf(const Interval&) { return {}; }
+  static Interval feq(Unit, Unit) { return Interval::boolean(); }
+  static Interval flt(Unit, Unit) { return Interval::boolean(); }
+  static Interval fle(Unit, Unit) { return Interval::boolean(); }
+  static Interval ea(const Interval& base, const Interval& offset) {
+    return u32_interval(base.add(offset));
+  }
+
+  void record(const Interval& ea, bool is_store, bool is_f64) const {
+    if (accesses == nullptr) return;
+    MemAccess acc;
+    acc.block = block;
+    acc.index = index;
+    acc.addr_of_instr = addr;
+    acc.is_store = is_store;
+    acc.is_f64 = is_f64;
+    acc.address = ea;
+    accesses->push_back(acc);
+  }
+  Interval load4(const Interval& ea) const {
+    record(ea, false, false);
+    if (const auto c = ea.as_constant(); c && in_stack(*c)) {
+      const auto it = s.stack.find(static_cast<std::uint32_t>(*c));
+      if (it != s.stack.end()) return it->second;
+    }
+    return top();
+  }
+  Unit load8(const Interval& ea) const {
+    record(ea, false, true);
+    return {};
+  }
+  // A w-byte store at any a in [lo, hi] overlaps every tracked 4-byte cell
+  // k in [lo-3, hi+w-1]: drop them all, precise or not (cf. Gebhard et al.
+  // on imprecise memory accesses); only then may a constant-address stw set
+  // its own cell.
+  void drop_overlapped(const Interval& ea, std::int64_t width) {
+    const std::int64_t first = std::max<std::int64_t>(ea.lo() - 3, 0);
+    const std::int64_t last = ea.hi() + width - 1;
+    for (auto it = s.stack.lower_bound(static_cast<std::uint32_t>(first));
+         it != s.stack.end() && static_cast<std::int64_t>(it->first) <= last;)
+      it = s.stack.erase(it);
+  }
+  void store4(const Interval& ea, const Interval& v) {
+    record(ea, true, false);
+    drop_overlapped(ea, 4);
+    if (const auto c = ea.as_constant(); c && in_stack(*c))
+      s.stack[static_cast<std::uint32_t>(*c)] = v;
+  }
+  void store8(const Interval& ea, Unit) {
+    record(ea, true, true);
+    drop_overlapped(ea, 8);
+  }
+  static Unit eq(const Interval&, const Interval&) { return {}; }
+  static Unit ne(const Interval&, const Interval&) { return {}; }
+  static Unit lt(const Interval&, const Interval&) { return {}; }
+  static Unit ge(const Interval&, const Interval&) { return {}; }
+  static Unit crbit(Unit, int, bool) { return {}; }
+  static void branch_if(Unit) {}
+  static void jump() {}
+  static void ret() {}
+};
 
 class Analyzer {
  public:
@@ -215,7 +384,9 @@ class Analyzer {
     for (std::size_t i = 0; i < bb.instrs.size(); ++i, addr += 4) {
       apply_constraints(addr, s);
       const MInstr& m = bb.instrs[i];
-      transfer_instr(m, s, record, b, static_cast<int>(i), addr);
+      IntervalStep step{*s, m, record ? &result_.accesses : nullptr, b,
+                        static_cast<int>(i), addr};
+      mach::step(step, m);
       if (desc_.zero_gpr >= 0)
         s->gpr[desc_.zero_gpr] = Interval::constant(0);
       if (const int d = def_gpr(m); d >= 0) {
@@ -350,180 +521,6 @@ class Analyzer {
     if (!s.reachable) return s;
     if (cmp.rhs >= 0) apply_class(cmp.rhs, b2);
     return s;
-  }
-
-  void transfer_instr(const MInstr& m, AbsState* s, bool record, int block,
-                      int index, std::uint32_t addr) {
-    auto& g = s->gpr;
-    auto top = [] { return Interval::i32_range(); };
-    switch (m.op) {
-      case MOp::Li:
-        g[m.rd] = Interval::constant(m.imm);
-        break;
-      case MOp::Lis:
-        g[m.rd] = Interval::constant(static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(m.imm) << 16));
-        break;
-      case MOp::Ori:
-        if (auto c = g[m.ra].as_constant())
-          g[m.rd] = Interval::constant(
-              static_cast<std::int32_t>(static_cast<std::uint32_t>(*c) |
-                                        static_cast<std::uint32_t>(m.imm)));
-        else
-          g[m.rd] = top();
-        break;
-      case MOp::Xori:
-        if (auto c = g[m.ra].as_constant())
-          g[m.rd] = Interval::constant(
-              static_cast<std::int32_t>(static_cast<std::uint32_t>(*c) ^
-                                        static_cast<std::uint32_t>(m.imm)));
-        else if (static_cast<std::uint32_t>(m.imm) == 1 &&
-                 Interval::boolean().contains(g[m.ra]))
-          g[m.rd] = Interval::boolean();
-        else
-          g[m.rd] = top();
-        break;
-      case MOp::Addi:
-        g[m.rd] = g[m.ra].add(Interval::constant(m.imm)).clamp_i32();
-        break;
-      case MOp::Mr:
-        g[m.rd] = g[m.ra];
-        break;
-      case MOp::Add:
-        g[m.rd] = g[m.ra].add(g[m.rb]).clamp_i32();
-        break;
-      case MOp::Subf:
-        g[m.rd] = g[m.rb].sub(g[m.ra]).clamp_i32();
-        break;
-      case MOp::Mullw:
-        g[m.rd] = g[m.ra].mul(g[m.rb]).clamp_i32();
-        break;
-      case MOp::Divw:
-        g[m.rd] = g[m.ra].div(g[m.rb]).clamp_i32();
-        if (g[m.rd].is_bottom()) g[m.rd] = top();
-        break;
-      case MOp::Neg:
-        g[m.rd] = g[m.ra].neg().clamp_i32();
-        break;
-      case MOp::And:
-        // Common case: masking a boolean.
-        if (Interval::boolean().contains(g[m.ra]) ||
-            Interval::boolean().contains(g[m.rb]))
-          g[m.rd] = Interval::boolean();
-        else
-          g[m.rd] = top();
-        break;
-      case MOp::Or:
-      case MOp::Xor:
-        if (Interval::boolean().contains(g[m.ra]) &&
-            Interval::boolean().contains(g[m.rb]))
-          g[m.rd] = Interval::boolean();
-        else
-          g[m.rd] = top();
-        break;
-      case MOp::Nor:
-        g[m.rd] = top();
-        break;
-      case MOp::Slw:
-      case MOp::Srw:
-      case MOp::Sraw:
-        g[m.rd] = top();
-        break;
-      case MOp::Rlwinm: {
-        // Recognize slwi (mb=0, me=31-sh): multiply by 2^sh.
-        if (m.mb == 0 && m.me == 31 - m.sh) {
-          g[m.rd] = g[m.ra]
-                        .mul(Interval::constant(std::int64_t{1} << m.sh))
-                        .clamp_i32();
-        } else if (m.mb == 31 && m.me == 31) {
-          g[m.rd] = Interval::boolean();  // single-bit extraction
-        } else {
-          g[m.rd] = top();
-        }
-        break;
-      }
-      case MOp::Mfcr:
-        g[m.rd] = top();
-        break;
-      case MOp::Fcti:
-        g[m.rd] = top();
-        break;
-      case MOp::Lwz:
-      case MOp::Lwzx:
-      case MOp::Lfd:
-      case MOp::Lfdx:
-      case MOp::Stw:
-      case MOp::Stwx:
-      case MOp::Stfd:
-      case MOp::Stfdx: {
-        const bool is_store = mach::is_store(m.op);
-        const bool is_f64 = mach::mem_bytes(m.op) == 8;
-        Interval ea = mach::is_x_form(m.op)
-                          ? g[m.ra].add(g[m.rb])
-                          : g[m.ra].add(Interval::constant(m.imm));
-        ea = u32_interval(ea);
-        if (record) {
-          MemAccess acc;
-          acc.block = block;
-          acc.index = index;
-          acc.addr_of_instr = addr;
-          acc.is_store = is_store;
-          acc.is_f64 = is_f64;
-          acc.address = ea;
-          result_.accesses.push_back(acc);
-        }
-        if (is_store) {
-          // A w-byte store at any a in [lo, hi] overlaps every tracked
-          // 4-byte cell k in [lo-3, hi+w-1]: drop them all, precise or not
-          // (cf. Gebhard et al. on imprecise memory accesses), and only then
-          // let a constant-address stw set its own cell.
-          const std::int64_t first = std::max<std::int64_t>(ea.lo() - 3, 0);
-          const std::int64_t last =
-              ea.hi() + static_cast<std::int64_t>(mach::mem_bytes(m.op)) - 1;
-          for (auto it = s->stack.lower_bound(static_cast<std::uint32_t>(first));
-               it != s->stack.end() &&
-               static_cast<std::int64_t>(it->first) <= last;)
-            it = s->stack.erase(it);
-          if (auto c = ea.as_constant(); c && !is_f64 && in_stack(*c))
-            s->stack[static_cast<std::uint32_t>(*c)] = g[m.rd];
-        } else if (!is_f64) {
-          Interval v = top();
-          if (auto c = ea.as_constant()) {
-            if (in_stack(*c)) {
-              auto it = s->stack.find(static_cast<std::uint32_t>(*c));
-              if (it != s->stack.end()) v = it->second;
-            }
-          }
-          g[m.rd] = v;
-        }
-        break;
-      }
-      case MOp::Lui:
-        g[m.rd] = Interval::constant(static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(m.imm) << 12));
-        break;
-      case MOp::Slli:
-        // Multiply by 2^sh (shift left by immediate, like slwi).
-        g[m.rd] = g[m.ra]
-                      .mul(Interval::constant(std::int64_t{1} << (m.imm & 31)))
-                      .clamp_i32();
-        break;
-      case MOp::Slt: case MOp::Sltu: case MOp::Sltiu:
-      case MOp::Feq: case MOp::Flt: case MOp::Fle:
-        g[m.rd] = Interval::boolean();
-        break;
-      case MOp::Sll: case MOp::Srl: case MOp::Sra: case MOp::Rem:
-        g[m.rd] = top();
-        break;
-      case MOp::Icvf:
-      case MOp::Fadd: case MOp::Fsub: case MOp::Fmul: case MOp::Fdiv:
-      case MOp::Fmadd: case MOp::Fmsub: case MOp::Fneg: case MOp::Fabs:
-      case MOp::Fmr:
-      case MOp::Cmpw: case MOp::Cmpwi: case MOp::Fcmpu: case MOp::Cror:
-      case MOp::B: case MOp::Bc: case MOp::Blr: case MOp::Nop:
-      case MOp::Beq: case MOp::Bne: case MOp::Blt: case MOp::Bge:
-        break;
-    }
   }
 
   const Cfg& cfg_;

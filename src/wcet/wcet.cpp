@@ -1,9 +1,9 @@
 #include "wcet/wcet.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "mach/target.hpp"
 #include "support/strings.hpp"
@@ -218,8 +218,137 @@ std::uint64_t block_base_cost(const MachineBlock& bb,
 // Structural IPET: longest path over the loop nest
 // ---------------------------------------------------------------------------
 
+/// Schedules the region of `region_loop` (-1 for the whole function: the
+/// blocks with inner loops already collapsed) into fold->regions, then every
+/// inner loop the region reaches from its source. Throws WcetError when the
+/// region's collapsed graph has a cycle (irreducible flow).
+void schedule_region(const Cfg& cfg, int region_loop, FoldSchedule* fold) {
+  const auto at = [](int i) { return static_cast<std::size_t>(i); };
+  const std::size_t n = cfg.blocks.size();
+  const Loop* loop = region_loop == -1 ? nullptr : &cfg.loops[at(region_loop)];
+  const int header = loop == nullptr ? -1 : loop->header;
+  std::vector<char> member(n, loop == nullptr ? 1 : 0);
+  if (loop != nullptr)
+    for (int b : loop->blocks) member[at(b)] = 1;
+
+  // A block is a "node" of this region if it belongs to the region and its
+  // innermost containing loop within the region is either the region itself
+  // or it is the header of an immediate inner loop (which represents the
+  // whole collapsed inner loop).
+  auto inner_loop_of = [&](int b) -> int {
+    int l = cfg.loop_of[at(b)];
+    // Walk up until the parent is the region loop.
+    while (l != -1 && cfg.loops[at(l)].parent != region_loop)
+      l = cfg.loops[at(l)].parent;
+    return l;  // -1 means the block sits directly in the region
+  };
+
+  auto node_of = [&](int b) -> int {
+    const int l = inner_loop_of(b);
+    if (l == -1) return b;  // plain block
+    return cfg.loops[at(l)].header;  // collapsed rep
+  };
+
+  // The collapsed edges, then grouped by source node: node v's successors
+  // are to[first[v]] up to to[first[v + 1]].
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> indegree(n, 0);
+  std::vector<char> is_node(n, 0);
+  for (std::size_t bi = 0; bi < n; ++bi) {
+    if (member[bi] == 0) continue;
+    const int b = static_cast<int>(bi);
+    const int from_node = node_of(b);
+    is_node[at(from_node)] = 1;
+    const int from_inner = inner_loop_of(b);
+    for (int s : cfg.blocks[bi].succs) {
+      if (member[at(s)] == 0) continue;  // leaves the region
+      if (s == header) continue;         // region back edge
+      const int to_node = node_of(s);
+      if (from_node == to_node) continue;  // intra-collapsed edge
+      // Only keep edges that actually leave the collapsed inner loop.
+      if (from_inner != -1) {
+        const auto& inner = cfg.loops[at(from_inner)].blocks;
+        if (std::find(inner.begin(), inner.end(), s) != inner.end()) continue;
+      }
+      edges.emplace_back(from_node, to_node);
+      ++indegree[at(to_node)];
+      is_node[at(to_node)] = 1;
+    }
+  }
+  std::vector<int> first(n + 1, 0);
+  for (const auto& e : edges) ++first[at(e.first) + 1];
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<int> to(edges.size());
+  std::vector<int> fill(first.begin(), first.end() - 1);
+  for (const auto& [from, dest] : edges) to[at(fill[at(from)]++)] = dest;
+
+  // Topological order of every node; keep those the source reaches.
+  std::vector<int> order;
+  std::vector<int> ready;
+  std::size_t n_nodes = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (is_node[v] == 0) continue;
+    ++n_nodes;
+    if (indegree[v] == 0) ready.push_back(static_cast<int>(v));
+  }
+  while (!ready.empty()) {
+    const int nd = ready.back();
+    ready.pop_back();
+    order.push_back(nd);
+    for (int k = first[at(nd)]; k < first[at(nd) + 1]; ++k)
+      if (--indegree[at(to[at(k)])] == 0) ready.push_back(to[at(k)]);
+  }
+  if (order.size() != n_nodes)
+    throw WcetError("cycle in collapsed region graph (irreducible flow?)");
+
+  FoldRegion region;
+  std::vector<int> pos(n, -1);  // node -> index in region.nodes
+  std::vector<char> reached(n, 0);
+  reached[at(node_of(loop == nullptr ? 0 : header))] = 1;
+  for (int nd : order) {
+    if (reached[at(nd)] == 0) continue;
+    pos[at(nd)] = static_cast<int>(region.nodes.size());
+    region.nodes.push_back(nd);
+    region.inner.push_back(inner_loop_of(nd));
+    for (int k = first[at(nd)]; k < first[at(nd) + 1]; ++k)
+      reached[at(to[at(k)])] = 1;
+  }
+  region.succ_begin.push_back(0);
+  for (int nd : region.nodes) {
+    for (int k = first[at(nd)]; k < first[at(nd) + 1]; ++k)
+      region.succs.push_back(pos[at(to[at(k)])]);
+    region.succ_begin.push_back(static_cast<int>(region.succs.size()));
+  }
+  if (loop != nullptr) {
+    // A latch or exit source collapsed into a loop counts at the nearest
+    // enclosing loop header the region reaches.
+    auto pos_of = [&](int b) -> int {
+      if (pos[at(b)] != -1) return pos[at(b)];
+      for (int l = cfg.loop_of[at(b)]; l != -1; l = cfg.loops[at(l)].parent)
+        if (pos[at(cfg.loops[at(l)].header)] != -1)
+          return pos[at(cfg.loops[at(l)].header)];
+      return -1;
+    };
+    for (int latch : loop->latches) region.latches.push_back(pos_of(latch));
+    for (const auto& [from, dest] : loop->exits)
+      region.exits.push_back(pos_of(from));
+  }
+  // Recursion fills other slots of the presized vector; `slot` stays valid.
+  FoldRegion& slot = fold->regions[at(region_loop + 1)];
+  slot = std::move(region);
+  for (int l : slot.inner)
+    if (l != -1) schedule_region(cfg, l, fold);
+}
+
+FoldSchedule schedule_fold(const Cfg& cfg) {
+  FoldSchedule fold;
+  fold.regions.resize(cfg.loops.size() + 1);
+  schedule_region(cfg, -1, &fold);
+  return fold;
+}
+
 struct PathContext {
-  const Cfg& cfg;
+  const FoldSchedule& fold;
   const std::vector<std::uint64_t>& block_cost;
   const std::vector<std::int64_t>& loop_bound;       // per loop index
   const std::vector<std::uint64_t>& loop_ps_charge;  // per loop index
@@ -227,128 +356,41 @@ struct PathContext {
 
 std::uint64_t loop_wcet(const PathContext& ctx, int loop_index);
 
-/// Longest path through a region (a set of blocks with inner loops already
-/// collapsed), from `source` to every block; returns the distance map.
-/// `region_loop` is the loop whose body we traverse (-1 for the whole
-/// function); its back edges to `header` are ignored.
-std::map<int, std::uint64_t> longest_paths(const PathContext& ctx,
-                                           int region_loop, int source) {
-  const Cfg& cfg = ctx.cfg;
-  std::set<int> members;
-  if (region_loop == -1) {
-    for (std::size_t i = 0; i < cfg.blocks.size(); ++i)
-      members.insert(static_cast<int>(i));
-  } else {
-    const auto& blocks = cfg.loops[static_cast<std::size_t>(region_loop)].blocks;
-    members.insert(blocks.begin(), blocks.end());
-  }
-
-  // A block is a "node" of this region if it belongs to the region and its
-  // innermost containing loop within the region is either the region itself
-  // or it is the header of an immediate inner loop (which represents the
-  // whole collapsed inner loop).
-  auto inner_loop_of = [&](int b) -> int {
-    int l = cfg.loop_of[static_cast<std::size_t>(b)];
-    // Walk up until the parent is the region loop.
-    while (l != -1 && cfg.loops[static_cast<std::size_t>(l)].parent !=
-                          region_loop)
-      l = cfg.loops[static_cast<std::size_t>(l)].parent;
-    return l;  // -1 means the block sits directly in the region
-  };
-
-  auto node_of = [&](int b) -> int {
-    const int l = inner_loop_of(b);
-    if (l == -1) return b;  // plain block
-    return cfg.loops[static_cast<std::size_t>(l)].header;  // collapsed rep
-  };
-
-  auto node_cost = [&](int node) -> std::uint64_t {
-    const int l = inner_loop_of(node);
-    if (l == -1) return ctx.block_cost[static_cast<std::size_t>(node)];
-    return loop_wcet(ctx, l);
-  };
-
-  // Build the collapsed edge list.
-  std::map<int, std::vector<int>> edges;  // node -> successor nodes
-  std::map<int, int> indegree;
-  std::set<int> nodes;
-  const int header =
-      region_loop == -1
-          ? -1
-          : cfg.loops[static_cast<std::size_t>(region_loop)].header;
-  for (int b : members) {
-    const int from_node = node_of(b);
-    nodes.insert(from_node);
-    const int from_inner = inner_loop_of(b);
-    for (int s : cfg.blocks[static_cast<std::size_t>(b)].succs) {
-      if (members.count(s) == 0) continue;   // leaves the region
-      if (s == header) continue;             // region back edge
-      const int to_node = node_of(s);
-      if (from_node == to_node) continue;    // intra-collapsed edge
-      // Only keep edges that actually leave the collapsed inner loop.
-      if (from_inner != -1) {
-        const auto& inner =
-            cfg.loops[static_cast<std::size_t>(from_inner)].blocks;
-        if (std::find(inner.begin(), inner.end(), s) != inner.end()) continue;
-      }
-      edges[from_node].push_back(to_node);
-      ++indegree[to_node];
-      nodes.insert(to_node);
+/// Longest path through a scheduled region from its source to each of its
+/// nodes, index-aligned with the region's nodes.
+std::vector<std::uint64_t> longest_paths(const PathContext& ctx,
+                                         int region_loop) {
+  const FoldRegion& region =
+      ctx.fold.regions[static_cast<std::size_t>(region_loop + 1)];
+  const std::size_t n = region.nodes.size();
+  std::vector<std::uint64_t> cost(n);
+  for (std::size_t i = 0; i < n; ++i)
+    cost[i] = region.inner[i] == -1
+                  ? ctx.block_cost[static_cast<std::size_t>(region.nodes[i])]
+                  : loop_wcet(ctx, region.inner[i]);
+  std::vector<std::uint64_t> dist(n, 0);
+  dist[0] = cost[0];
+  for (std::size_t i = 0; i < n; ++i)
+    for (auto e = static_cast<std::size_t>(region.succ_begin[i]);
+         e < static_cast<std::size_t>(region.succ_begin[i + 1]); ++e) {
+      const auto k = static_cast<std::size_t>(region.succs[e]);
+      dist[k] = std::max(dist[k], dist[i] + cost[k]);
     }
-  }
-
-  // Topological longest path.
-  std::map<int, std::uint64_t> dist;
-  const int source_node = node_of(source);
-  dist[source_node] = node_cost(source_node);
-  std::vector<int> ready;
-  for (int nd : nodes)
-    if (indegree[nd] == 0) ready.push_back(nd);
-  std::size_t processed = 0;
-  while (!ready.empty()) {
-    const int nd = ready.back();
-    ready.pop_back();
-    ++processed;
-    auto dit = dist.find(nd);
-    if (dit != dist.end()) {
-      for (int s : edges[nd]) {
-        const std::uint64_t cand = dit->second + node_cost(s);
-        auto [sit, inserted] = dist.emplace(s, cand);
-        if (!inserted) sit->second = std::max(sit->second, cand);
-      }
-    }
-    for (int s : edges[nd])
-      if (--indegree[s] == 0) ready.push_back(s);
-  }
-  if (processed != nodes.size())
-    throw WcetError("cycle in collapsed region graph (irreducible flow?)");
   return dist;
 }
 
 std::uint64_t loop_wcet(const PathContext& ctx, int loop_index) {
-  const Loop& loop = ctx.cfg.loops[static_cast<std::size_t>(loop_index)];
-  const std::map<int, std::uint64_t> dist =
-      longest_paths(ctx, loop_index, loop.header);
-
-  auto dist_to = [&](int b) -> std::uint64_t {
-    // The block may be collapsed into an inner loop header node.
-    auto it = dist.find(b);
-    if (it != dist.end()) return it->second;
-    int l = ctx.cfg.loop_of[static_cast<std::size_t>(b)];
-    while (l != -1) {
-      auto hit = dist.find(ctx.cfg.loops[static_cast<std::size_t>(l)].header);
-      if (hit != dist.end()) return hit->second;
-      l = ctx.cfg.loops[static_cast<std::size_t>(l)].parent;
-    }
-    return 0;
+  const FoldRegion& region =
+      ctx.fold.regions[static_cast<std::size_t>(loop_index + 1)];
+  const std::vector<std::uint64_t> dist = longest_paths(ctx, loop_index);
+  auto dist_at = [&](int p) -> std::uint64_t {
+    return p == -1 ? 0 : dist[static_cast<std::size_t>(p)];
   };
 
   std::uint64_t per_iter = 0;
-  for (int latch : loop.latches)
-    per_iter = std::max(per_iter, dist_to(latch));
+  for (int p : region.latches) per_iter = std::max(per_iter, dist_at(p));
   std::uint64_t exit_path = 0;
-  for (const auto& [from, to] : loop.exits)
-    exit_path = std::max(exit_path, dist_to(from));
+  for (int p : region.exits) exit_path = std::max(exit_path, dist_at(p));
 
   const auto bound = static_cast<std::uint64_t>(
       std::max<std::int64_t>(ctx.loop_bound[static_cast<std::size_t>(loop_index)], 0));
@@ -436,14 +478,7 @@ void deepen_flow_facts(const mach::Image& image, FlowDepth depth,
     f.depth = FlowDepth::Bounds;
   }
   if (f.depth < FlowDepth::Reducible && depth >= FlowDepth::Reducible) {
-    // The fold's visits and its cycle check depend only on the CFG, never
-    // on costs or bounds, so a fold over zeros throws exactly when the real
-    // fold would.
-    const std::vector<std::uint64_t> block_cost(f.cfg.blocks.size(), 0);
-    const std::vector<std::int64_t> loop_bound(f.cfg.loops.size(), 0);
-    const std::vector<std::uint64_t> loop_ps_charge(f.cfg.loops.size(), 0);
-    (void)longest_paths({f.cfg, block_cost, loop_bound, loop_ps_charge}, -1,
-                        0);
+    f.fold = schedule_fold(f.cfg);
     f.depth = FlowDepth::Reducible;
   }
 }
@@ -528,10 +563,13 @@ WcetResult analyze_wcet(const mach::Image& image, const FlowFacts& facts,
   // Path analysis: both engines consume the same CFG, bounds, costs, and
   // persistence charges — they differ only in how they maximize over paths.
   if (options.engine != WcetEngine::Ipet) {
-    PathContext ctx{cfg, block_cost, loop_bound, loop_ps_charge};
-    const std::map<int, std::uint64_t> dist = longest_paths(ctx, -1, 0);
+    FoldSchedule scheduled;
+    if (facts.depth < FlowDepth::Reducible) scheduled = schedule_fold(cfg);
+    const PathContext ctx{
+        facts.depth < FlowDepth::Reducible ? scheduled : facts.fold,
+        block_cost, loop_bound, loop_ps_charge};
     std::uint64_t best = 0;
-    for (const auto& [node, d] : dist) best = std::max(best, d);
+    for (std::uint64_t d : longest_paths(ctx, -1)) best = std::max(best, d);
     result.structural_cycles = best + function_ps_charge;
     result.wcet_cycles = *result.structural_cycles;
   }

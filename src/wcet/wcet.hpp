@@ -94,11 +94,36 @@ enum class FlowDepth {
   /// natural loop; a loop without any bound throws WcetError here. This is
   /// what both path engines consume.
   Bounds,
-  /// Plus the check that the loop nest covers every cycle the structural
-  /// fold visits (the fold, run over zero costs, throws its "cycle in
-  /// collapsed region graph" WcetError on irreducible flow). A Full-mode
-  /// monitor spec requires it, so irreducible code fails before execution.
+  /// Plus the structural fold's schedule (FoldSchedule), whose construction
+  /// throws the "cycle in collapsed region graph" WcetError on irreducible
+  /// flow. A Full-mode monitor spec requires it, so irreducible code fails
+  /// before execution.
   Reducible,
+};
+
+/// One region of the structural fold: the whole function, or one natural
+/// loop's body, with its immediate inner loops collapsed into their
+/// headers. It holds the nodes the region's source reaches, in topological
+/// order (the source first).
+struct FoldRegion {
+  std::vector<int> nodes;  // a block id, or a collapsed loop's header
+  std::vector<int> inner;  // per node: the collapsed loop's index, or -1
+  /// Successor node indices: node i's are succs[succ_begin[i]] up to
+  /// succs[succ_begin[i + 1]].
+  std::vector<int> succ_begin;
+  std::vector<int> succs;
+  /// Loop regions: per latch and per exit edge, the node whose distance
+  /// counts for it (-1: none, distance 0).
+  std::vector<int> latches;
+  std::vector<int> exits;
+};
+
+/// The structural fold's schedule over the loop nest. It depends only on
+/// the CFG, so it is computed once and evaluated under any costs.
+struct FoldSchedule {
+  /// regions[0] is the function; regions[l + 1] is loop l, filled when the
+  /// fold reaches that loop.
+  std::vector<FoldRegion> regions;
 };
 
 /// The flow facts of one function of one image: the first stage of the
@@ -123,6 +148,8 @@ struct FlowFacts {
   ValueAnalysisResult values;
   std::vector<LoopBoundInfo> loops;
   std::vector<std::string> warnings;
+  /// Depth Reducible: the structural fold's schedule.
+  FoldSchedule fold;
 };
 
 /// Computes the flow facts of `fn_name` up to `depth`. Throws

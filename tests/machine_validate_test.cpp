@@ -289,6 +289,37 @@ TEST(MachineValidation, EquivalenceCheckerAcceptsMarkerMergeFromDeletion) {
   EXPECT_FALSE(validate::check_machine_equivalence(fn, mach::target_by_name("ppc"), bad).ok);
 }
 
+// The hardwired zero register absorbs writes in the checker as on the
+// machine: after `mr x0, x5; mr a0, x0` the return register holds 0, not
+// x5, so the sequence differs from `mr a0, x5`.
+TEST(MachineValidation, EquivalenceCheckerKeepsTheZeroRegisterZero) {
+  const mach::TargetDesc& rv32 = mach::target_by_name("rv32");
+  ASSERT_EQ(rv32.zero_gpr, 0);
+  const auto mr = [](int rd, int ra) {
+    mach::AsmOp op;
+    op.ins.op = mach::MOp::Mr;
+    op.ins.rd = static_cast<std::uint8_t>(rd);
+    op.ins.ra = static_cast<std::uint8_t>(ra);
+    return op;
+  };
+  mach::AsmOp ret;
+  ret.ins.op = mach::MOp::Blr;
+  mach::AsmFunction before;
+  before.name = "zero";
+  before.ops = {mr(0, 5), mr(rv32.ret_gpr, 0), ret};
+
+  mach::AsmFunction forwarded = before;
+  forwarded.ops = {mr(rv32.ret_gpr, 5), ret};
+  EXPECT_FALSE(validate::check_machine_equivalence(before, rv32, forwarded).ok);
+
+  // Another discarded write leaves the same value behind.
+  mach::AsmFunction other_write = before;
+  other_write.ops[0] = mr(0, 6);
+  const validate::CheckResult same =
+      validate::check_machine_equivalence(before, rv32, other_write);
+  EXPECT_TRUE(same.ok) << same.message;
+}
+
 TEST(MachineValidation, ScheduleCheckerRejectsIllegalReorder) {
   const Captured cap = capture(parse(kLawSource), driver::Config::O2Full);
   ASSERT_TRUE(cap.have_machine);

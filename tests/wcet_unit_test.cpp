@@ -192,6 +192,45 @@ TEST(WcetCfg, LoopForestForNestedLoops) {
   EXPECT_FALSE(inner.exits.empty());
 }
 
+// Depth Reducible schedules the structural fold once; analyze_wcet
+// evaluates costs along that schedule, and schedules its own fold only for
+// facts computed to depth Bounds. Both give the same bound.
+TEST(WcetFold, ScheduleIsKeptInTheFlowFactsAndGivesTheSameBound) {
+  const auto program = parse(R"(
+    func i32 f() {
+      local i32 i; local i32 j; local i32 s;
+      s = 0;
+      for (i = 0; i < 3; i = i + 1) {
+        for (j = 0; j < 4; j = j + 1) {
+          s = s + 1;
+        }
+      }
+      return s;
+    }
+  )");
+  const auto compiled = compile(program);
+  const wcet::FlowFacts bounds =
+      wcet::flow_facts(compiled.image, "f", wcet::FlowDepth::Bounds);
+  const wcet::FlowFacts reducible =
+      wcet::flow_facts(compiled.image, "f", wcet::FlowDepth::Reducible);
+  EXPECT_TRUE(bounds.fold.regions.empty());
+  const wcet::Cfg& cfg = reducible.cfg;
+  ASSERT_EQ(reducible.fold.regions.size(), cfg.loops.size() + 1);
+  EXPECT_EQ(reducible.fold.regions[0].nodes.front(), 0);
+  for (std::size_t l = 0; l < cfg.loops.size(); ++l) {
+    const wcet::FoldRegion& region = reducible.fold.regions[l + 1];
+    ASSERT_FALSE(region.nodes.empty()) << "loop " << l << " not scheduled";
+    EXPECT_EQ(region.nodes.front(), cfg.loops[l].header);
+    EXPECT_EQ(region.latches.size(), cfg.loops[l].latches.size());
+    EXPECT_EQ(region.exits.size(), cfg.loops[l].exits.size());
+  }
+  const std::uint64_t from_bounds =
+      wcet::analyze_wcet(compiled.image, bounds).wcet_cycles;
+  EXPECT_GT(from_bounds, 0u);
+  EXPECT_EQ(wcet::analyze_wcet(compiled.image, reducible).wcet_cycles,
+            from_bounds);
+}
+
 TEST(WcetCache, FirstMissThenPersistentHits) {
   // A loop touching one global repeatedly: the line must be classified
   // persistent (one miss per function entry), not miss-per-iteration.
