@@ -17,7 +17,8 @@
 //              SIGTERM drain still exits 0.
 //
 // Percentile latencies are the daemon-observed per-job seconds from the
-// replies. --report-json=FILE writes the BENCH_service.json document
+// replies. Each single-daemon arm also reports how many batches the daemon
+// ran for it (its status `batches`, read before and after the arm). --report-json=FILE writes the BENCH_service.json document
 // (schema vcflight-bench-service-v1). Extra flags over the shared set:
 // --clients=N concurrent submitting clients (default 4), --shards=N for
 // the kill arm (default 2), --vccd=PATH daemon binary override, and
@@ -32,6 +33,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -61,6 +63,9 @@ struct ArmResult {
   std::uint64_t incremental = 0, full = 0, image = 0, miss = 0;
   std::size_t protocol_errors = 0;  // ok=false replies / dead connections
   std::size_t duplicates = 0;       // same id answered twice
+  /// Batches the daemon ran for this arm (its status `batches` counter);
+  /// unset for a supervisor, which forwards jobs and batches nothing.
+  std::optional<std::uint64_t> batches;
 };
 
 double percentile(std::vector<double> values, double p) {
@@ -72,6 +77,23 @@ double percentile(std::vector<double> values, double p) {
   return values[index];
 }
 
+json::Value query_status(const std::string& socket_path) {
+  service::ServiceClient client;
+  if (!client.connect(socket_path)) return {};
+  json::Value request;
+  request["op"] = json::Value("status");
+  const auto reply = client.call(request);
+  if (!reply) return {};
+  return reply->at("status");
+}
+
+/// The daemon's `batches` counter; unset when the status has none.
+std::optional<std::uint64_t> batches_of(const std::string& socket_path) {
+  const json::Value batches = query_status(socket_path).at("batches");
+  if (batches.is_null()) return std::nullopt;
+  return batches.as_u64();
+}
+
 /// Submits every job over `clients` concurrent pipelined connections and
 /// collects the replies (arrival order is arbitrary; ids route them).
 ArmResult run_arm(const std::string& arm, const std::string& socket_path,
@@ -79,6 +101,7 @@ ArmResult run_arm(const std::string& arm, const std::string& socket_path,
                   const driver::RunSpec& spec, int clients) {
   ArmResult result;
   result.arm = arm;
+  const std::optional<std::uint64_t> batches_before = batches_of(socket_path);
   std::mutex merge_mutex;
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -150,17 +173,10 @@ ArmResult run_arm(const std::string& arm, const std::string& socket_path,
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  const std::optional<std::uint64_t> batches_after = batches_of(socket_path);
+  if (batches_before && batches_after)
+    result.batches = *batches_after - *batches_before;
   return result;
-}
-
-json::Value query_status(const std::string& socket_path) {
-  service::ServiceClient client;
-  if (!client.connect(socket_path)) return {};
-  json::Value request;
-  request["op"] = json::Value("status");
-  const auto reply = client.call(request);
-  if (!reply) return {};
-  return reply->at("status");
 }
 
 }  // namespace
@@ -269,15 +285,17 @@ int main(int argc, char** argv) {
   bool failed = bench::gate(reference, "bench_service") != 0;
   const auto check_arm = [&](const ArmResult& arm) {
     const bool match = arm.records == ref_records;
+    const std::string batches =
+        arm.batches ? std::to_string(*arm.batches) : "-";
     std::printf("%-8s %8.2fs  p50 %8.2fms  p99 %8.2fms  "
-                "inc/full/image/miss %llu/%llu/%llu/%llu  %s\n",
+                "inc/full/image/miss %llu/%llu/%llu/%llu  batches %s  %s\n",
                 arm.arm.c_str(), arm.wall_seconds,
                 percentile(arm.latencies, 50.0) * 1000.0,
                 percentile(arm.latencies, 99.0) * 1000.0,
                 static_cast<unsigned long long>(arm.incremental),
                 static_cast<unsigned long long>(arm.full),
                 static_cast<unsigned long long>(arm.image),
-                static_cast<unsigned long long>(arm.miss),
+                static_cast<unsigned long long>(arm.miss), batches.c_str(),
                 match ? "records=IDENTICAL" : "records=MISMATCH");
     if (!match || arm.protocol_errors != 0 || arm.duplicates != 0) {
       std::fprintf(stderr,
@@ -417,6 +435,7 @@ int main(int argc, char** argv) {
       entry["full_hits"] = json::Value(arm->full);
       entry["image_hits"] = json::Value(arm->image);
       entry["misses"] = json::Value(arm->miss);
+      if (arm->batches) entry["batches"] = json::Value(*arm->batches);
       entry["records_match"] = json::Value(arm->records == ref_records);
       arms[arm->arm] = std::move(entry);
     }

@@ -164,8 +164,10 @@ void Frontend::read_loop(const std::shared_ptr<Connection>& conn) {
   // client EOF leaves the socket half-open — replies to still-pending
   // pipelined jobs must be able to go out.
   bool dropped = false;
+  const auto mark_in_hand = [&conn] { conn->frame_in_hand.store(true); };
   for (;;) {
-    Frame frame = read_frame(conn->fd);
+    conn->frame_in_hand.store(false);
+    Frame frame = read_frame(conn->fd, mark_in_hand);
     if (frame.status == Frame::Status::Eof) break;
     if (frame.status == Frame::Status::Error) {
       reply(conn, error_reply(frame.error));
@@ -209,6 +211,7 @@ void Frontend::read_loop(const std::shared_ptr<Connection>& conn) {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   }
+  conn->frame_in_hand.store(false);
   conn->done.store(true);
 }
 
@@ -252,6 +255,20 @@ void Frontend::fail(const JobTicket& ticket, const std::string& error) {
     --queue_depth_;
   }
   reply(ticket.conn, error_reply(error, ticket.id));
+}
+
+bool Frontend::has_unread_bytes(Connection& conn) {
+  // The reaper closes a finished reader's fd and sets it to -1 under the
+  // write mutex, so the fd is only read with that mutex held.
+  std::unique_lock<std::mutex> lock(conn.write_mutex, std::try_to_lock);
+  if (!lock.owns_lock() || conn.fd < 0) return false;
+  // Peek, not poll: a half-closed socket polls readable with nothing in it.
+  // The socket is asked first: a reader raises frame_in_hand before it
+  // reads a frame's payload, so a frame that has just left the socket is
+  // still seen by the second check.
+  char byte = 0;
+  if (::recv(conn.fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0) return true;
+  return conn.frame_in_hand.load();
 }
 
 json::Value Frontend::status_json() {

@@ -55,6 +55,10 @@ struct Connection {
   std::mutex write_mutex;
   std::thread reader;
   std::atomic<bool> done{false};
+  /// Set from the moment the reader has a frame's length prefix until that
+  /// request is dispatched or answered: its bytes have left the socket but
+  /// the job has not reached the backend yet.
+  std::atomic<bool> frame_in_hand{false};
 };
 
 /// A job the front end handed to its backend: where the reply goes, under
@@ -111,6 +115,12 @@ class Frontend {
                 std::string_view cache_kind);
   /// Answers a job with an error reply; not counted as a completion.
   void fail(const JobTicket& ticket, const std::string& error);
+
+  /// Whether more requests may still arrive from `conn` right now: its
+  /// socket holds unread bytes or its reader holds a frame not yet
+  /// dispatched. Safe from any thread; a connection whose write mutex is
+  /// held (a reply going out, or the reaper closing it) counts as idle.
+  static bool has_unread_bytes(Connection& conn);
 
   [[nodiscard]] const std::string& socket_path() const { return socket_path_; }
   /// The status document: the common fields plus the backend's own.

@@ -31,7 +31,7 @@ ssize_t read_exact(int fd, void* buf, std::size_t size) {
 
 }  // namespace
 
-Frame read_frame(int fd) {
+Frame read_frame(int fd, const std::function<void()>& on_header) {
   Frame frame;
   std::uint8_t header[4];
   const ssize_t got = read_exact(fd, header, sizeof header);
@@ -52,6 +52,7 @@ Frame read_frame(int fd) {
                   " (must be 1.." + std::to_string(kMaxFrameBytes) + ")";
     return frame;
   }
+  if (on_header) on_header();
   frame.payload.resize(length);
   if (read_exact(fd, frame.payload.data(), length) !=
       static_cast<ssize_t>(length)) {

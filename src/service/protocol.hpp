@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -52,8 +53,9 @@ struct Frame {
 };
 
 /// Reads one frame from `fd` (blocking). Eof only at a clean frame
-/// boundary; a connection that dies mid-frame is an Error.
-Frame read_frame(int fd);
+/// boundary; a connection that dies mid-frame is an Error. `on_header`, if
+/// set, runs once a valid length prefix is in, before the payload is read.
+Frame read_frame(int fd, const std::function<void()>& on_header = {});
 
 /// Writes one frame to `fd`. Returns false on any write failure (the
 /// caller drops the connection; SIGPIPE is suppressed via MSG_NOSIGNAL).

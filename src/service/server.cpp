@@ -15,6 +15,16 @@ namespace vc::service {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/// A batch that holds a memo miss gathers while more work may still join
+/// it, checked again on every dispatch and at least this often, so bytes
+/// that turn out to be a ping, a status or a dropped connection cannot
+/// hold it...
+constexpr auto kGatherRecheck = std::chrono::microseconds(100);
+/// ...and never for longer than this from the batcher's wake-up.
+constexpr auto kGatherCap = std::chrono::milliseconds(5);
+
 /// Resolves an "auto" entry against a parsed program: the sole function, or
 /// the sole "_step" function when several exist. Empty on ambiguity.
 std::string resolve_auto_entry(const minic::Program& program) {
@@ -67,11 +77,7 @@ void ServiceServer::dispatch(JobTicket ticket, JobRequest job) {
   // straight from the memo — no store, no disk, no compile. The resolved
   // record still rides the queue so the BATCHER sends it.
   Queued queued{std::move(ticket), std::move(job), std::nullopt};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    const auto it = memo_.find(queued.job.request_hash().hex());
-    if (it != memo_.end()) queued.memo_record = it->second;
-  }
+  queued.memo_record = memo_lookup(queued.job.request_hash().hex());
   std::lock_guard<std::mutex> lock(queue_mutex_);
   queue_.push_back(std::move(queued));
   queue_cv_.notify_one();
@@ -88,17 +94,25 @@ void ServiceServer::batch_loop() {
         if (stop_batcher_) return;
         continue;
       }
-      // Tiny gather window: pipelined clients enqueue bursts; taking the
-      // burst as one batch amortizes the fleet fan-out. A queue of memo
-      // hits only has sends to do, so it is answered without the window.
-      const bool all_memo_hits =
-          std::all_of(queue_.begin(), queue_.end(), [](const Queued& q) {
-            return q.memo_record.has_value();
-          });
-      if (!all_memo_hits) {
-        lock.unlock();
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        lock.lock();
+      // Pipelined clients enqueue bursts; taking a burst as one batch
+      // amortizes the fleet fan-out. A batch that holds a miss gathers
+      // while a queued job's connection is still being read. It closes at
+      // the second check in a row, one re-check apart with no dispatch in
+      // between, that finds them all idle: a client that writes each
+      // request with its own write() leaves its socket empty for a moment
+      // between two of them. A queue of memo hits only has sends to do, so
+      // it goes at once.
+      const bool has_miss =
+          std::any_of(queue_.begin(), queue_.end(),
+                      [](const Queued& q) { return !q.memo_record; });
+      const Clock::time_point cap = Clock::now() + kGatherCap;
+      for (int idle = 0; has_miss && Clock::now() < cap;) {
+        const std::size_t queued = queue_.size();
+        idle = queued_connection_is_read(lock) ? 0 : idle + 1;
+        if (idle == 2 && queue_.size() == queued) break;
+        if (queue_cv_.wait_for(lock, kGatherRecheck,
+                               [&] { return queue_.size() != queued; }))
+          idle = 0;
       }
       batch.assign(std::make_move_iterator(queue_.begin()),
                    std::make_move_iterator(queue_.end()));
@@ -114,11 +128,52 @@ void ServiceServer::batch_loop() {
   }
 }
 
+bool ServiceServer::queued_connection_is_read(
+    std::unique_lock<std::mutex>& lock) {
+  std::vector<std::shared_ptr<Connection>> conns;
+  for (const Queued& q : queue_)
+    if (std::find(conns.begin(), conns.end(), q.ticket.conn) == conns.end())
+      conns.push_back(q.ticket.conn);
+  // The sockets are asked without the queue lock, so readers can still
+  // dispatch meanwhile.
+  lock.unlock();
+  const bool reading =
+      std::any_of(conns.begin(), conns.end(), [](const auto& conn) {
+        return Frontend::has_unread_bytes(*conn);
+      });
+  lock.lock();
+  return reading;
+}
+
+std::optional<json::Value> ServiceServer::memo_lookup(const std::string& key) {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  const auto it = memo_.find(key);
+  if (it == memo_.end()) return std::nullopt;
+  memo_lru_.splice(memo_lru_.begin(), memo_lru_, it->second.lru);
+  return it->second.record;
+}
+
+void ServiceServer::memoize(const std::string& key, const json::Value& record) {
+  const std::uint64_t bytes = key.size() + record.dump().size();
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  if (memo_.contains(key)) return;  // the same job twice in one batch
+  memo_lru_.push_front(key);
+  memo_.emplace(key, MemoEntry{record, bytes, memo_lru_.begin()});
+  memo_bytes_ += bytes;
+  while (memo_bytes_ > options_.memo_budget_bytes) {
+    const auto oldest = memo_.find(memo_lru_.back());
+    memo_bytes_ -= oldest->second.bytes;
+    memo_.erase(oldest);
+    memo_lru_.pop_back();
+    ++memo_evictions_;
+  }
+}
+
 void ServiceServer::process_batch(std::vector<Queued> batch) {
   ++batches_;
   // Memo-resolved jobs first: the reader already attached the finished
   // record, so these are pure sends (and the latency the client sees is
-  // queue wait + one gather window, not a compile).
+  // queue wait plus the send, not a compile).
   for (Queued& queued : batch) {
     if (queued.memo_record)
       frontend_.complete(queued.ticket, std::move(*queued.memo_record),
@@ -204,10 +259,7 @@ void ServiceServer::process_batch(std::vector<Queued> batch) {
       const json::Value core = driver::record_core_json(record);
       // Memoize BEFORE replying: a client may resubmit the instant it sees
       // the reply, and that resubmission must find the memo populated.
-      {
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        memo_.emplace(queued.job.request_hash().hex(), core);
-      }
+      memoize(queued.job.request_hash().hex(), core);
       monitored_steps_ += record.monitored_steps;
       monitor_violations_ += record.monitor_violations;
       for (const pass::PassStat& p : record.pass_stats.passes)
@@ -227,6 +279,13 @@ void ServiceServer::add_status(json::Value* status) {
         json::Value(static_cast<std::int64_t>(options_.shard_index));
   doc["jobs"] = json::Value(static_cast<std::int64_t>(options_.jobs));
   doc["batches"] = json::Value(batches_.load());
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    doc["memo_entries"] =
+        json::Value(static_cast<std::uint64_t>(memo_.size()));
+    doc["memo_bytes"] = json::Value(memo_bytes_);
+    doc["memo_evictions"] = json::Value(memo_evictions_);
+  }
   if (store_ != nullptr) {
     const artifact::StoreStats s = store_->stats();
     json::Value& store = doc["cache"]["store"];

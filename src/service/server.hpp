@@ -22,6 +22,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,6 +47,9 @@ struct ServerOptions {
   /// >= 0 when this server is one shard of a supervised group (labels the
   /// status report; shards are otherwise ordinary servers).
   int shard_index = -1;
+  /// Byte budget of the incremental memo; past it the least recently used
+  /// entries are evicted. An entry costs its key plus its serialized record.
+  std::uint64_t memo_budget_bytes = std::uint64_t{64} << 20;
 };
 
 class ServiceServer final : public Frontend::Backend {
@@ -70,9 +74,24 @@ class ServiceServer final : public Frontend::Backend {
     std::optional<json::Value> memo_record;
   };
 
+  /// One memo entry; `lru` is its key's place in memo_lru_.
+  struct MemoEntry {
+    json::Value record;
+    std::uint64_t bytes = 0;
+    std::list<std::string>::iterator lru;
+  };
+
   void batch_loop();
+  /// With queue_mutex_ held by `lock` (released while the sockets are
+  /// asked): whether the connection of some queued job is still being read.
+  bool queued_connection_is_read(std::unique_lock<std::mutex>& lock);
   void process_batch(std::vector<Queued> batch);
   void stop_batcher();
+  /// The memoized record for `key`, marked most recently used.
+  std::optional<json::Value> memo_lookup(const std::string& key);
+  /// Memoizes `record`, then evicts the least recently used entries until
+  /// the memo fits its budget.
+  void memoize(const std::string& key, const json::Value& record);
 
   Frontend& frontend_;
   ServerOptions options_;
@@ -85,9 +104,13 @@ class ServiceServer final : public Frontend::Backend {
   std::size_t in_flight_ = 0;
   bool stop_batcher_ = false;
 
-  /// Incremental memo: request hash (hex) -> finished record document.
+  /// Incremental memo: request hash (hex) -> finished record document,
+  /// with its keys in recency order (most recent first).
   std::mutex memo_mutex_;
-  std::unordered_map<std::string, json::Value> memo_;
+  std::unordered_map<std::string, MemoEntry> memo_;
+  std::list<std::string> memo_lru_;
+  std::uint64_t memo_bytes_ = 0;
+  std::uint64_t memo_evictions_ = 0;
 
   /// Batcher-side counters (the front end counts jobs and latency).
   std::atomic<std::uint64_t> batches_{0};

@@ -55,14 +55,15 @@ std::string unique_socket(const char* tag) {
 /// thread, drained in stop().
 class InProcessServer {
  public:
-  explicit InProcessServer(const char* tag)
+  explicit InProcessServer(const char* tag,
+                           service::ServerOptions options = {})
       : socket_(unique_socket(tag)), frontend_(socket_) {
     std::string error;
     const bool started = frontend_.start(&error);
     EXPECT_TRUE(started) << error;
     if (!started) return;
-    backend_ = std::make_unique<service::ServiceServer>(
-        &frontend_, service::ServerOptions{});
+    backend_ = std::make_unique<service::ServiceServer>(&frontend_,
+                                                        std::move(options));
     thread_ = std::thread(
         [this] { exit_code_ = frontend_.serve(backend_.get()); });
   }
@@ -503,10 +504,9 @@ TEST(ServiceIncrementalTest, ResubmissionIsAnsweredFromTheMemo) {
   EXPECT_NE(third->at("cache").as_string(), "incremental");
 }
 
-// A batch of memo hits only is sent without the batcher's 5 ms gather
-// window: twenty serial resubmissions take at least 100 ms with the window
-// and about 2 ms without it. The 60 ms bar leaves a wide margin for a
-// loaded host.
+// A batch of memo hits only is sent at once: behind a fixed 5 ms gather
+// window twenty serial resubmissions would take at least 100 ms; they take
+// about 2 ms. The 60 ms bar leaves a wide margin for a loaded host.
 TEST(ServiceIncrementalTest, SerialMemoHitsSkipTheGatherWindow) {
   InProcessServer server("memofast");
   service::ServiceClient client;
@@ -534,6 +534,122 @@ TEST(ServiceIncrementalTest, SerialMemoHitsSkipTheGatherWindow) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(60))
       << kHits << " serial memo hits took "
       << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
+}
+
+/// A small job whose source differs per `k`: each one is a memo miss.
+service::JobRequest distinct_miss(int k) {
+  service::JobRequest request;
+  request.id = k;
+  request.name = "lowpass";
+  request.source = "func f64 lowpass(f64 x) { return " + std::to_string(k) +
+                   ".0 * x; }\n";
+  request.entry = "lowpass";
+  request.exec_cycles = 10;
+  return request;
+}
+
+// A batch holding a miss waits only while a queued job's connection is
+// still being read. A closed-loop client has nothing more in flight, so
+// each miss goes to the fleet after two idle checks 100 us apart. Each job
+// here names an undeclared variable: a miss that fails its type check,
+// which the batcher takes exactly like a compile, at no compile cost (a
+// compiled miss takes about 4 ms under the address sanitizer, close to the
+// old window itself). Behind a fixed 5 ms gather window twenty serial
+// misses take at least 100 ms, so any bar below that fails it; they take
+// about 7 ms here and 35-50 ms under the address sanitizer, and the 80 ms
+// bar leaves room for a loaded host.
+TEST(ServiceIncrementalTest, SerialMissesSkipTheGatherWindow) {
+  InProcessServer server("missfast");
+  service::ServiceClient client;
+  ASSERT_TRUE(client.connect(server.socket()));
+
+  constexpr int kMisses = 20;
+  const auto start = std::chrono::steady_clock::now();
+  for (int k = 1; k <= kMisses; ++k) {
+    service::JobRequest request = distinct_miss(k);
+    request.source = "func f64 lowpass(f64 x) { return " + std::to_string(k) +
+                     ".0 * undeclared; }\n";
+    const auto reply = client.call(service::job_to_json(request));
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->at("ok").as_bool(false));
+    ASSERT_EQ(reply->at("cache").as_string(), "miss");
+    ASSERT_FALSE(reply->at("record").at("ok").as_bool(true));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(80))
+      << kMisses << " serial misses took "
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
+}
+
+// The other half of the gather rule: a pipelined burst of misses written
+// with one write() is still compiled as one batch, because the batcher
+// keeps gathering while the burst's bytes are being read. A batcher that
+// never waited would take the first job alone and split the burst.
+TEST(ServiceIncrementalTest, PipelinedMissBurstIsOneBatch) {
+  InProcessServer server("missburst");
+  const std::uint64_t before =
+      query_status(server.socket()).at("batches").as_u64();
+
+  constexpr int kBurst = 8;
+  std::string bytes;
+  for (int k = 1; k <= kBurst; ++k)
+    bytes += framed(service::job_to_json(distinct_miss(k)).dump());
+  const int fd = service::connect_unix(server.socket());
+  ASSERT_GE(fd, 0);
+  raw_send(fd, bytes);
+  std::set<std::int64_t> ids;
+  for (int k = 0; k < kBurst; ++k) {
+    const service::Frame frame = service::read_frame(fd);
+    ASSERT_EQ(frame.status, service::Frame::Status::Ok) << frame.error;
+    const json::Parsed reply = json::parse(frame.payload);
+    ASSERT_TRUE(reply.ok()) << reply.error;
+    ASSERT_TRUE(reply.value.at("ok").as_bool(false));
+    EXPECT_EQ(reply.value.at("cache").as_string(), "miss");
+    ids.insert(reply.value.at("id").as_i64());
+  }
+  ::close(fd);
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(query_status(server.socket()).at("batches").as_u64(), before + 1);
+}
+
+// The memo holds a byte budget with least-recently-used eviction. With
+// room for two records, three distinct misses evict the first; then the
+// newest resubmission is a memo hit and the oldest is compiled again.
+TEST(ServiceIncrementalTest, MemoBudgetEvictsTheLeastRecentlyUsedRecord) {
+  // One record's memo cost, measured on a server with the default budget.
+  std::uint64_t entry_bytes = 0;
+  {
+    InProcessServer probe("memoprobe");
+    service::ServiceClient client;
+    ASSERT_TRUE(client.connect(probe.socket()));
+    ASSERT_TRUE(client.call(service::job_to_json(distinct_miss(1))));
+    const json::Value status = query_status(probe.socket());
+    ASSERT_EQ(status.at("memo_entries").as_u64(), 1u);
+    entry_bytes = status.at("memo_bytes").as_u64();
+  }
+  ASSERT_GT(entry_bytes, 0u);
+
+  service::ServerOptions options;
+  options.memo_budget_bytes = entry_bytes * 5 / 2;
+  InProcessServer server("memobudget", options);
+  service::ServiceClient client;
+  ASSERT_TRUE(client.connect(server.socket()));
+  const auto submit = [&client](int k, std::int64_t id) {
+    service::JobRequest request = distinct_miss(k);
+    request.id = id;
+    const auto reply = client.call(service::job_to_json(request));
+    EXPECT_TRUE(reply.has_value() && reply->at("ok").as_bool(false));
+    return reply.has_value() ? reply->at("cache").as_string() : "";
+  };
+  for (int k = 1; k <= 3; ++k) EXPECT_EQ(submit(k, k), "miss");
+  const json::Value full = query_status(server.socket());
+  EXPECT_EQ(full.at("memo_entries").as_u64(), 2u);
+  EXPECT_EQ(full.at("memo_evictions").as_u64(), 1u);
+  EXPECT_LE(full.at("memo_bytes").as_u64(), options.memo_budget_bytes);
+
+  EXPECT_EQ(submit(3, 4), "incremental");  // newest
+  EXPECT_EQ(submit(1, 5), "miss");         // oldest: evicted
+  EXPECT_EQ(query_status(server.socket()).at("memo_evictions").as_u64(), 2u);
 }
 
 // Regression: the warm-campaign pipelining deadlock. Memo-hit replies used
