@@ -34,8 +34,9 @@ ImageParse deserialize_image(const std::vector<std::uint8_t>& bytes);
 
 /// Renders the image's annotation table as the human-readable "annotation
 /// file" of the paper's §3.4 flow (one line per entry: address, format,
-/// operand locations). Stored next to image.bin for debuggability; the
-/// authoritative copy the analyzer consumes lives inside image.bin.
+/// operand locations). Stored next to the image in a store entry for
+/// debuggability; the authoritative copy the analyzer consumes lives inside
+/// the serialized image.
 std::string annotation_text(const mach::Image& image);
 
 }  // namespace vc::artifact

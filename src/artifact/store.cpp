@@ -1,10 +1,12 @@
 #include "artifact/store.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <fcntl.h>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace vc::artifact {
@@ -15,9 +17,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr const char* kPayloadFiles[] = {"image.bin", "annot.txt",
-                                         "stats.json"};
-constexpr int kMetaFormat = 1;
+/// The payloads, in the order they follow the meta line in an entry file.
+constexpr const char* kPayloads[] = {"image", "annot", "stats"};
+constexpr std::size_t kPayloadCount = 3;
+constexpr int kMetaFormat = 2;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -29,48 +32,155 @@ bool is_hex(const std::string& s) {
   return true;
 }
 
-std::optional<std::string> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return buffer.str();
+/// Reads up to `limit` bytes of the regular file `path` (all of it by
+/// default) with one open; `size`, if given, receives the file's length.
+/// nullopt if unreadable.
+std::optional<std::string> read_file(const std::string& path,
+                                     std::uint64_t limit = UINT64_MAX,
+                                     std::uint64_t* size = nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> out;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    const auto length = static_cast<std::uint64_t>(st.st_size);
+    if (size != nullptr) *size = length;
+    std::string buf(static_cast<std::size_t>(std::min(length, limit)), '\0');
+    std::size_t got = 0;
+    while (got < buf.size()) {
+      const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    if (got == buf.size()) out = std::move(buf);
+  }
+  ::close(fd);
+  return out;
 }
 
-bool write_file(const fs::path& path, std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  return out.good();
+/// Creates `path` (which must not exist) holding `content`; on failure
+/// removes whatever was written.
+bool write_new_file(const std::string& path, std::string_view content) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  std::size_t put = 0;
+  while (put < content.size()) {
+    const ssize_t n = ::write(fd, content.data() + put, content.size() - put);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    put += static_cast<std::size_t>(n);
+  }
+  const bool ok = ::close(fd) == 0 && put == content.size();
+  if (!ok) ::unlink(path.c_str());
+  return ok;
 }
 
-/// Atomic same-directory replacement: write `<name>.tmp`, rename over name.
-bool write_file_atomic(const fs::path& dir, const std::string& name,
-                       std::string_view content) {
-  const fs::path tmp = dir / (name + ".tmp");
-  if (!write_file(tmp, content)) return false;
-  std::error_code ec;
-  fs::rename(tmp, dir / name, ec);
-  if (ec) fs::remove(tmp, ec);
-  return !ec;
+/// Moves `from` to `to` unless `to` exists: 0 on success, else the errno
+/// (EEXIST when another publisher got there first). A plain rename(2)
+/// would replace the winner's file without error, so the lost race would go
+/// uncounted and both publishers would index the entry. Filesystems without
+/// RENAME_NOREPLACE get link(2) + unlink(2), which is just as exclusive.
+int rename_noreplace(const std::string& from, const std::string& to) {
+  if (::renameat2(AT_FDCWD, from.c_str(), AT_FDCWD, to.c_str(),
+                  RENAME_NOREPLACE) == 0)
+    return 0;
+  if (errno != EINVAL && errno != ENOSYS && errno != ENOTSUP) return errno;
+  if (::link(from.c_str(), to.c_str()) != 0) return errno;
+  ::unlink(from.c_str());
+  return 0;
 }
 
-json::Value file_stanza(std::string_view content) {
-  json::Value v;
-  v["bytes"] = json::Value(static_cast<std::uint64_t>(content.size()));
-  v["fnv128"] = json::Value(fnv128(content).hex());
-  return v;
+/// An entry file's meta line, checked against the name the file is filed
+/// under and against the file's length.
+struct Meta {
+  json::Value doc;
+  std::size_t header_bytes = 0;  // the meta line and its newline
+  std::uint64_t sizes[kPayloadCount] = {};
+};
+
+std::optional<Meta> parse_meta(std::string_view line, const std::string& hex,
+                               std::uint64_t file_size) {
+  json::Parsed parsed = json::parse(line);
+  if (!parsed.ok() || parsed.value.at("format").as_i64() != kMetaFormat ||
+      parsed.value.at("key").as_string() != hex)
+    return std::nullopt;
+  Meta meta;
+  meta.header_bytes = line.size() + 1;
+  std::uint64_t total = meta.header_bytes;
+  for (std::size_t i = 0; i < kPayloadCount; ++i) {
+    meta.sizes[i] = parsed.value.at(kPayloads[i]).at("bytes").as_u64();
+    if (meta.sizes[i] > file_size) return std::nullopt;
+    total += meta.sizes[i];
+  }
+  if (total != file_size) return std::nullopt;
+  meta.doc = std::move(parsed.value);
+  return meta;
 }
 
-/// Total on-disk bytes a meta document accounts for (payloads + meta itself).
-std::uint64_t meta_total_bytes(const json::Value& meta,
-                               std::size_t meta_bytes) {
-  std::uint64_t total = meta_bytes;
-  for (const char* name : kPayloadFiles)
-    total += meta.at("files").at(name).at("bytes").as_u64();
-  return total;
+/// The payloads of a whole entry file, each checked against the size and
+/// FNV-128 its meta stanza records; nullopt on any mismatch.
+struct Decoded {
+  Meta meta;
+  std::string_view payloads[kPayloadCount];
+};
+
+std::optional<Decoded> decode_entry(std::string_view file,
+                                    const std::string& hex) {
+  const std::size_t newline = file.find('\n');
+  if (newline == std::string_view::npos) return std::nullopt;
+  std::optional<Meta> meta = parse_meta(file.substr(0, newline), hex,
+                                        file.size());
+  if (!meta) return std::nullopt;
+  Decoded decoded;
+  std::size_t offset = meta->header_bytes;
+  for (std::size_t i = 0; i < kPayloadCount; ++i) {
+    decoded.payloads[i] = file.substr(offset, meta->sizes[i]);
+    offset += meta->sizes[i];
+    if (fnv128(decoded.payloads[i]).hex() !=
+        meta->doc.at(kPayloads[i]).at("fnv128").as_string())
+      return std::nullopt;
+  }
+  decoded.meta = std::move(*meta);
+  return decoded;
+}
+
+/// An entry file: one meta line (format, key, `info`, and each payload's
+/// size and FNV-128), then the payloads back to back.
+std::string encode_entry(const std::string& hex,
+                         const std::string_view (&payloads)[kPayloadCount],
+                         json::Value info) {
+  json::Value meta;
+  meta["format"] = json::Value(static_cast<std::int64_t>(kMetaFormat));
+  meta["key"] = json::Value(hex);
+  std::size_t payload_bytes = 0;
+  for (std::size_t i = 0; i < kPayloadCount; ++i) {
+    json::Value& stanza = meta[kPayloads[i]];
+    stanza["bytes"] =
+        json::Value(static_cast<std::uint64_t>(payloads[i].size()));
+    stanza["fnv128"] = json::Value(fnv128(payloads[i]).hex());
+    payload_bytes += payloads[i].size();
+  }
+  if (!info.is_null()) meta["info"] = std::move(info);
+  std::string out = meta.dump();
+  out.reserve(out.size() + 1 + payload_bytes);
+  out += '\n';
+  for (const std::string_view payload : payloads) out += payload;
+  return out;
+}
+
+/// Reads the meta line of the entry file at `path` without its payloads.
+std::optional<Meta> read_meta(const std::string& path, const std::string& hex) {
+  std::uint64_t size = 0;
+  for (std::uint64_t limit = 1024;; limit *= 4) {
+    const auto head = read_file(path, limit, &size);
+    if (!head) return std::nullopt;
+    const std::size_t newline = head->find('\n');
+    if (newline != std::string::npos)
+      return parse_meta(std::string_view(*head).substr(0, newline), hex, size);
+    if (head->size() == size) return std::nullopt;
+  }
 }
 
 }  // namespace
@@ -114,8 +224,14 @@ Hash128 ArtifactStore::make_key(std::string_view source,
   return h.digest();
 }
 
-std::string ArtifactStore::entry_dir(const std::string& hex) const {
+std::string ArtifactStore::entry_path(const std::string& hex) const {
   return dir_ + "/" + hex.substr(0, 2) + "/" + hex.substr(2);
+}
+
+std::string ArtifactStore::tmp_path(const std::string& hex) {
+  return dir_ + "/" + hex.substr(0, 2) + "/.tmp-" + hex.substr(2, 8) + "-" +
+         std::to_string(::getpid()) + "-" +
+         std::to_string(tmp_counter_.fetch_add(1));
 }
 
 void ArtifactStore::index_existing() {
@@ -128,63 +244,24 @@ void ArtifactStore::index_existing() {
     for (const fs::directory_entry& entry :
          fs::directory_iterator(shard_dir.path(), inner_ec)) {
       const std::string rest = entry.path().filename().string();
-      if (rest.size() != 30 || !is_hex(rest) || !entry.is_directory()) {
-        // Crash debris: tmp dirs/files from a publication or stats update
-        // that was killed mid-write. Atomic rename guarantees none of it was
-        // ever visible as an entry; drop it and account it so a restart
-        // after a crash is observable in the corruption counter.
-        fs::remove_all(entry.path(), inner_ec);
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.corrupt_dropped;
-        continue;
-      }
       const std::string hex = prefix + rest;
-      bool valid = false;
-      std::uint64_t bytes = 0;
-      json::Value meta_doc;
-      if (const auto meta_text = read_file(entry.path() / "meta")) {
-        json::Parsed meta = json::parse(*meta_text);
-        if (meta.ok() && meta.value.at("format").as_i64() == kMetaFormat &&
-            meta.value.at("key").as_string() == hex) {
-          bytes = meta_total_bytes(meta.value, meta_text->size());
-          meta_doc = std::move(meta.value);
-          valid = true;
-        }
-      }
-      // Stray "<name>.tmp" files inside an entry (a crashed write_file_atomic)
-      // are not referenced by meta; garbage-collect and count them so a kill
-      // mid-write is observable in the corruption counter.
-      for (const fs::directory_entry& inner :
-           fs::directory_iterator(entry.path(), inner_ec)) {
-        if (inner.path().extension() == ".tmp") {
-          fs::remove(inner.path(), inner_ec);
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.corrupt_dropped;
-        }
-      }
-      // Crash-consistency: an entry is only indexed when every payload file
-      // is present with exactly the byte count meta recorded — a truncated
-      // image from a kill mid-write must never be re-served. (Lookups
-      // re-hash payloads anyway; this catches the damage at restart, before
-      // anything can be handed out.)
-      if (valid) {
-        for (const char* name : kPayloadFiles) {
-          std::error_code size_ec;
-          const std::uint64_t on_disk =
-              fs::file_size(entry.path() / name, size_ec);
-          if (size_ec ||
-              on_disk != meta_doc.at("files").at(name).at("bytes").as_u64()) {
-            valid = false;
-            break;
-          }
-        }
-      }
-      if (!valid) {
+      // Only a well-formed entry file is indexed: its name is the rest of
+      // the key and its length is what its meta line accounts for, so an
+      // entry torn by a kill mid-write is never re-served. Everything else
+      // is dropped and counted, so a restart after a crash is observable:
+      // `.tmp-*` files of an interrupted publication or stats rewrite, torn
+      // or mangled files, and directory entries of the old four-file layout.
+      std::optional<Meta> meta;
+      if (rest.size() == 30 && is_hex(rest) && entry.is_regular_file())
+        meta = read_meta(entry.path().string(), hex);
+      if (!meta) {
         fs::remove_all(entry.path(), inner_ec);
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.corrupt_dropped;
         continue;
       }
+      std::uint64_t bytes = meta->header_bytes;
+      for (const std::uint64_t size : meta->sizes) bytes += size;
       // The shard is the top nibble of the digest = the first hex char.
       const char c0 = hex[0];
       const std::size_t shard_index = static_cast<std::size_t>(
@@ -207,8 +284,7 @@ bool ArtifactStore::drop_entry_locked(Shard& shard, const std::string& hex) {
   if (it == shard.entries.end()) return false;
   const std::uint64_t bytes = it->second.bytes;
   shard.entries.erase(it);
-  std::error_code ec;
-  fs::remove_all(entry_dir(hex), ec);
+  ::unlink(entry_path(hex).c_str());
   std::lock_guard<std::mutex> lock(stats_mutex_);
   --stats_.resident_entries;
   stats_.resident_bytes -= bytes;
@@ -240,36 +316,19 @@ std::optional<ArtifactStore::Loaded> ArtifactStore::lookup(
   // Re-read and re-hash everything: disk contents are untrusted (truncation,
   // corruption, concurrent external eviction). Any surprise drops the entry
   // and reports a miss so the caller falls back to a cold compile.
-  const fs::path edir = entry_dir(hex);
   Loaded loaded;
   bool ok = false;
-  do {
-    const auto meta_text = read_file(edir / "meta");
-    if (!meta_text) break;
-    const json::Parsed meta = json::parse(*meta_text);
-    if (!meta.ok() || meta.value.at("format").as_i64() != kMetaFormat ||
-        meta.value.at("key").as_string() != hex)
-      break;
-    std::string contents[3];
-    bool intact = true;
-    for (int i = 0; i < 3; ++i) {
-      const auto text = read_file(edir / kPayloadFiles[i]);
-      const json::Value& stanza = meta.value.at("files").at(kPayloadFiles[i]);
-      if (!text || text->size() != stanza.at("bytes").as_u64() ||
-          fnv128(*text).hex() != stanza.at("fnv128").as_string()) {
-        intact = false;
-        break;
-      }
-      contents[i] = std::move(*text);
+  const auto file = read_file(entry_path(hex));
+  if (const auto decoded = file ? decode_entry(*file, hex) : std::nullopt) {
+    json::Parsed stats_doc = json::parse(decoded->payloads[2]);
+    if (stats_doc.ok()) {
+      loaded.image_bytes.assign(decoded->payloads[0].begin(),
+                                decoded->payloads[0].end());
+      loaded.annot = std::string(decoded->payloads[1]);
+      loaded.stats = std::move(stats_doc.value);
+      ok = true;
     }
-    if (!intact) break;
-    const json::Parsed stats_doc = json::parse(contents[2]);
-    if (!stats_doc.ok()) break;
-    loaded.image_bytes.assign(contents[0].begin(), contents[0].end());
-    loaded.annot = std::move(contents[1]);
-    loaded.stats = stats_doc.value;
-    ok = true;
-  } while (false);
+  }
 
   if (!ok) {
     drop_entry_locked(shard, hex);
@@ -290,48 +349,29 @@ void ArtifactStore::publish(const Hash128& key,
                             json::Value info) {
   const auto t_start = Clock::now();
   const std::string hex = key.hex();
-  const std::string image_text(image_bytes.begin(), image_bytes.end());
   const std::string stats_text = stats.dump(1);
+  const std::string_view payloads[kPayloadCount] = {
+      {reinterpret_cast<const char*>(image_bytes.data()), image_bytes.size()},
+      annot,
+      stats_text};
+  const std::string content = encode_entry(hex, payloads, std::move(info));
 
-  json::Value meta;
-  meta["format"] = json::Value(static_cast<std::int64_t>(kMetaFormat));
-  meta["key"] = json::Value(hex);
-  meta["files"]["image.bin"] = file_stanza(image_text);
-  meta["files"]["annot.txt"] = file_stanza(annot);
-  meta["files"]["stats.json"] = file_stanza(stats_text);
-  if (!info.is_null()) meta["info"] = std::move(info);
-  const std::string meta_text = meta.dump(1);
-
-  const fs::path shard_path = fs::path(dir_) / hex.substr(0, 2);
-  const fs::path final_path = shard_path / hex.substr(2);
-  const fs::path tmp_path =
-      shard_path / (".tmp-" + hex.substr(2, 8) + "-" +
-                    std::to_string(::getpid()) + "-" +
-                    std::to_string(tmp_counter_.fetch_add(1)));
-
-  std::error_code ec;
-  fs::create_directories(shard_path, ec);
-  fs::create_directory(tmp_path, ec);
-  const bool written = !ec && write_file(tmp_path / "image.bin", image_text) &&
-                       write_file(tmp_path / "annot.txt", annot) &&
-                       write_file(tmp_path / "stats.json", stats_text) &&
-                       write_file(tmp_path / "meta", meta_text);
+  const std::string final_path = entry_path(hex);
+  const std::string tmp = tmp_path(hex);
+  // EEXIST after the shard's first entry.
+  ::mkdir((dir_ + "/" + hex.substr(0, 2)).c_str(), 0755);
   bool published = false;
   bool raced = false;
-  if (written) {
-    fs::rename(tmp_path, final_path, ec);
-    if (!ec) {
-      published = true;
-    } else {
-      // Another worker/process published this key first; its entry is
-      // equivalent by construction (same key = same inputs).
-      raced = fs::exists(final_path / "meta");
-    }
+  if (write_new_file(tmp, content)) {
+    const int error = rename_noreplace(tmp, final_path);
+    published = error == 0;
+    // EEXIST: another worker/process published this key first; its entry
+    // is equivalent by construction (same key = same inputs).
+    raced = error == EEXIST;
+    if (!published) ::unlink(tmp.c_str());
   }
-  fs::remove_all(tmp_path, ec);
 
-  const std::uint64_t total_bytes = image_text.size() + annot.size() +
-                                    stats_text.size() + meta_text.size();
+  const std::uint64_t total_bytes = content.size();
   if (published) {
     Shard& shard = shard_of(key);
     {
@@ -360,26 +400,31 @@ bool ArtifactStore::update_stats(const Hash128& key,
   const auto it = shard.entries.find(hex);
   if (it == shard.entries.end()) return false;
 
-  const fs::path edir = entry_dir(hex);
-  const auto meta_text = read_file(edir / "meta");
-  if (!meta_text) return false;
-  json::Parsed meta = json::parse(*meta_text);
-  if (!meta.ok()) return false;
-  const std::uint64_t old_total = it->second.bytes;
-  meta.value["files"]["stats.json"] = file_stanza(stats_text);
-  const std::string new_meta = meta.value.dump(1);
-  // stats.json first, meta last: a crash between the two leaves a hash
-  // mismatch that the next lookup detects and repairs via cold fallback.
-  if (!write_file_atomic(edir, "stats.json", stats_text)) return false;
-  if (!write_file_atomic(edir, "meta", new_meta)) return false;
+  const std::string path = entry_path(hex);
+  const auto file = read_file(path);
+  if (!file) return false;
+  const auto decoded = decode_entry(*file, hex);
+  if (!decoded) return false;
+  const std::string_view payloads[kPayloadCount] = {
+      decoded->payloads[0], decoded->payloads[1], stats_text};
+  const std::string content =
+      encode_entry(hex, payloads, decoded->meta.doc.at("info"));
+  // The whole file is rewritten and renamed over the old one: a crash
+  // leaves either entry intact, plus at most a `.tmp-*` file that the next
+  // store open drops.
+  const std::string tmp = tmp_path(hex);
+  if (!write_new_file(tmp, content)) return false;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
 
-  const std::uint64_t new_total =
-      meta_total_bytes(meta.value, new_meta.size());
-  it->second.bytes = new_total;
+  const std::uint64_t old_total = it->second.bytes;
+  it->second.bytes = content.size();
   it->second.tick = next_tick_.fetch_add(1);
   std::lock_guard<std::mutex> stats_lock(stats_mutex_);
   ++stats_.stats_updates;
-  stats_.resident_bytes += new_total - old_total;
+  stats_.resident_bytes += content.size() - old_total;
   return true;
 }
 

@@ -4,25 +4,34 @@
 // by the 128-bit digest of exactly those inputs (support/hash.hpp) and a
 // warm rerun of a 2500-file campaign reduces to hash lookups.
 //
-// Layout:  <dir>/ab/cdef.../{image.bin, annot.txt, stats.json, meta}
-//   image.bin   serialized linked executable (artifact/image_io.hpp)
-//   annot.txt   human-readable annotation table ("annotation file" of §3.4)
-//   stats.json  caller-owned JSON results document (the fleet stores its
+// Layout:  <dir>/ab/cdef...  one regular file per entry (the first hex byte
+//           of the key names the shard directory, the other 30 the file):
+//   meta line   one line of JSON: format, key, the caller's `info`, and the
+//               size and FNV-128 digest of each payload
+//   image       serialized linked executable (artifact/image_io.hpp)
+//   annot       human-readable annotation table ("annotation file" of §3.4)
+//   stats       caller-owned JSON results document (the fleet stores its
 //               per-run execution/WCET stanzas here; the store is agnostic)
-//   meta        sizes + FNV-128 digests of the three payload files
+//   The payloads follow the meta line back to back, in that order.
 //
 // Contracts:
 //   Sharding      — the in-memory index is split over kShards mutex-striped
 //                   maps keyed by digest bits, so fleet workers touching
 //                   different artifacts never contend on one lock.
-//   Publication   — write-then-rename: payloads land in a hidden tmp dir
-//                   that is atomically renamed into place, so readers (and
-//                   crashes) never observe a half-written entry. A lost
-//                   publish race is benign: the winner's entry is equivalent.
-//   Integrity     — every lookup re-reads meta and re-hashes all payloads;
-//                   a corrupt, truncated, or stale-format entry is evicted,
-//                   counted (corrupt_dropped), and reported as a miss so the
-//                   caller transparently falls back to a cold compile.
+//   Publication   — write-then-rename: the entry lands in a hidden `.tmp-*`
+//                   file in its shard directory that is renamed into place
+//                   without replacing an existing entry (RENAME_NOREPLACE,
+//                   or link + unlink), so readers (and crashes) never
+//                   observe a half-written entry, and a lost publish race is
+//                   seen and counted; it is benign, as the winner's entry is
+//                   equivalent. A stats update rewrites the whole file the
+//                   same way, replacing the old one.
+//   Integrity     — every lookup reads the file once and checks the format,
+//                   the key, each payload's size and digest, and the total
+//                   length; a corrupt, truncated, or stale-format entry is
+//                   evicted, counted (corrupt_dropped), and reported as a
+//                   miss so the caller transparently falls back to a cold
+//                   compile.
 //   Eviction      — optional byte budget; least-recently-used entries (by a
 //                   store-global access tick) are removed until under budget.
 //   Persistence   — opening a store re-indexes whatever survives on disk, in
@@ -70,7 +79,9 @@ class ArtifactStore {
   };
 
   /// Opens (creating if needed) the store and indexes surviving entries.
-  /// Entries with unreadable or mismatched meta are removed on the spot.
+  /// Anything else in a shard directory (a torn or mangled entry, `.tmp-*`
+  /// debris, an old-format entry directory) is removed and counted in
+  /// corrupt_dropped.
   explicit ArtifactStore(const Options& options);
 
   ArtifactStore(const ArtifactStore&) = delete;
@@ -96,8 +107,8 @@ class ArtifactStore {
   /// Integrity-checked load; nullopt on miss or on a dropped corrupt entry.
   std::optional<Loaded> lookup(const Hash128& key);
 
-  /// Publishes a new entry (write-then-rename). `info` is merged into meta
-  /// under "info" for debuggability (config, compiler version, ...).
+  /// Publishes a new entry (write-then-rename). `info` is stored in the meta
+  /// line under "info" for debuggability (config, compiler version, ...).
   void publish(const Hash128& key,
                const std::vector<std::uint8_t>& image_bytes,
                const std::string& annot, const json::Value& stats,
@@ -118,7 +129,7 @@ class ArtifactStore {
 
  private:
   struct Entry {
-    std::uint64_t bytes = 0;  // payload + meta bytes on disk
+    std::uint64_t bytes = 0;  // the entry file's length
     std::uint64_t tick = 0;   // last-use order for LRU
   };
   struct Shard {
@@ -132,7 +143,9 @@ class ArtifactStore {
   Shard& shard_of(const Hash128& key) {
     return shards_[(key.hi >> 60) & (kShards - 1)];
   }
-  [[nodiscard]] std::string entry_dir(const std::string& hex) const;
+  [[nodiscard]] std::string entry_path(const std::string& hex) const;
+  /// A fresh `.tmp-*` name in the entry's shard directory.
+  std::string tmp_path(const std::string& hex);
   void index_existing();
   bool drop_entry_locked(Shard& shard, const std::string& hex);
   void enforce_budget();

@@ -26,7 +26,7 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// --- stats.json schema -----------------------------------------------------
+// --- stats document schema -------------------------------------------------
 //
 // One document per artifact:
 //   { "entry": "...", "code_bytes": N,

@@ -2,13 +2,16 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <set>
+#include <string_view>
 
 namespace vc::minic {
 namespace {
 
-const std::set<std::string>& keywords() {
-  static const std::set<std::string> kw = {
+const std::set<std::string, std::less<>>& keywords() {
+  static const std::set<std::string, std::less<>> kw = {
       "global", "func", "local", "if", "else", "for", "while", "return",
       "void", "i32", "f64", "fabs", "fmin", "fmax", "__annot", "inf", "nan"};
   return kw;
@@ -85,43 +88,52 @@ class Lexer {
     return punct(start);
   }
 
+  /// The source text from `begin` up to the current position.
+  [[nodiscard]] std::string_view since(std::size_t begin) const {
+    return std::string_view(src_).substr(begin, pos_ - begin);
+  }
+
+  void skip_digits() {
+    while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
+  }
+
   Token ident_or_keyword(SourceLoc start) {
-    std::string text;
+    const std::size_t begin = pos_;
     while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-      text += advance();
+      advance();
     Token t;
-    t.kind = keywords().count(text) != 0 ? TokKind::Keyword : TokKind::Ident;
-    t.text = text;
+    t.text = since(begin);
+    t.kind = keywords().count(t.text) != 0 ? TokKind::Keyword : TokKind::Ident;
     t.loc = start;
     return t;
   }
 
   Token number(SourceLoc start) {
-    std::string text;
+    const std::size_t begin = pos_;
     bool is_float = false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+    skip_digits();
     if (peek() == '.') {
       is_float = true;
-      text += advance();
-      while (std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+      advance();
+      skip_digits();
     }
     if (peek() == 'e' || peek() == 'E') {
       is_float = true;
-      text += advance();
-      if (peek() == '+' || peek() == '-') text += advance();
+      advance();
+      if (peek() == '+' || peek() == '-') advance();
       if (!std::isdigit(static_cast<unsigned char>(peek())))
         throw CompileError("malformed exponent", start);
-      while (std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+      skip_digits();
     }
     Token t;
     t.loc = start;
-    t.text = text;
+    t.text = since(begin);
     if (is_float) {
       t.kind = TokKind::FloatLit;
-      t.float_value = std::strtod(text.c_str(), nullptr);
+      t.float_value = std::strtod(t.text.c_str(), nullptr);
     } else {
       t.kind = TokKind::IntLit;
-      t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+      t.int_value = std::strtoll(t.text.c_str(), nullptr, 10);
       if (t.int_value > 2147483648LL)  // 2^31 allowed for `-2147483648`
         throw CompileError("integer literal out of i32 range", start);
     }
@@ -163,20 +175,19 @@ class Lexer {
     Token t;
     t.kind = TokKind::Punct;
     t.loc = start;
-    const std::string pair{peek(), peek(1)};
+    const std::size_t begin = pos_;
     for (const char* p : two_char) {
-      if (pair == p) {
+      if (peek() == p[0] && peek(1) == p[1]) {
         advance();
         advance();
-        t.text = pair;
+        t.text = since(begin);
         return t;
       }
     }
     const char c = advance();
-    static const std::string singles = "(){}[],;=<>+-*/%&|^~!?:";
-    if (singles.find(c) == std::string::npos)
+    if (c == '\0' || std::strchr("(){}[],;=<>+-*/%&|^~!?:", c) == nullptr)
       throw CompileError(std::string("unexpected character '") + c + "'", start);
-    t.text = std::string(1, c);
+    t.text = since(begin);
     return t;
   }
 

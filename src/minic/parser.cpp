@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <map>
+#include <string_view>
 
 #include "minic/lexer.hpp"
 
@@ -36,23 +37,23 @@ class Parser {
 
   [[nodiscard]] bool at(TokKind k) const { return cur().kind == k; }
 
-  [[nodiscard]] bool at_keyword(const std::string& kw) const {
+  [[nodiscard]] bool at_keyword(std::string_view kw) const {
     return cur().kind == TokKind::Keyword && cur().text == kw;
   }
 
-  [[nodiscard]] bool at_punct(const std::string& p) const {
+  [[nodiscard]] bool at_punct(std::string_view p) const {
     return cur().kind == TokKind::Punct && cur().text == p;
   }
 
-  Token take() { return tokens_[pos_++]; }
+  const Token& take() { return tokens_[pos_++]; }
 
-  void expect_punct(const std::string& p) {
-    if (!at_punct(p)) fail("expected '" + p + "'");
+  void expect_punct(std::string_view p) {
+    if (!at_punct(p)) fail("expected '" + std::string(p) + "'");
     take();
   }
 
-  void expect_keyword(const std::string& kw) {
-    if (!at_keyword(kw)) fail("expected '" + kw + "'");
+  void expect_keyword(std::string_view kw) {
+    if (!at_keyword(kw)) fail("expected '" + std::string(kw) + "'");
     take();
   }
 

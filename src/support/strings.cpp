@@ -1,6 +1,8 @@
 #include "support/strings.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -14,8 +16,21 @@ std::string hex32(std::uint32_t value) {
 }
 
 std::string format_double(double value) {
-  // Try increasing precision until the text round-trips exactly.
-  for (int precision = 6; precision <= 17; ++precision) {
+  // Try increasing precision until the text round-trips exactly. No
+  // precision below the digit count of the shortest round-tripping form can
+  // round-trip, so the search starts there (never below 6, so the text is
+  // that of a search from 6). The scientific form counts exactly those
+  // digits; the plain one prints a large integer in full.
+  char shortest[32];
+  const char* const end =
+      std::to_chars(shortest, shortest + sizeof shortest, value,
+                    std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* c = shortest; c != end && *c != 'e'; ++c)
+    if (*c >= '0' && *c <= '9') ++digits;
+  for (int precision = std::max(6, digits); precision <= 17;
+       ++precision) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.*g", precision, value);
     double parsed = 0.0;

@@ -1,5 +1,6 @@
 #include "support/threadpool.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -61,6 +62,9 @@ void ThreadPool::worker_loop() {
 
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn) {
+  // A worker beyond the item count would only start, find the queue empty
+  // and be joined; a single item runs on the caller.
+  jobs = std::min(jobs, count);
   if (jobs <= 1) {
     // Same exception contract as the pooled path: every index runs; the
     // first exception is rethrown once the loop completes.

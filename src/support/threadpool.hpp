@@ -53,10 +53,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs fn(0), ..., fn(count-1) across `jobs` workers and returns when all
-/// are done. jobs <= 1 runs serially on the calling thread (no pool). An
-/// exception escaping `fn` is rethrown on the calling thread after all other
-/// indices finish (first one wins).
+/// Runs fn(0), ..., fn(count-1) across min(jobs, count) workers and returns
+/// when all are done. When that is at most 1, the loop runs serially on the
+/// calling thread (no pool). An exception escaping `fn` is rethrown on the
+/// calling thread after all other indices finish (first one wins).
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn);
 

@@ -1,18 +1,24 @@
 // Unit tests for the artifact subsystem: the FNV-1a/128 hasher, the JSON
 // reader/writer, image serialization, and the content-addressed store
-// itself — publication, integrity-checked lookup, corruption fallback,
-// persistence across store instances, and LRU budget eviction. Fleet-level
-// caching behavior lives in fleet_cache_test.cpp.
+// itself — publication and its races, integrity-checked lookup, corruption
+// fallback, persistence across store instances, old-format entries, and LRU
+// budget eviction. Fleet-level caching behavior lives in
+// fleet_cache_test.cpp.
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "artifact/image_io.hpp"
 #include "artifact/store.hpp"
+#include "dataflow/acg.hpp"
+#include "dataflow/generator.hpp"
 #include "driver/compiler.hpp"
+#include "driver/fleet.hpp"
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
 #include "support/hash.hpp"
@@ -270,11 +276,26 @@ class StoreTest : public ::testing::Test {
                   std::move(info));
   }
 
-  /// Path of an entry's payload file on disk.
-  [[nodiscard]] fs::path payload_path(const std::string& tag,
-                                      const char* file) const {
+  /// Path of an entry's file on disk.
+  [[nodiscard]] fs::path entry_path(const std::string& tag) const {
     const std::string hex = key_of(tag).hex();
-    return fs::path(dir_) / hex.substr(0, 2) / hex.substr(2) / file;
+    return fs::path(dir_) / hex.substr(0, 2) / hex.substr(2);
+  }
+
+  static std::string read_bytes(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  static void write_bytes(const fs::path& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+
+  /// Offset of an entry file's first payload byte (the first image byte),
+  /// just past its meta line.
+  static std::size_t payload_offset(const std::string& entry) {
+    return entry.find('\n') + 1;
   }
 
   std::string dir_;
@@ -310,10 +331,26 @@ TEST_F(StoreTest, MissingKeyIsAMiss) {
 TEST_F(StoreTest, OnDiskLayoutIsShardedByHexPrefix) {
   artifact::ArtifactStore store({dir_, 0});
   publish_tagged(store, "layout");
-  const std::string hex = key_of("layout").hex();
-  const fs::path edir = fs::path(dir_) / hex.substr(0, 2) / hex.substr(2);
-  for (const char* f : {"image.bin", "annot.txt", "stats.json", "meta"})
-    EXPECT_TRUE(fs::exists(edir / f)) << f;
+  const fs::path path = entry_path("layout");
+  ASSERT_TRUE(fs::is_regular_file(path));
+  // One file: a meta line, then image, annotation and stats back to back.
+  const std::string entry = read_bytes(path);
+  const std::size_t offset = payload_offset(entry);
+  ASSERT_NE(offset, 0u);
+  const json::Parsed meta = json::parse(entry.substr(0, offset - 1));
+  ASSERT_TRUE(meta.ok()) << meta.error;
+  EXPECT_EQ(meta.value.at("key").as_string(), key_of("layout").hex());
+  EXPECT_EQ(meta.value.at("info").at("config").as_string(), "O2");
+  EXPECT_EQ(meta.value.at("image").at("bytes").as_u64(), 64u);
+  const std::string annot = "annot for layout";
+  EXPECT_EQ(entry.substr(offset + 64, annot.size()), annot);
+  EXPECT_EQ(store.stats().resident_bytes, entry.size());
+  // Nothing else is left in the shard directory.
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& f :
+       fs::directory_iterator(path.parent_path()))
+    ++files;
+  EXPECT_EQ(files, 1u);
 }
 
 TEST_F(StoreTest, PersistsAcrossStoreInstances) {
@@ -335,14 +372,9 @@ TEST_F(StoreTest, CorruptImageIsDroppedCountedAndBecomesAMiss) {
   publish_tagged(store, "victim");
 
   { // Flip one byte of the stored image.
-    std::fstream f(payload_path("victim", "image.bin"),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(0);
-    byte = static_cast<char>(byte ^ 0x5A);
-    f.write(&byte, 1);
+    std::string entry = read_bytes(entry_path("victim"));
+    entry[payload_offset(entry)] ^= 0x5A;
+    write_bytes(entry_path("victim"), entry);
   }
 
   EXPECT_FALSE(store.lookup(key_of("victim")).has_value());
@@ -352,7 +384,7 @@ TEST_F(StoreTest, CorruptImageIsDroppedCountedAndBecomesAMiss) {
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.resident_entries, 0u);
   // The entry was evicted from disk too; re-publication then hits again.
-  EXPECT_FALSE(fs::exists(payload_path("victim", "meta")));
+  EXPECT_FALSE(fs::exists(entry_path("victim")));
   publish_tagged(store, "victim");
   EXPECT_TRUE(store.lookup(key_of("victim")).has_value());
 }
@@ -360,7 +392,9 @@ TEST_F(StoreTest, CorruptImageIsDroppedCountedAndBecomesAMiss) {
 TEST_F(StoreTest, TruncatedStatsFileIsDetected) {
   artifact::ArtifactStore store({dir_, 0});
   publish_tagged(store, "truncated");
-  fs::resize_file(payload_path("truncated", "stats.json"), 3);
+  // The stats document is the entry's last payload: cut the file inside it.
+  const std::uintmax_t size = fs::file_size(entry_path("truncated"));
+  fs::resize_file(entry_path("truncated"), size - 3);
   EXPECT_FALSE(store.lookup(key_of("truncated")).has_value());
   EXPECT_EQ(store.stats().corrupt_dropped, 1u);
 }
@@ -368,7 +402,10 @@ TEST_F(StoreTest, TruncatedStatsFileIsDetected) {
 TEST_F(StoreTest, DeletedPayloadIsDetected) {
   artifact::ArtifactStore store({dir_, 0});
   publish_tagged(store, "deleted");
-  fs::remove(payload_path("deleted", "annot.txt"));
+  // Remove the annotation's first byte: every later payload shifts by one.
+  std::string entry = read_bytes(entry_path("deleted"));
+  entry.erase(payload_offset(entry) + 64, 1);
+  write_bytes(entry_path("deleted"), entry);
   EXPECT_FALSE(store.lookup(key_of("deleted")).has_value());
   EXPECT_EQ(store.stats().corrupt_dropped, 1u);
 }
@@ -378,9 +415,11 @@ TEST_F(StoreTest, MangledMetaIsGarbageCollectedOnRestart) {
     artifact::ArtifactStore store({dir_, 0});
     publish_tagged(store, "stale");
   }
-  { // Overwrite meta with junk; the restart scan must drop the entry.
-    std::ofstream f(payload_path("stale", "meta"), std::ios::trunc);
-    f << "not json at all";
+  { // Replace the meta line with junk, payloads kept; the restart scan
+    // must drop the entry.
+    const std::string entry = read_bytes(entry_path("stale"));
+    write_bytes(entry_path("stale"),
+                "not json at all\n" + entry.substr(payload_offset(entry)));
   }
   artifact::ArtifactStore restarted({dir_, 0});
   EXPECT_EQ(restarted.stats().resident_entries, 0u);
@@ -411,19 +450,25 @@ TEST_F(StoreTest, KillMidPublishDebrisIsDroppedAndCountedOnRestart) {
     publish_tagged(store, "survivor");
     publish_tagged(store, "torn");
   }
-  // Simulate a process killed mid-publish: a stray temp file next to a
-  // published entry's payloads (crashed write_file_atomic)...
+  // Simulate a process killed mid-write: half of a rewritten entry in a
+  // temp file next to the published one (a crashed stats update)...
   const fs::path stray =
-      payload_path("survivor", "meta").parent_path() / "stats.json.tmp";
-  { std::ofstream f(stray); f << "{ half a stats doc"; }
+      entry_path("survivor").parent_path() / ".tmp-dead-3-4";
+  {
+    const std::string entry = read_bytes(entry_path("survivor"));
+    write_bytes(stray, entry.substr(0, entry.size() / 2));
+  }
   // ...and an entry whose image was torn mid-write: meta says 64 bytes but
   // only 7 landed on disk.
-  fs::resize_file(payload_path("torn", "image.bin"), 7);
+  {
+    const std::string entry = read_bytes(entry_path("torn"));
+    fs::resize_file(entry_path("torn"), payload_offset(entry) + 7);
+  }
 
   artifact::ArtifactStore restarted({dir_, 0});
   // Both pieces of damage are dropped at re-index and accounted.
   EXPECT_FALSE(fs::exists(stray));
-  EXPECT_FALSE(fs::exists(payload_path("torn", "meta")));
+  EXPECT_FALSE(fs::exists(entry_path("torn")));
   EXPECT_EQ(restarted.stats().corrupt_dropped, 2u);
   // The partial image is never served; the intact neighbor still is.
   EXPECT_EQ(restarted.stats().resident_entries, 1u);
@@ -473,7 +518,7 @@ TEST_F(StoreTest, UpdateStatsReplacesDocumentAndSurvivesRestart) {
     // Updating a non-resident key reports failure.
     EXPECT_FALSE(store.update_stats(key_of("nonexistent"), updated));
   }
-  // The rewritten stats.json and re-stamped meta must verify after restart.
+  // The rewritten entry must verify after restart.
   artifact::ArtifactStore restarted({dir_, 0});
   const auto loaded = restarted.lookup(key_of("stats"));
   ASSERT_TRUE(loaded.has_value());
@@ -510,6 +555,122 @@ TEST_F(StoreTest, BudgetAppliedWhenReindexing)  {
   EXPECT_GT(store.stats().evictions, 0u);
   EXPECT_LE(store.stats().resident_bytes, 1500u);
   EXPECT_LT(store.stats().resident_entries, 6u);
+}
+
+TEST_F(StoreTest, SameKeyPublishedAtOnceIsOneEntry) {
+  artifact::ArtifactStore store({dir_, 0});
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      publish_tagged(store, "contended");
+    });
+  for (std::thread& t : threads) t.join();
+
+  // Exactly one publication lands; every other one is a counted race, not
+  // a second resident entry over the same file.
+  const artifact::StoreStats s = store.stats();
+  EXPECT_EQ(s.resident_entries, 1u);
+  EXPECT_EQ(s.resident_bytes, fs::file_size(entry_path("contended")));
+  EXPECT_EQ(s.publishes + s.publish_races, static_cast<std::uint64_t>(kThreads));
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& f :
+       fs::directory_iterator(entry_path("contended").parent_path()))
+    ++files;
+  EXPECT_EQ(files, 1u) << "temp files left behind";
+  EXPECT_TRUE(store.lookup(key_of("contended")).has_value());
+}
+
+/// Rewrites every entry file under `dir` as the directory an earlier store
+/// wrote for it (format 1): image.bin, annot.txt and stats.json, and a
+/// pretty-printed meta document with each file's size and FNV-128. Returns
+/// the number of entries rewritten.
+std::size_t rewrite_as_format1(const std::string& dir) {
+  std::size_t rewritten = 0;
+  for (const auto& shard : fs::directory_iterator(dir)) {
+    std::vector<fs::path> entries;
+    for (const auto& entry : fs::directory_iterator(shard.path()))
+      if (entry.is_regular_file()) entries.push_back(entry.path());
+    for (const fs::path& path : entries) {
+      std::ifstream in(path, std::ios::binary);
+      const std::string file(std::istreambuf_iterator<char>(in), {});
+      in.close();
+      const std::size_t newline = file.find('\n');
+      const json::Parsed meta = json::parse(file.substr(0, newline));
+      if (!meta.ok()) return 0;
+      json::Value old_meta;
+      old_meta["format"] = json::Value(static_cast<std::int64_t>(1));
+      old_meta["key"] = meta.value.at("key");
+      old_meta["info"] = meta.value.at("info");
+      fs::remove(path);
+      fs::create_directory(path);
+      std::size_t offset = newline + 1;
+      const std::pair<const char*, const char*> payloads[] = {
+          {"image", "image.bin"}, {"annot", "annot.txt"},
+          {"stats", "stats.json"}};
+      for (const auto& [stanza, name] : payloads) {
+        const std::size_t bytes = meta.value.at(stanza).at("bytes").as_u64();
+        const std::string content = file.substr(offset, bytes);
+        offset += bytes;
+        std::ofstream(path / name, std::ios::binary) << content;
+        old_meta["files"][name]["bytes"] = json::Value(
+            static_cast<std::uint64_t>(content.size()));
+        old_meta["files"][name]["fnv128"] = json::Value(fnv128(content).hex());
+      }
+      std::ofstream(path / "meta", std::ios::binary) << old_meta.dump(1);
+      ++rewritten;
+    }
+  }
+  return rewritten;
+}
+
+TEST_F(StoreTest, FormatOneEntriesAreDroppedAtOpenAndRecompiled) {
+  std::vector<minic::Program> programs;
+  std::vector<driver::FleetUnit> units;
+  const std::vector<dataflow::Node> nodes =
+      dataflow::generate_suite(20110318, 2);
+  programs.reserve(nodes.size());
+  for (const dataflow::Node& node : nodes) {
+    minic::Program& program = programs.emplace_back();
+    program.name = node.name();
+    dataflow::generate_node(node, &program);
+    minic::type_check(program);
+    units.push_back({node.name(), &program, dataflow::step_function_name(node),
+                     std::nullopt});
+  }
+  driver::FleetOptions options;
+  options.jobs = 1;
+  options.exec_cycles = 5;
+  options.wcet = true;
+
+  std::vector<std::string> cold;
+  {
+    artifact::ArtifactStore store({dir_, 0});
+    options.store = &store;
+    for (const driver::FleetRecord& r : driver::run_fleet(units, options).records)
+      cold.push_back(driver::record_core_json(r).dump());
+  }
+  ASSERT_EQ(rewrite_as_format1(dir_), cold.size());
+
+  // Opening the store drops every old-format entry and counts it.
+  artifact::ArtifactStore store({dir_, 0});
+  EXPECT_EQ(store.stats().resident_entries, 0u);
+  EXPECT_EQ(store.stats().corrupt_dropped, cold.size());
+  for (const auto& shard : fs::directory_iterator(dir_))
+    for (const auto& entry : fs::directory_iterator(shard.path()))
+      EXPECT_FALSE(entry.is_directory()) << entry.path();
+
+  // The rerun recompiles every job to the same records and republishes.
+  options.store = &store;
+  const driver::FleetReport rerun = driver::run_fleet(units, options);
+  EXPECT_EQ(rerun.cache_misses, cold.size());
+  ASSERT_EQ(rerun.records.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i)
+    EXPECT_EQ(driver::record_core_json(rerun.records[i]).dump(), cold[i]);
+  EXPECT_EQ(store.stats().publishes, cold.size());
 }
 
 }  // namespace

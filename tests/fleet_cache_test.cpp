@@ -153,18 +153,22 @@ TEST_F(FleetCacheTest, CorruptedEntryIsRecompiledTransparently) {
   const driver::FleetReport cold =
       driver::run_fleet(suite.units, cached_options(&store, 1));
 
-  // Deliberately corrupt every stored image on disk (flip one byte each).
+  // Deliberately corrupt every stored image on disk (flip its first byte,
+  // the one just past the entry's meta line).
   std::size_t corrupted = 0;
   for (const auto& shard : fs::directory_iterator(dir_)) {
     if (!shard.is_directory()) continue;
     for (const auto& entry : fs::directory_iterator(shard.path())) {
-      const fs::path image = entry.path() / "image.bin";
-      if (!fs::exists(image)) continue;
-      std::fstream f(image, std::ios::in | std::ios::out | std::ios::binary);
+      if (!entry.is_regular_file()) continue;
+      std::fstream f(entry.path(),
+                     std::ios::in | std::ios::out | std::ios::binary);
       ASSERT_TRUE(f.good());
+      std::string meta_line;
+      std::getline(f, meta_line);
+      const std::streampos image_start = f.tellg();
       char byte = 0;
       f.read(&byte, 1);
-      f.seekp(0);
+      f.seekp(image_start);
       byte = static_cast<char>(byte ^ 0xA5);
       f.write(&byte, 1);
       ++corrupted;

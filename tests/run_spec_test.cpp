@@ -12,8 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "dataflow/acg.hpp"
+#include "dataflow/generator.hpp"
 #include "driver/fleet.hpp"
 #include "driver/run_spec.hpp"
+#include "minic/printer.hpp"
+#include "minic/typecheck.hpp"
 #include "service/protocol.hpp"
 #include "support/json.hpp"
 #include "validate/validate.hpp"
@@ -220,6 +224,21 @@ TEST(RunSpecTest, ValidatedSpecWithoutOverrideIsRejected) {
   EXPECT_THROW((void)driver::run_fleet({}, options), std::invalid_argument);
   validate::attach_campaign_validation(&options);
   EXPECT_NO_THROW((void)driver::run_fleet({}, options));
+}
+
+TEST(RunSpecTest, ArtifactKeyOfTheFirstSuiteNodeIsPinned) {
+  // The key hashes the printed program, so a printer change that moves its
+  // text (a float literal's digits, say) re-keys every store and fails
+  // here, as does a change of the spec identity or the compiler version.
+  const dataflow::Node node = dataflow::generate_suite(20110318, 1).at(0);
+  minic::Program program;
+  program.name = node.name();
+  dataflow::generate_node(node, &program);
+  minic::type_check(program);
+  EXPECT_EQ(driver::artifact_key(JobSpec{}, minic::print_program(program),
+                                 dataflow::step_function_name(node))
+                .hex(),
+            "dd18e9ef5d6a93ae0d64ffb29e12f52f");
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -122,6 +125,53 @@ TEST(ParallelForExceptionTest, NonStdExceptionPropagates) {
 TEST(ParallelForExceptionTest, ZeroCountIsANoOp) {
   parallel_for(0, 4, [](std::size_t) { FAIL() << "must not be called"; });
   parallel_for(0, 1, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ParallelForWorkerCapTest, OneItemRunsOnTheCaller) {
+  std::thread::id ran_on;
+  parallel_for(1, 8, [&ran_on](std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+/// Threads of this process, as Linux lists them; 0 where it does not.
+std::size_t live_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec))
+    ++n;
+  return n;
+}
+
+TEST(ParallelForWorkerCapTest, NoMoreWorkersThanItems) {
+  const std::size_t before = live_threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task";
+  // Each item holds its thread until all three have started, so the ids
+  // seen are all the workers that run items, and the thread count is read
+  // while the pool is up.
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  std::atomic<std::size_t> most_threads{0};
+  std::atomic<int> started{0};
+  parallel_for(3, 8, [&](std::size_t) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ids.insert(std::this_thread::get_id());
+    }
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (started.load() < 3 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    std::size_t seen = most_threads.load();
+    const std::size_t now = live_threads();
+    while (now > seen && !most_threads.compare_exchange_weak(seen, now)) {
+    }
+  });
+  EXPECT_LE(ids.size(), 3u);
+  EXPECT_LE(most_threads.load(), before + 3) << "pool started idle workers";
 }
 
 }  // namespace
