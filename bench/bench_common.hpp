@@ -18,7 +18,6 @@
 #include "driver/fleet.hpp"
 #include "machine/machine.hpp"
 #include "minic/typecheck.hpp"
-#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "tools/vcc_cli.hpp"
 #include "validate/validate.hpp"
@@ -61,42 +60,6 @@ inline std::vector<driver::FleetUnit> to_fleet_units(
   for (const NodeBundle& b : suite)
     units.push_back({b.node.name(), &b.program, b.step_fn, std::nullopt});
   return units;
-}
-
-/// Runs `cycles` step invocations with deterministic pseudo-random inputs;
-/// returns accumulated machine statistics.
-inline machine::ExecStats exercise(machine::Machine& m,
-                                   const NodeBundle& bundle, int cycles,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  machine::ExecStats total;
-  const minic::Function* fn = bundle.program.find_function(bundle.step_fn);
-  const bool has_io =
-      bundle.program.find_global(dataflow::kIoBusGlobal) != nullptr;
-  for (int c = 0; c < cycles; ++c) {
-    std::vector<minic::Value> args;
-    for (const auto& p : fn->params) {
-      if (p.type == minic::Type::F64)
-        args.push_back(minic::Value::of_f64(rng.next_double(-20.0, 20.0)));
-      else
-        args.push_back(minic::Value::of_i32(
-            static_cast<std::int32_t>(rng.next_range(-2, 2))));
-    }
-    if (has_io)
-      m.write_global(dataflow::kIoBusGlobal, 0,
-                     minic::Value::of_f64(rng.next_double(-3.0, 3.0)));
-    m.call(bundle.step_fn, args, minic::Type::I32);
-    const machine::ExecStats& s = m.stats();
-    total.cycles += s.cycles;
-    total.instructions += s.instructions;
-    total.dcache_reads += s.dcache_reads;
-    total.dcache_writes += s.dcache_writes;
-    total.dcache_read_misses += s.dcache_read_misses;
-    total.dcache_write_misses += s.dcache_write_misses;
-    total.ifetch_line_misses += s.ifetch_line_misses;
-    total.taken_branches += s.taken_branches;
-  }
-  return total;
 }
 
 /// A representative hand-modelled pitch-axis control law with envelope

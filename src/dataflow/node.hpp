@@ -90,8 +90,6 @@ class Node {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
-  [[nodiscard]] int input_count() const { return input_count_; }
-  [[nodiscard]] int int_input_count() const { return int_input_count_; }
   [[nodiscard]] int output_count() const { return output_count_; }
 
   /// Adds a block whose inputs must already exist. Returns its id.

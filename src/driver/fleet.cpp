@@ -12,7 +12,6 @@
 #include "minic/printer.hpp"
 #include "support/rng.hpp"
 #include "support/threadpool.hpp"
-#include "support/workspace.hpp"
 #include "wcet/monitor_spec.hpp"
 #include "wcet/wcet.hpp"
 
@@ -228,10 +227,6 @@ void check_bounds_sound(const FleetOptions& options,
 void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
              const FleetOptions& options, const std::string* source,
              FleetRecord* record) {
-  // One workspace per worker thread, rewound (not freed) per job: arena
-  // chunks and pooled scratch reach steady-state capacity after the first
-  // few jobs, and the rest of the campaign reuses them allocation-free.
-  this_thread_workspace().reset();
   record->name = unit.name;
   record->config = config;
   try {
@@ -469,7 +464,7 @@ FleetReport run_fleet(const std::vector<FleetUnit>& units,
   report.configs = options.configs.size();
   report.jobs = options.jobs > 0
                     ? options.jobs
-                    : static_cast<int>(ThreadPool::default_worker_count());
+                    : static_cast<int>(default_worker_count());
   report.records.resize(units.size() * options.configs.size());
   report.cache_enabled = options.store != nullptr;
   report.spec = options;

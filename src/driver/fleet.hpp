@@ -54,7 +54,7 @@ struct FleetOptions : RunSpec {
   /// Configurations to run every unit under (defaults to all four).
   std::vector<Config> configs{std::begin(kAllConfigs), std::end(kAllConfigs)};
   /// Base seed for the per-job input streams; the job for unit i draws from
-  /// Rng(seed_for(suite_seed, i)) regardless of config and worker count.
+  /// Rng(fleet_job_seed(suite_seed, i)) regardless of config and worker count.
   std::uint64_t suite_seed = 7;
   /// Optional content-addressed artifact store. When set, every job first
   /// looks up its artifact key (source, entry, compiler version and every

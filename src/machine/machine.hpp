@@ -122,7 +122,6 @@ class Machine : private CpuView {
   /// `spec` at the given mode (monitor.hpp). The spec must outlive the
   /// armed machine. Violations surface as MonitorError from call().
   void arm_monitor(const MonitorSpec& spec, MonitorMode mode);
-  void disarm_monitor() { monitor_.reset(); }
   /// The armed monitor (step counter lives there); nullptr when off.
   [[nodiscard]] const ExecutionMonitor* monitor() const {
     return monitor_.get();

@@ -317,8 +317,8 @@ std::string Frontend::stats_line() {
       static_cast<unsigned long long>(cache.at("miss").as_u64()),
       static_cast<unsigned long long>(status.at("queue_peak").as_u64()));
   std::string line = buf;
-  // Then every scalar field the backend contributed (batches, monitor and
-  // arena counters; or mode, shards and restarts), in key order.
+  // Then every scalar field the backend contributed (batches and monitor
+  // counters; or mode, shards and restarts), in key order.
   json::Value own;
   backend_->add_status(&own);
   for (const auto& [key, value] : own.as_object())

@@ -8,7 +8,6 @@
 #include "driver/fleet.hpp"
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
-#include "support/workspace.hpp"
 #include "validate/validate.hpp"
 
 namespace vc::service {
@@ -76,8 +75,9 @@ void ServiceServer::dispatch(JobTicket ticket, JobRequest job) {
   // source + config + pass-pipeline identity + run parameters) is resolved
   // straight from the memo — no store, no disk, no compile. The resolved
   // record still rides the queue so the BATCHER sends it.
-  Queued queued{std::move(ticket), std::move(job), std::nullopt};
-  queued.memo_record = memo_lookup(queued.job.request_hash().hex());
+  Queued queued{std::move(ticket), std::move(job), "", std::nullopt};
+  queued.memo_key = queued.job.request_hash().hex();
+  queued.memo_record = memo_lookup(queued.memo_key);
   std::lock_guard<std::mutex> lock(queue_mutex_);
   queue_.push_back(std::move(queued));
   queue_cv_.notify_one();
@@ -259,7 +259,7 @@ void ServiceServer::process_batch(std::vector<Queued> batch) {
       const json::Value core = driver::record_core_json(record);
       // Memoize BEFORE replying: a client may resubmit the instant it sees
       // the reply, and that resubmission must find the memo populated.
-      memoize(queued.job.request_hash().hex(), core);
+      memoize(queued.memo_key, core);
       monitored_steps_ += record.monitored_steps;
       monitor_violations_ += record.monitor_violations;
       for (const pass::PassStat& p : record.pass_stats.passes)
@@ -301,7 +301,6 @@ void ServiceServer::add_status(json::Value* status) {
   doc["validator_checks"] = json::Value(validator_checks_.load());
   doc["monitored_steps"] = json::Value(monitored_steps_.load());
   doc["monitor_violations"] = json::Value(monitor_violations_.load());
-  doc["arena_peak_bytes"] = json::Value(global_arena_peak_bytes());
 }
 
 }  // namespace vc::service

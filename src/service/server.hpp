@@ -68,6 +68,8 @@ class ServiceServer final : public Frontend::Backend {
   struct Queued {
     JobTicket ticket;
     JobRequest job;
+    /// The request hash (hex): the job's memo key, computed once at dispatch.
+    std::string memo_key;
     /// Set when dispatch resolved the job from the incremental memo: the
     /// batcher just sends this record (cache "incremental") without
     /// compiling. Replies never happen on the reader thread (frontend.hpp).

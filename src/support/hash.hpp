@@ -67,9 +67,6 @@ class Fnv128 {
     update(bytes, sizeof bytes);
   }
 
-  void update_u32(std::uint32_t v) { update_u64(v); }
-  void update_bool(bool v) { update_u64(v ? 1 : 0); }
-
   /// Length-prefixed field: unambiguous framing for multi-field keys.
   void update_sized(std::string_view field) {
     update_u64(field.size());

@@ -1,98 +1,46 @@
 #include "support/threadpool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace vc {
 
-std::size_t ThreadPool::default_worker_count() {
+std::size_t default_worker_count() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
-ThreadPool::ThreadPool(std::size_t workers) {
-  if (workers == 0) workers = default_worker_count();
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn) {
-  // A worker beyond the item count would only start, find the queue empty
-  // and be joined; a single item runs on the caller.
-  jobs = std::min(jobs, count);
-  if (jobs <= 1) {
-    // Same exception contract as the pooled path: every index runs; the
-    // first exception is rethrown once the loop completes.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < count; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-  ThreadPool pool(jobs);
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([&, i] {
+  auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
         fn(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-    });
+    }
+  };
+  // A thread beyond the item count would find nothing left to take.
+  std::vector<std::thread> helpers;
+  const std::size_t workers = std::min(jobs, count);
+  try {
+    for (std::size_t t = 1; t < workers; ++t) helpers.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // Out of threads: the ones started and the caller still drain every index.
   }
-  pool.wait_idle();
+  drain();
+  for (std::thread& t : helpers) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }
 

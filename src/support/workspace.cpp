@@ -1,28 +1,10 @@
 #include "support/workspace.hpp"
 
-#include <atomic>
-
 namespace vc {
-
-namespace {
-std::atomic<std::uint64_t> g_arena_peak_bytes{0};
-}  // namespace
 
 CompileWorkspace& this_thread_workspace() {
   thread_local CompileWorkspace workspace;
   return workspace;
-}
-
-void note_arena_peak(std::uint64_t bytes) {
-  std::uint64_t seen = g_arena_peak_bytes.load(std::memory_order_relaxed);
-  while (bytes > seen &&
-         !g_arena_peak_bytes.compare_exchange_weak(
-             seen, bytes, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t global_arena_peak_bytes() {
-  return g_arena_peak_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace vc

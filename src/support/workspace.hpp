@@ -4,9 +4,9 @@
 // and each job used to allocate its analysis scratch — liveness bitsets,
 // predecessor lists, RPO/dominator vectors, worklists — from a cold heap.
 // A `CompileWorkspace` owns that scratch for the lifetime of one worker
-// thread: jobs `reset()` it instead of freeing it, so vector capacities and
-// arena chunks reach a steady state after the first few jobs and the rest of
-// the campaign runs allocation-free on these paths.
+// thread: leased vectors go back to their pool instead of being freed, so
+// their capacities reach a steady state after the first few jobs and the
+// rest of the campaign runs allocation-free on these paths.
 //
 // The workspace lives in src/support (the bottom layer), so it exposes
 // *shape*-typed pools (vectors of u32 / u8 / size_t pairs, DenseBitset
@@ -24,19 +24,9 @@
 #include <utility>
 #include <vector>
 
-#include "support/arena.hpp"
 #include "support/bitset.hpp"
-#include "support/symtab.hpp"
 
 namespace vc {
-
-/// Folds `bytes` into the process-wide arena high-water mark (atomic max).
-void note_arena_peak(std::uint64_t bytes);
-
-/// The largest per-job arena footprint any worker thread has reported so
-/// far, across all threads that ever lived in this process. Monotone;
-/// observability only (vccd status, bench footers).
-[[nodiscard]] std::uint64_t global_arena_peak_bytes();
 
 /// A pool of reusable T (T must be cheap to `clear()`). lease() prefers the
 /// most recently returned object — the one whose buffers are warmest.
@@ -90,13 +80,6 @@ class ScratchPool {
 
 class CompileWorkspace {
  public:
-  /// Bump arena for trivially-destructible per-job tables.
-  Arena arena;
-  /// Name interner; persists across reset() (ids stay stable for a worker's
-  /// lifetime, and re-interning the same globals every job would waste the
-  /// point of interning).
-  SymbolTable symbols;
-
   // Shape-typed scratch pools. BlockId/VReg are uint32, worklist flags are
   // uint8 (not vector<bool>: no proxy bits, clear() keeps capacity).
   ScratchPool<std::vector<std::uint32_t>> u32_pool;
@@ -107,22 +90,9 @@ class CompileWorkspace {
   /// Nested u32 lists (predecessor / dominator-children tables).
   ScratchPool<std::vector<std::vector<std::uint32_t>>> u32_lists_pool;
 
-  /// End-of-job rewind: reclaims arena memory (keeping chunks) and bumps the
-  /// job counter. Pooled vectors are already back in their pools when the
-  /// job's leases unwound; their capacity is the asset being kept. The
-  /// arena's high-water mark is folded into the process-wide peak here —
-  /// fleet worker threads die with their parallel_for call, so a long-lived
-  /// observer (the vccd status endpoint) needs the cross-thread maximum.
-  void reset() {
-    note_arena_peak(arena.peak_bytes());
-    arena.reset();
-    ++jobs_reset_;
-  }
-
-  [[nodiscard]] std::uint64_t jobs_reset() const { return jobs_reset_; }
-
- private:
-  std::uint64_t jobs_reset_ = 0;
+  /// Does nothing: pooled vectors are already back in their pools when a
+  /// job's leases unwind. Kept only because perfbench/jobs.cpp calls it.
+  void reset() {}
 };
 
 /// The calling thread's workspace (lazily constructed, never freed until

@@ -89,7 +89,6 @@
 #include "mach/isa.hpp"
 #include "rtl/rtl.hpp"
 #include "support/strings.hpp"
-#include "support/workspace.hpp"
 #include "tools/vcc_cli.hpp"
 #include "validate/validate.hpp"
 #include "wcet/monitor_spec.hpp"
@@ -519,19 +518,9 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(m.monitor()->steps()));
     }
 
-    if (profile) {
+    if (profile)
       std::fputs(tools::format_profile(phases, pipeline_stats).c_str(),
                  stdout);
-      // The workspace arena the pipeline's pooled scratch bumps into —
-      // peak is the high-water mark of live arena bytes for this job.
-      const CompileWorkspace& ws = this_thread_workspace();
-      std::printf("%-12s %12s %12llu %14llu (peak %llu, %zu chunk(s))\n",
-                  "(arena)", "-",
-                  static_cast<unsigned long long>(ws.arena.allocations()),
-                  static_cast<unsigned long long>(ws.arena.bytes_allocated()),
-                  static_cast<unsigned long long>(ws.arena.peak_bytes()),
-                  ws.arena.chunk_count());
-    }
   } catch (const wcet::UnknownFunctionError& e) {
     std::fprintf(stderr, "vcc: %s\n", e.what());
     return 2;

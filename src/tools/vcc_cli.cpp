@@ -177,7 +177,7 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
   parallel_for(
       files.size(),
       options.jobs > 0 ? static_cast<std::size_t>(options.jobs)
-                       : ThreadPool::default_worker_count(),
+                       : default_worker_count(),
       [&](std::size_t i) {
         FileResult& r = results[i];
         char buf[512];

@@ -6,7 +6,6 @@
 
 #include "ilp/solver.hpp"
 #include "support/strings.hpp"
-#include "support/workspace.hpp"
 #include "wcet/wcet.hpp"
 
 namespace vc::wcet {
@@ -39,14 +38,10 @@ IpetInfo analyze_ipet(const Cfg& cfg, const ValueAnalysisResult& values,
         "ipet: input vectors not aligned with the CFG");
 
   // ---- Variables: one per edge (real + virtual). -------------------------
-  // The edge table is dead the moment the LP is built, so it lives in the
-  // per-job workspace arena (bumped, rewound at the next job reset) rather
-  // than the heap: one row buffer per record of a both-engine campaign.
   std::size_t n_edges = 1;  // the virtual entry edge
   for (const MachineBlock& b : cfg.blocks)
     n_edges += std::max<std::size_t>(b.succs.size(), 1);
-  Arena& arena = this_thread_workspace().arena;
-  FlowEdge* edges = arena.alloc_array<FlowEdge>(n_edges);
+  std::vector<FlowEdge> edges(n_edges);
   std::size_t n_built = 0;
   std::vector<std::vector<int>> out_vars(cfg.blocks.size());
   std::vector<std::vector<int>> in_vars(cfg.blocks.size());

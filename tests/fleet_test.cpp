@@ -1,8 +1,7 @@
 // Fleet runner: thread-count invariance (the determinism contract — any
 // worker count produces bit-identical per-node stats and WCET bounds),
 // record ordering, per-job failure isolation, the phase each failure
-// surfaces in, the rejection of unsound bounds, and the thread pool itself.
-#include <atomic>
+// surfaces in, and the rejection of unsound bounds.
 #include <gtest/gtest.h>
 
 #include "dataflow/acg.hpp"
@@ -12,7 +11,6 @@
 #include "mach/program.hpp"
 #include "minic/parser.hpp"
 #include "minic/typecheck.hpp"
-#include "support/threadpool.hpp"
 #include "validate/validate.hpp"
 
 namespace vc {
@@ -376,39 +374,6 @@ TEST(FleetTest, ReportSchemaIsV5WithServiceStanza) {
   const json::Value doc = driver::to_json(driver::FleetReport{});
   EXPECT_EQ(doc.at("schema").as_string(), "vcflight-fleet-report-v8");
   EXPECT_FALSE(doc.at("service").at("enabled").as_bool(true));
-}
-
-TEST(ThreadPoolTest, RunsEveryJobExactlyOnce) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 1000; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 1000);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(hits.size(), 8,
-               [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForSerialFallback) {
-  std::vector<int> hits(64, 0);
-  parallel_for(hits.size(), 1, [&hits](std::size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesException) {
-  EXPECT_THROW(
-      parallel_for(16, 4,
-                   [](std::size_t i) {
-                     if (i == 7) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
 }
 
 }  // namespace

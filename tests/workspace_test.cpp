@@ -1,15 +1,11 @@
 // The per-job scratch layer behind the fleet runner's steady-state
-// allocation behavior: the bump arena (alignment, chunk reuse across
-// reset(), oversized-block fallback, ASan poisoning of free space), the
-// symbol interner, the workspace scratch pools, the heap-allocation
-// counters, and the allocation-regression pin that keeps the per-job
-// compile path from quietly growing new heap traffic.
+// allocation behavior: the symbol interner, the workspace scratch pools,
+// the heap-allocation counters, and the allocation-regression pins that
+// keep the per-job compile path from quietly growing new heap traffic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <set>
 
 #include "dataflow/acg.hpp"
 #include "dataflow/generator.hpp"
@@ -18,7 +14,6 @@
 #include "minic/typecheck.hpp"
 #include "opt/opt.hpp"
 #include "support/alloccount.hpp"
-#include "support/arena.hpp"
 #include "support/diagnostics.hpp"
 #include "support/symtab.hpp"
 #include "support/workspace.hpp"
@@ -32,116 +27,9 @@
 #define VC_TEST_ASAN 1
 #endif
 #endif
-#if defined(VC_TEST_ASAN)
-#include <sanitizer/asan_interface.h>
-#endif
 
 namespace vc {
 namespace {
-
-// ------------------------------------------------------------------ arena
-
-TEST(ArenaTest, RespectsRequestedAlignment) {
-  Arena arena;
-  for (std::size_t align : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                            std::size_t{8}, std::size_t{16}}) {
-    // Odd sizes force the bump pointer out of natural alignment, so the
-    // next request must realign.
-    void* a = arena.allocate(3, 1);
-    void* b = arena.allocate(24, align);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % align, 0u)
-        << "align " << align;
-  }
-}
-
-TEST(ArenaTest, AllocArrayZeroInitializesAndIsWritable) {
-  Arena arena;
-  std::uint32_t* xs = arena.alloc_array<std::uint32_t>(1000);
-  for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(xs[i], 0u);
-  for (std::size_t i = 0; i < 1000; ++i) xs[i] = static_cast<std::uint32_t>(i);
-  EXPECT_EQ(xs[999], 999u);
-}
-
-TEST(ArenaTest, ResetReusesChunksInsteadOfGrowing) {
-  Arena arena(4096);
-  auto fill = [&] {
-    for (int i = 0; i < 64; ++i) (void)arena.alloc_array<std::uint64_t>(32);
-  };
-  fill();
-  const std::size_t chunks_after_first_epoch = arena.chunk_count();
-  EXPECT_GE(chunks_after_first_epoch, 2u);  // 64*256B does not fit one chunk
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    arena.reset();
-    fill();
-  }
-  // Steady state: the same workload re-runs inside the chunks the first
-  // epoch created; reset() must never hand the memory back.
-  EXPECT_EQ(arena.chunk_count(), chunks_after_first_epoch);
-}
-
-TEST(ArenaTest, ResetRecyclesAddresses) {
-  Arena arena;
-  void* first = arena.allocate(128, 8);
-  arena.reset();
-  void* again = arena.allocate(128, 8);
-  EXPECT_EQ(first, again);  // bump pointer rewound to the same chunk start
-}
-
-TEST(ArenaTest, OversizedRequestsGetDedicatedBlocks) {
-  Arena arena(4096);
-  // Larger than half a chunk: served by a dedicated block, so chunk
-  // utilization is unaffected and the chunk list does not grow.
-  const std::size_t before = arena.chunk_count();
-  auto* big = arena.alloc_array<std::uint8_t>(3000);
-  ASSERT_NE(big, nullptr);
-  std::memset(big, 0xAB, 3000);  // fully usable
-  EXPECT_EQ(arena.chunk_count(), before);
-  // Small allocations still bump the normal chunks afterwards.
-  void* small = arena.allocate(64, 8);
-  EXPECT_NE(small, nullptr);
-  arena.reset();  // dedicated blocks are freed here; must not leak (asan)
-  void* after = arena.allocate(64, 8);
-  EXPECT_NE(after, nullptr);
-}
-
-TEST(ArenaTest, CountersTrackTraffic) {
-  Arena arena;
-  EXPECT_EQ(arena.allocations(), 0u);
-  (void)arena.allocate(100, 8);
-  (void)arena.allocate(50, 8);
-  EXPECT_EQ(arena.allocations(), 2u);
-  EXPECT_GE(arena.bytes_allocated(), 150u);
-  EXPECT_GE(arena.peak_bytes(), 150u);
-  const std::uint64_t bytes_before_reset = arena.bytes_allocated();
-  arena.reset();
-  (void)arena.allocate(10, 8);
-  // bytes_allocated is monotonic across resets (it feeds --profile totals);
-  // peak_bytes tracks the high-water mark across epochs.
-  EXPECT_GT(arena.bytes_allocated(), bytes_before_reset);
-  EXPECT_GE(arena.peak_bytes(), 150u);
-}
-
-TEST(ArenaTest, RejectsTinyChunkSize) {
-  EXPECT_THROW(Arena arena(16), InternalError);
-}
-
-#if defined(VC_TEST_ASAN)
-TEST(ArenaTest, FreeSpaceIsPoisonedUnderAsan) {
-  Arena arena;
-  auto* p = static_cast<unsigned char*>(arena.allocate(64, 8));
-  // The allocation itself must be addressable; the free space immediately
-  // after it must be poisoned like a heap redzone.
-  EXPECT_EQ(__asan_region_is_poisoned(p, 64), nullptr);
-  EXPECT_NE(__asan_region_is_poisoned(p + 64, 8), nullptr);
-  arena.reset();
-  // After reset the chunk interior is poisoned again until re-allocated.
-  EXPECT_NE(__asan_region_is_poisoned(p, 8), nullptr);
-  auto* q = static_cast<unsigned char*>(arena.allocate(32, 8));
-  EXPECT_EQ(__asan_region_is_poisoned(q, 32), nullptr);
-}
-#endif
 
 // ----------------------------------------------------------------- symtab
 
@@ -208,18 +96,6 @@ TEST(ScratchPoolTest, ConcurrentLeasesAreDistinct) {
   EXPECT_EQ((*b)[0], 2u);
 }
 
-TEST(WorkspaceTest, ResetRewindsArenaButKeepsSymbols) {
-  CompileWorkspace ws;
-  const SymbolId id = ws.symbols.intern("gain");
-  (void)ws.arena.allocate(512, 8);
-  const std::uint64_t jobs_before = ws.jobs_reset();
-  ws.reset();
-  EXPECT_EQ(ws.jobs_reset(), jobs_before + 1);
-  // Interned names survive reset: ids must stay stable for the worker's
-  // lifetime (cached id lookups in long-lived tables depend on it).
-  EXPECT_EQ(ws.symbols.find("gain"), id);
-}
-
 TEST(WorkspaceTest, ThreadWorkspaceIsStablePerThread) {
   CompileWorkspace& a = this_thread_workspace();
   CompileWorkspace& b = this_thread_workspace();
@@ -235,17 +111,6 @@ TEST(AllocCountTest, ScopeSeesHeapTraffic) {
   const alloc::Counters d = scope.delta();
   EXPECT_GE(d.allocations, 1u);
   EXPECT_GE(d.bytes, 10000u);
-}
-
-TEST(AllocCountTest, ArenaSteadyStateBypassesTheHeap) {
-  Arena arena;
-  // Warm the arena so every chunk the workload needs exists...
-  for (int i = 0; i < 100; ++i) (void)arena.alloc_array<std::uint64_t>(64);
-  arena.reset();
-  // ...then the same workload after reset must be pure pointer bumping.
-  alloc::Scope scope;
-  for (int i = 0; i < 100; ++i) (void)arena.alloc_array<std::uint64_t>(64);
-  EXPECT_EQ(scope.delta().allocations, 0u);
 }
 
 // Pins the steady-state heap-allocation count of a warm compile+WCET job.
@@ -267,7 +132,6 @@ TEST(AllocCountTest, WarmCompileJobAllocationBudget) {
   minic::type_check(program);
 
   auto job = [&] {
-    this_thread_workspace().reset();
     const driver::Compiled compiled =
         driver::compile_program(program, driver::Config::O2Full);
     wcet::WcetOptions wopts;
