@@ -173,8 +173,10 @@ void BM_ScalarPasses(benchmark::State& state) {
 BENCHMARK(BM_ScalarPasses)->Arg(0)->Arg(1)->Arg(2);
 
 /// Simulates the medium node's step function in a loop, with the execution
-/// monitor armed at `mode` (Off: plain simulation).
-void simulate_steps(benchmark::State& state, machine::MonitorMode mode) {
+/// monitor armed at `mode` (Off: plain simulation); `cold_caches` clears
+/// the caches before every call.
+void simulate_steps(benchmark::State& state, machine::MonitorMode mode,
+                    bool cold_caches = false) {
   const driver::Compiled compiled = driver::compile_program(
       medium_node().program, driver::Config::Verified);
   machine::Machine m(compiled.image);
@@ -193,6 +195,7 @@ void simulate_steps(benchmark::State& state, machine::MonitorMode mode) {
   std::uint64_t instructions = 0;
   const AllocCounter allocs;
   for (auto _ : state) {
+    if (cold_caches) m.clear_caches();
     m.call(medium_node().step_fn, args, minic::Type::I32);
     instructions += m.stats().instructions;
   }
@@ -212,6 +215,14 @@ void BM_SimulatedStepMonitored(benchmark::State& state) {
   simulate_steps(state, machine::MonitorMode::Full);
 }
 BENCHMARK(BM_SimulatedStepMonitored);
+
+// The plain simulation from empty caches on every call, as the cold-cache
+// campaigns run it: a straight-line run that misses in either cache is
+// timed by replaying the issue model over its words.
+void BM_SimulatedStepColdCaches(benchmark::State& state) {
+  simulate_steps(state, machine::MonitorMode::Off, true);
+}
+BENCHMARK(BM_SimulatedStepColdCaches);
 
 }  // namespace
 

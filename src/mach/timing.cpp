@@ -138,7 +138,7 @@ void IssueModel::drain() {
   slot_cycle_ = ~0ull;
 }
 
-void IssueModel::add_stall(std::uint32_t cycles) {
+void IssueModel::add_stall(std::uint64_t cycles) {
   cycle_ += cycles;
   slot_cycle_ = ~0ull;
 }

@@ -93,10 +93,16 @@ class IssueModel {
                       std::uint32_t fetch_stall);
 
   /// Completes all in-flight work (executed after any branch instruction).
+  /// Afterwards every resource and unit is ready by `current_cycle()` and no
+  /// issue slot is open, so the cycles any sequence takes from here depend
+  /// only on the sequence, not on the cycle or the history: the state is
+  /// translation-invariant. The simulator relies on it to charge a repeated
+  /// all-hit straight-line run the cycles its first execution took.
   void drain();
 
-  /// Adds dead cycles (taken-branch refill).
-  void add_stall(std::uint32_t cycles);
+  /// Adds dead cycles (taken-branch refill). From a drained state this is
+  /// the whole state change of a sequence that takes `cycles` and drains.
+  void add_stall(std::uint64_t cycles);
 
   [[nodiscard]] std::uint64_t current_cycle() const { return cycle_; }
 

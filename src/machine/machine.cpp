@@ -202,20 +202,23 @@ void Machine::run(std::uint32_t entry) {
   std::uint32_t pc = entry;
   std::uint64_t executed = 0;
   std::uint32_t last_fetch_line = 0xFFFFFFFF;
+  // The current straight-line run starts at `run_start` with the pipeline
+  // drained (pipe_ was reset, or the previous run ended in a branch).
+  std::uint32_t run_start = entry;
+  misses_.clear();
 
   while (pc != Image::kStopAddr) {
     if (++executed > fuel_) {
       // Keep the stats consistent with the work actually done before
       // throwing, so diagnostics of a truncated run are not garbage — but
       // the run is NOT complete and its stats are NOT observations.
-      pipe_.drain();
+      replay(run_start, (pc - run_start) / 4);
       stats_.cycles = pipe_.current_cycle();
       throw FuelExhausted("instruction budget exhausted after " +
                           std::to_string(fuel_) +
                           " instruction(s): execution truncated");
     }
     const Decoded& d = fetch(pc);
-    const MInstr& ins = d.ins;
 
     // Instruction fetch through the I-cache, one lookup per line entered.
     std::uint32_t fetch_stall = 0;
@@ -233,7 +236,7 @@ void Machine::run(std::uint32_t entry) {
     next_pc_ = pc + 4;
     branch_taken_ = false;
     if (monitor_ != nullptr) monitor_->before_execute(pc, *this);
-    const std::uint32_t mem_addr = execute(ins, pc);
+    const std::uint32_t mem_addr = execute(d.ins, pc);
 
     // Micro-architectural accounting.
     std::uint32_t extra_mem = 0;
@@ -253,24 +256,54 @@ void Machine::run(std::uint32_t entry) {
         }
       }
     }
-
-    pipe_.issue(ins, d.reads, d.n_reads, d.writes, d.n_writes, extra_mem,
-                fetch_stall);
+    if ((fetch_stall | extra_mem) != 0)
+      misses_.push_back({pc, fetch_stall, extra_mem});
     ++stats_.instructions;
 
     if (d.is_branch) {
-      pipe_.drain();
+      // The run [run_start, pc] ends here and drains the pipeline. Only
+      // branch ops leave pc + 4, so the run is exactly those words, and
+      // from a drained pipeline its cycles depend on nothing but them and
+      // their stalls: an all-hit run is charged the cycles its first
+      // all-hit execution recorded.
+      Decoded& head = decoded_[(run_start - Image::kCodeBase) / 4];
+      if (misses_.empty() && head.run_cycles != 0) {
+        pipe_.add_stall(head.run_cycles);
+      } else {
+        const std::uint64_t start = pipe_.current_cycle();
+        replay(run_start, (pc - run_start) / 4 + 1);
+        if (misses_.empty()) head.run_cycles = pipe_.current_cycle() - start;
+        misses_.clear();
+      }
       if (branch_taken_) {
         pipe_.add_stall(config_.taken_branch_penalty);
         ++stats_.taken_branches;
         last_fetch_line = 0xFFFFFFFF;  // refetch after redirect
       }
+      run_start = next_pc_;
     }
     if (monitor_ != nullptr) monitor_->after_step(pc, next_pc_, d.is_branch);
     pc = next_pc_;
   }
   pipe_.drain();
   stats_.cycles = pipe_.current_cycle();
+}
+
+void Machine::replay(std::uint32_t first, std::uint32_t count) {
+  const Decoded* d = decoded_.data() + (first - Image::kCodeBase) / 4;
+  auto miss = misses_.cbegin();
+  for (std::uint32_t pc = first; count > 0; --count, ++d, pc += 4) {
+    std::uint32_t fetch_stall = 0;
+    std::uint32_t extra_mem = 0;
+    if (miss != misses_.cend() && miss->pc == pc) {
+      fetch_stall = miss->fetch_stall;
+      extra_mem = miss->extra_mem;
+      ++miss;
+    }
+    pipe_.issue(d->ins, d->reads, d->n_reads, d->writes, d->n_writes,
+                extra_mem, fetch_stall);
+  }
+  pipe_.drain();
 }
 
 /// mach::step's concrete domain: u32 GPRs, double FPRs and 4-bit CR fields

@@ -143,6 +143,10 @@ class Machine : private CpuView {
     bool is_memory = false;
     bool is_store = false;
     bool is_branch = false;
+    // Cycles of the straight-line run that starts at this word, recorded
+    // the first time the run executes with every cache access a hit (0: not
+    // yet recorded; a run takes at least one cycle).
+    std::uint64_t run_cycles = 0;
     int n_reads = 0;
     int n_writes = 0;
     int reads[mach::IssueModel::kMaxResourcesPerInstr] = {};
@@ -160,7 +164,14 @@ class Machine : private CpuView {
   }
   const Decoded& predecode(std::uint32_t pc);
 
+  /// Executes from `entry` until the return to Image::kStopAddr. Caches
+  /// are accessed as each word executes; the issue model times each
+  /// straight-line run (from a drained pipeline up to and including its
+  /// branch) when the branch is reached.
   void run(std::uint32_t entry);
+  /// Issues the `count` words from `first` through the issue model with
+  /// the stalls logged in `misses_`, then drains the pipeline.
+  void replay(std::uint32_t first, std::uint32_t count);
   /// Executes `ins` at `pc` through mach::step over the Concrete domain;
   /// returns the data address a memory op accessed.
   std::uint32_t execute(const mach::MInstr& ins, std::uint32_t pc);
@@ -189,6 +200,14 @@ class Machine : private CpuView {
   Cache dcache_;
   mach::IssueModel pipe_;
   ExecStats stats_;
+  /// The cache misses of the current run, in program order: the I-fetch
+  /// and memory stalls of each word that missed. Reused across calls.
+  struct Miss {
+    std::uint32_t pc = 0;
+    std::uint32_t fetch_stall = 0;
+    std::uint32_t extra_mem = 0;
+  };
+  std::vector<Miss> misses_;
 
   std::array<std::uint32_t, 32> gpr_{};
   std::array<double, 32> fpr_{};

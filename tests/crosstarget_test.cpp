@@ -12,7 +12,8 @@
 //     peephole, or analysis drift shows up as a diff here; the rv32 backend
 //     is held the same way to tests/data/reference_40_rv32.jsonl (its 2-way
 //     caches exercise must-cache aging and eviction far more than ppc's
-//     8-way sets);
+//     8-way sets); tests/data/reference_40_cold.jsonl holds both targets'
+//     execution statistics with the caches cleared before every call;
 //   * per target, a parallel campaign (jobs=8) must be bit-identical to the
 //     sequential one (jobs=1): worker scheduling may not leak into records;
 //   * the two targets genuinely differ (the rv32 campaign is NOT the ppc
@@ -49,15 +50,16 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// Runs the reference campaign on `target` and compares it with the
-/// committed fixture, record by record first so a mismatch names the record
-/// instead of dumping two multi-megabyte strings.
-void expect_reference_campaign(const std::string& target,
-                               const std::string& fixture) {
+/// Compares campaign records with the committed fixture, record by record
+/// first so a mismatch names the record instead of dumping two
+/// multi-megabyte strings. On a mismatch the fresh records are left next to
+/// the test binary as `<fixture>.got` for diffing.
+void expect_reference_records(const std::string& got,
+                              const std::string& fixture) {
   const std::string want =
       read_file(std::string(VCFLIGHT_TEST_DATA_DIR) + "/" + fixture);
+  if (got != want) std::ofstream(fixture + ".got", std::ios::binary) << got;
   ASSERT_FALSE(want.empty());
-  const std::string got = reference_campaign_records(target);
   std::istringstream want_lines(want);
   std::istringstream got_lines(got);
   std::string want_line;
@@ -133,11 +135,20 @@ TEST(CrossTarget, CompiledImagesAreByteIdentical) {
 }
 
 TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
-  expect_reference_campaign("ppc", "reference_40.jsonl");
+  expect_reference_records(reference_campaign_records("ppc"),
+                           "reference_40.jsonl");
 }
 
 TEST(CrossTarget, Rv32ReferenceCampaignIsByteIdentical) {
-  expect_reference_campaign("rv32", "reference_40_rv32.jsonl");
+  expect_reference_records(reference_campaign_records("rv32"),
+                           "reference_40_rv32.jsonl");
+}
+
+// Execution statistics of calls that each start from empty caches, on
+// both targets.
+TEST(CrossTarget, ColdCacheReferenceCampaignIsByteIdentical) {
+  expect_reference_records(reference_cold_records(),
+                           "reference_40_cold.jsonl");
 }
 
 class CrossTargetDeterminism

@@ -1,9 +1,11 @@
 // Machine simulator tests: instruction semantics on hand-assembled images,
-// big-endian memory, cache statistics, traps, and the IssueModel timing
-// rules shared with the WCET analyzer.
+// big-endian memory, cache statistics, traps, pinned execution statistics
+// of multi-run programs (the simulator times each straight-line run as a
+// unit), and the IssueModel timing rules shared with the WCET analyzer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "machine/machine.hpp"
 #include "mach/program.hpp"
@@ -285,6 +287,124 @@ TEST(Machine, InvalidWordFaultsOnlyWhenExecuted) {
   EXPECT_EQ(m.call("f", {}, minic::Type::I32).i, 7);
 }
 
+/// cmpw/cmpwi into cr0 and a bc on one of cr0's bits.
+MInstr cmpw(int ra, int rb) {
+  MInstr m;
+  m.op = MOp::Cmpw;
+  m.ra = static_cast<std::uint8_t>(ra);
+  m.rb = static_cast<std::uint8_t>(rb);
+  return m;
+}
+
+MInstr cmpwi(int ra, std::int32_t imm) { return ri(MOp::Cmpwi, 0, ra, imm); }
+
+MInstr bc(int crbit, bool expect, std::int32_t disp) {
+  MInstr m;
+  m.op = MOp::Bc;
+  m.crbit = static_cast<std::uint8_t>(crbit);
+  m.expect = expect;
+  m.disp = disp;
+  return m;
+}
+
+/// Every ExecStats field on one line, for pinned comparisons.
+std::string stats_line(const machine::ExecStats& s) {
+  return "cycles=" + std::to_string(s.cycles) +
+         " insns=" + std::to_string(s.instructions) +
+         " dr=" + std::to_string(s.dcache_reads) +
+         " dw=" + std::to_string(s.dcache_writes) +
+         " drm=" + std::to_string(s.dcache_read_misses) +
+         " dwm=" + std::to_string(s.dcache_write_misses) +
+         " im=" + std::to_string(s.ifetch_line_misses) +
+         " tb=" + std::to_string(s.taken_branches);
+}
+
+// A 16-iteration loop striding 8 bytes through the stack: every fourth
+// iteration's load enters a new D-cache line, so the same straight-line run
+// alternates between missing and hitting within one call.
+std::vector<MInstr> stride_loop() {
+  return {ri(MOp::Addi, 7, 1, -256),  // 0
+          ri(MOp::Li, 4, 0, 0),       // 1
+          ri(MOp::Li, 5, 0, 16),      // 2
+          ri(MOp::Lwz, 6, 7, 0),      // 3: loop head
+          ri(MOp::Stw, 4, 7, 4),      // 4
+          ri(MOp::Addi, 7, 7, 8),     // 5
+          ri(MOp::Addi, 4, 4, 1),     // 6
+          cmpw(4, 5),                 // 7
+          bc(mach::kLt, true, -5),    // 8: back to 3
+          ri(MOp::Addi, 3, 6, 0)};    // 9, then blr
+}
+
+// The divider's destination is overwritten before the run's branch (a WAW
+// across a blocking unit), and the bc at word 6 falls through, when not
+// taken, into word 7 of the same I-cache line.
+std::vector<MInstr> divider_waw_loop() {
+  return {ri(MOp::Li, 4, 0, 100),     // 0
+          ri(MOp::Li, 5, 0, 7),       // 1
+          ri(MOp::Li, 8, 0, 0),       // 2
+          r3(MOp::Divw, 6, 4, 5),     // 3: loop head
+          ri(MOp::Li, 6, 0, 1),       // 4: overwrites the quotient
+          cmpwi(8, 1),                // 5
+          bc(mach::kEq, true, 2),     // 6: taken only when r8 == 1
+          ri(MOp::Addi, 6, 6, 2),     // 7: same line as 6
+          ri(MOp::Addi, 8, 8, 1),     // 8
+          cmpwi(8, 3),                // 9
+          bc(mach::kLt, true, -7),    // 10: back to 3
+          ri(MOp::Addi, 3, 6, 0)};    // 11, then blr
+}
+
+TEST(MachineTiming, RepeatedWarmCallsArePinned) {
+  const mach::Image image = assemble(stride_loop());
+  Machine m(image);
+  const char* want[] = {
+      "cycles=316 insns=101 dr=16 dw=16 drm=4 dwm=0 im=2 tb=16",
+      "cycles=179 insns=101 dr=16 dw=16 drm=0 dwm=0 im=0 tb=16",
+      "cycles=179 insns=101 dr=16 dw=16 drm=0 dwm=0 im=0 tb=16",
+  };
+  for (const char* line : want) {
+    EXPECT_EQ(m.call("f", {}, minic::Type::I32).i, 0);
+    EXPECT_EQ(stats_line(m.stats()), line);
+  }
+}
+
+TEST(MachineTiming, ColdCallsArePinned) {
+  const mach::Image image = assemble(stride_loop());
+  Machine m(image);
+  for (int call = 0; call < 3; ++call) {
+    m.clear_caches();
+    m.call("f", {}, minic::Type::I32);
+    EXPECT_EQ(stats_line(m.stats()), "cycles=316 insns=101 dr=16 dw=16 drm=4 dwm=0 im=2 tb=16") << "call " << call;
+  }
+}
+
+TEST(MachineTiming, DividerWawAndSameLineFallThroughArePinned) {
+  const mach::Image image = assemble(divider_waw_loop());
+  Machine m(image);
+  EXPECT_EQ(m.call("f", {}, minic::Type::I32).i, 3);
+  EXPECT_EQ(stats_line(m.stats()), "cycles=160 insns=28 dr=0 dw=0 drm=0 dwm=0 im=2 tb=4");
+  EXPECT_EQ(m.call("f", {}, minic::Type::I32).i, 3);
+  EXPECT_EQ(stats_line(m.stats()), "cycles=100 insns=28 dr=0 dw=0 drm=0 dwm=0 im=0 tb=4");
+  m.clear_caches();
+  m.call("f", {}, minic::Type::I32);
+  EXPECT_EQ(stats_line(m.stats()), "cycles=160 insns=28 dr=0 dw=0 drm=0 dwm=0 im=2 tb=4");
+}
+
+// Fuel running out after the lwz and stw of the third iteration, in the
+// middle of a run: the truncated call reports the cycles of the 17 words it
+// executed, cold and then warm.
+TEST(MachineTiming, FuelExhaustedMidRunIsPinned) {
+  const mach::Image image = assemble(stride_loop());
+  Machine m(image);
+  m.set_fuel(17);
+  EXPECT_THROW(m.call("f", {}, minic::Type::I32), machine::FuelExhausted);
+  EXPECT_EQ(stats_line(m.stats()), "cycles=84 insns=17 dr=3 dw=3 drm=1 dwm=0 im=2 tb=2");
+  m.set_fuel(1000);
+  m.call("f", {}, minic::Type::I32);
+  m.set_fuel(17);
+  EXPECT_THROW(m.call("f", {}, minic::Type::I32), machine::FuelExhausted);
+  EXPECT_EQ(stats_line(m.stats()), "cycles=25 insns=17 dr=3 dw=3 drm=0 dwm=0 im=0 tb=2");
+}
+
 TEST(IssueModel, DualIssueAndHazards) {
   mach::IssueModel pipe(mach::target_by_name("ppc"));
   pipe.reset();
@@ -328,6 +448,50 @@ TEST(IssueModel, FetchStallDelaysIssue) {
   mach::IssueModel::resources(li, reads, &n_reads, writes, &n_writes);
   const auto t = pipe.issue(li, reads, n_reads, writes, n_writes, 0, 30);
   EXPECT_GE(t, 30u);
+}
+
+// From a drained state, the cycles a sequence takes do not depend on the
+// cycle it starts at or on the history that preceded the drain: the same
+// words, issued after two different prefixes, take the same delta.
+TEST(IssueModel, DrainedStateIsTranslationInvariant) {
+  const mach::TargetDesc& ppc = mach::target_by_name("ppc");
+  int reads[mach::IssueModel::kMaxResourcesPerInstr];
+  int writes[mach::IssueModel::kMaxResourcesPerInstr];
+  int n_reads = 0;
+  int n_writes = 0;
+  auto issue = [&](mach::IssueModel& pipe, const MInstr& m,
+                   std::uint32_t mem = 0) {
+    mach::IssueModel::resources(m, reads, &n_reads, writes, &n_writes);
+    pipe.issue(m, reads, n_reads, writes, n_writes, mem, 0);
+  };
+  MInstr fdiv = r3(MOp::Fdiv, 2, 1, 1);
+  const std::vector<MInstr> body = {
+      r3(MOp::Divw, 6, 4, 5), ri(MOp::Lwz, 7, 1, -8), fdiv,
+      ri(MOp::Addi, 8, 6, 1), r3(MOp::Mullw, 9, 7, 8), ri(MOp::Li, 6, 0, 1),
+      cmpw(9, 6)};
+
+  mach::IssueModel fresh(ppc);
+  fresh.reset();
+  fresh.drain();
+  mach::IssueModel busy(ppc);
+  busy.reset();
+  issue(busy, r3(MOp::Divw, 4, 4, 5));
+  issue(busy, ri(MOp::Lwz, 5, 1, -16), 30);
+  issue(busy, fdiv);
+  busy.drain();
+  busy.add_stall(6);
+  ASSERT_NE(fresh.current_cycle(), busy.current_cycle());
+
+  std::uint64_t delta[2] = {};
+  int i = 0;
+  for (mach::IssueModel* pipe : {&fresh, &busy}) {
+    const std::uint64_t start = pipe->current_cycle();
+    for (const MInstr& m : body) issue(*pipe, m);
+    pipe->drain();
+    delta[i++] = pipe->current_cycle() - start;
+  }
+  EXPECT_EQ(delta[0], delta[1]);
+  EXPECT_GT(delta[0], 19u);  // at least the divider's latency
 }
 
 }  // namespace

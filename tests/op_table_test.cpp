@@ -163,6 +163,18 @@ struct Target {
   }
 };
 
+/// Random registers, CR and data words; pinned GPRs keep their values.
+State random_state(const Target& t, Rng& rng) {
+  State s;
+  for (int r = 0; r < 32; ++r) {
+    s.regs.gpr[r] = t.pinned(r) ? t.pinned_value(r) : random_word(rng);
+    s.regs.fpr[r] = random_double(rng);
+  }
+  s.regs.cr = static_cast<std::uint32_t>(rng.next_u64());
+  for (auto& w : s.mem) w = random_word(rng);
+  return s;
+}
+
 /// Random operands for `op`; for a memory op also the base/index values
 /// that keep its address inside the data segment.
 MInstr random_instr(MOp op, const Target& t, Rng& rng, State* s) {
@@ -468,13 +480,7 @@ void check_op(const std::string& target_name, MOp op, Rng& rng,
   const Target t{mach::target_by_name(target_name)};
   int ran = 0;
   for (int trial = 0; trial < kTrialsPerOp; ++trial) {
-    State s;
-    for (int r = 0; r < 32; ++r) {
-      s.regs.gpr[r] = t.pinned(r) ? t.pinned_value(r) : random_word(rng);
-      s.regs.fpr[r] = random_double(rng);
-    }
-    s.regs.cr = static_cast<std::uint32_t>(rng.next_u64());
-    for (auto& w : s.mem) w = random_word(rng);
+    State s = random_state(t, rng);
     const MInstr m = random_instr(op, t, rng, &s);
     const Roles roles = roles_of(m);
     const Image img = image_for(target_name, {m});
@@ -585,6 +591,46 @@ TEST(OpTable, RowsAgreeWithTheSimulatorAndTheValueAnalysis) {
     EXPECT_GT(narrow, analyzed / 4) << name << ": (c) compared mostly tops";
     std::printf("%s: %d ops, %d interval checks, %d narrower than i32\n",
                 name.c_str(), ops, analyzed, narrow);
+  }
+}
+
+// Every op whose row is not a branch falls through: the simulator times a
+// straight-line run as the words from its first pc up to the next branch op,
+// which holds only if every other op leaves `next_pc = pc + 4` and sets no
+// taken flag. Each trial runs the image [op; blr] with a branch displacement
+// that would leave the image: the call must execute exactly the op and the
+// blr, and take exactly one branch (the blr's return).
+TEST(OpTable, NonBranchOpsFallThroughWithoutTakenFlag) {
+  Rng rng(20110320);
+  for (const std::string& name : mach::target_names()) {
+    const Target t{mach::target_by_name(name)};
+    int ops = 0;
+    for (std::size_t i = 0; i < mach::kNumOps; ++i) {
+      const auto op = static_cast<MOp>(i);
+      if (!t.desc.is_legal(op) || mach::is_branch(op)) continue;
+      ++ops;
+      for (int trial = 0; trial < 20; ++trial) {
+        State s = random_state(t, rng);
+        MInstr m = random_instr(op, t, rng, &s);
+        m.disp = 5;
+        Image img = image_for(name, {});  // [b +1; blr] becomes [op; blr]
+        img.words.front() = mach::encode(m);
+        Machine machine(img);
+        machine.set_registers(s.regs);
+        try {
+          machine.call("f", {}, minic::Type::I32);
+        } catch (const machine::MachineError&) {
+          continue;  // a trapping divide by zero
+        }
+        const std::string what =
+            name + " `" + mach::format_instr(m, Image::kCodeBase) + "`";
+        EXPECT_EQ(machine.stats().instructions, 2u)
+            << what << " did not fall through to pc + 4";
+        EXPECT_EQ(machine.stats().taken_branches, 1u)
+            << what << " set the taken flag";
+      }
+    }
+    EXPECT_GT(ops, 30) << name;
   }
 }
 

@@ -12,7 +12,8 @@
 // single byte of a record shows up here. Records pin only the code size,
 // not the code: tests/data/reference_images.txt pins the hash of every
 // compiled image of this suite (and examples/programs), so an equal-length
-// instruction change shows up there.
+// instruction change shows up there. tests/data/reference_40_cold.jsonl
+// pins the execution statistics of the same suite run from cold caches.
 #pragma once
 
 #include <string>
@@ -29,9 +30,20 @@ inline std::vector<NodeBundle> reference_suite() {
   return suite;
 }
 
-inline std::string reference_campaign_records(const std::string& target) {
-  const std::vector<NodeBundle> suite = reference_suite();
+/// The records of `options`' campaign over the reference suite, one
+/// record_core_json document per line.
+inline std::string reference_records(const driver::FleetOptions& options) {
+  const driver::FleetReport report =
+      driver::run_fleet(to_fleet_units(reference_suite()), options);
+  std::string out;
+  for (const driver::FleetRecord& r : report.records) {
+    out += driver::record_core_json(r).dump();
+    out += "\n";
+  }
+  return out;
+}
 
+inline std::string reference_campaign_records(const std::string& target) {
   driver::FleetOptions options;
   options.jobs = 1;
   options.exec_cycles = 50;
@@ -42,13 +54,24 @@ inline std::string reference_campaign_records(const std::string& target) {
   options.target = target;
   options.validate = driver::ValidateLevel::Full;
   validate::attach_campaign_validation(&options);
+  return reference_records(options);
+}
 
-  const driver::FleetReport report =
-      driver::run_fleet(to_fleet_units(suite), options);
+/// The cold-cache reference campaign (tests/data/reference_40_cold.jsonl):
+/// the same suite on ppc, then on rv32, with the caches cleared before each
+/// of 50 executed cycles, as bench_wcet_tightness and bench_crosstarget run.
+/// Validation, WCET and the monitor stay off (the RunSpec defaults): the
+/// records pin the execution statistics of calls that start from empty
+/// caches.
+inline std::string reference_cold_records() {
   std::string out;
-  for (const driver::FleetRecord& r : report.records) {
-    out += driver::record_core_json(r).dump();
-    out += "\n";
+  for (const char* target : {"ppc", "rv32"}) {
+    driver::FleetOptions options;
+    options.jobs = 1;
+    options.exec_cycles = 50;
+    options.cold_caches = true;
+    options.target = target;
+    out += reference_records(options);
   }
   return out;
 }
