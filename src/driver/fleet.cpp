@@ -51,19 +51,6 @@ JobSpec job_spec(const FleetOptions& options, Config config,
   return spec;
 }
 
-json::Value exec_stats_json(const machine::ExecStats& s) {
-  json::Value e;
-  e["cycles"] = json::Value(s.cycles);
-  e["instructions"] = json::Value(s.instructions);
-  e["dcache_reads"] = json::Value(s.dcache_reads);
-  e["dcache_writes"] = json::Value(s.dcache_writes);
-  e["dcache_read_misses"] = json::Value(s.dcache_read_misses);
-  e["dcache_write_misses"] = json::Value(s.dcache_write_misses);
-  e["ifetch_line_misses"] = json::Value(s.ifetch_line_misses);
-  e["taken_branches"] = json::Value(s.taken_branches);
-  return e;
-}
-
 machine::ExecStats exec_stats_from_json(const json::Value& e) {
   machine::ExecStats s;
   s.cycles = e.at("cycles").as_u64();

@@ -220,6 +220,10 @@ json::Value to_json(const FleetReport& report);
 /// protocol and the determinism soaks compare exactly this.
 json::Value record_core_json(const FleetRecord& record);
 
+/// One run's execution statistics as JSON: the "exec" object of both a
+/// record's core and an artifact's stats stanza.
+json::Value exec_stats_json(const machine::ExecStats& stats);
+
 /// Serializes to_json(report) to `path` (pretty-printed, trailing newline).
 /// Returns false if the file cannot be written.
 bool write_report_json(const FleetReport& report, const std::string& path);

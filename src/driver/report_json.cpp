@@ -26,19 +26,6 @@ json::Value pass_stats_json(const pass::PipelineStats& stats) {
   return json::Value(std::move(passes));
 }
 
-json::Value exec_json(const machine::ExecStats& s) {
-  json::Value e;
-  e["cycles"] = json::Value(s.cycles);
-  e["instructions"] = json::Value(s.instructions);
-  e["dcache_reads"] = json::Value(s.dcache_reads);
-  e["dcache_writes"] = json::Value(s.dcache_writes);
-  e["dcache_read_misses"] = json::Value(s.dcache_read_misses);
-  e["dcache_write_misses"] = json::Value(s.dcache_write_misses);
-  e["ifetch_line_misses"] = json::Value(s.ifetch_line_misses);
-  e["taken_branches"] = json::Value(s.taken_branches);
-  return e;
-}
-
 json::Value record_json(const FleetRecord& r) {
   // Semantic core first, then the provenance/timing overlay — the overlay
   // is exactly what the determinism diffs strip.
@@ -55,6 +42,19 @@ json::Value record_json(const FleetRecord& r) {
 
 }  // namespace
 
+json::Value exec_stats_json(const machine::ExecStats& s) {
+  json::Value e;
+  e["cycles"] = json::Value(s.cycles);
+  e["instructions"] = json::Value(s.instructions);
+  e["dcache_reads"] = json::Value(s.dcache_reads);
+  e["dcache_writes"] = json::Value(s.dcache_writes);
+  e["dcache_read_misses"] = json::Value(s.dcache_read_misses);
+  e["dcache_write_misses"] = json::Value(s.dcache_write_misses);
+  e["ifetch_line_misses"] = json::Value(s.ifetch_line_misses);
+  e["taken_branches"] = json::Value(s.taken_branches);
+  return e;
+}
+
 json::Value record_core_json(const FleetRecord& r) {
   json::Value v;
   v["name"] = json::Value(r.name);
@@ -62,7 +62,7 @@ json::Value record_core_json(const FleetRecord& r) {
   v["ok"] = json::Value(r.ok);
   if (!r.ok) v["error"] = json::Value(r.error);
   v["code_bytes"] = json::Value(r.code_bytes);
-  v["exec"] = exec_json(r.exec);
+  v["exec"] = exec_stats_json(r.exec);
   v["observed_max_cycles"] = json::Value(r.observed_max_cycles);
   v["wcet_cycles"] = json::Value(r.wcet_cycles);
   v["wcet_nocache_cycles"] = json::Value(r.wcet_nocache_cycles);

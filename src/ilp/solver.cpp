@@ -11,9 +11,9 @@
 // normalization pass — no per-cell gcd, no per-cell allocation. IPET
 // tableaux are flow conservation plus a few loop rows: on the perfbench
 // suite no row turns fractional and a pivot row has ~6% nonzero columns, so
-// the integral case is all the work there is. Tableau buffers come from a
-// per-thread scratch pool reused across branch-and-bound nodes and across
-// fleet jobs.
+// the integral case is all the work there is. Tableau buffers are the
+// solver's thread_local scratch, reused across branch-and-bound nodes and
+// across fleet jobs.
 //
 // A reduced value that no longer fits int64 is an InternalError ("ilp:
 // int64 pivot kernel overflow"), never a wrapped or rounded cell. The

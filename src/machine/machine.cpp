@@ -72,15 +72,12 @@ bool Cache::access(std::uint32_t addr) {
 }
 
 Machine::Machine(const mach::Image& image)
-    : Machine(image, desc_of(image).machine) {}
-
-Machine::Machine(const mach::Image& image, mach::MachineConfig config)
     : image_(image),
       decoded_(image.words.size()),
       desc_(&desc_of(image)),
-      config_(config),
-      icache_(config.icache),
-      dcache_(config.dcache),
+      config_(desc_->machine),
+      icache_(config_.icache),
+      dcache_(config_.dcache),
       pipe_(*desc_) {
   reset();
 }

@@ -73,9 +73,6 @@ class Machine : private CpuView {
   /// Runs with the machine configuration (caches, penalties) of the image's
   /// target descriptor.
   explicit Machine(const mach::Image& image);
-  /// Same, but with an explicit machine-configuration override (cache
-  /// ablations, WCET nocache experiments).
-  Machine(const mach::Image& image, mach::MachineConfig config);
 
   /// Reinitializes data memory from the image, clears registers and caches.
   void reset();

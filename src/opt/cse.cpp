@@ -104,10 +104,8 @@ class ScopedVN {
   }
 
   bool run() {
-    CompileWorkspace& ws = this_thread_workspace();
-    auto idom_lease = ws.u32_pool.lease();
-    rtl::immediate_dominators(fn_, ws, &*idom_lease);
-    const std::vector<BlockId>& idom = *idom_lease;
+    thread_local std::vector<BlockId> idom;
+    rtl::immediate_dominators(fn_, &idom);
     const auto children = rtl::dominator_children(idom);
     bool changed = false;
     // Iterative preorder DFS; frame second = undo-log marks at block entry.

@@ -10,10 +10,9 @@ bool dead_code_elimination(rtl::Function& fn) {
   thread_local rtl::Liveness lv;
   thread_local DenseBitset live;
   thread_local std::vector<std::uint8_t> dead;
-  CompileWorkspace& ws = this_thread_workspace();
   bool any_change = false;
   for (;;) {
-    rtl::compute_liveness(fn, ws, &lv);
+    rtl::compute_liveness(fn, &lv);
     bool changed = false;
     // Deleting an instruction shrinks the liveness only of the registers
     // it reads; if no deleted instruction read one, nothing more can die.

@@ -107,10 +107,8 @@ bool transfer(const Instr& ins, const StoreLocs& locs, DenseBitset& live) {
 bool dead_store_elimination(rtl::Function& fn) {
   const StoreLocs locs(fn);
   if (locs.nlocs == 0) return false;
-  CompileWorkspace& ws = this_thread_workspace();
-  auto rpo_lease = ws.u32_pool.lease();
-  rtl::reverse_postorder(fn, ws, &*rpo_lease);
-  const std::vector<BlockId>& rpo = *rpo_lease;
+  thread_local std::vector<BlockId> rpo;
+  rtl::reverse_postorder(fn, &rpo);
 
   std::vector<DenseBitset> live_in(fn.blocks.size(), DenseBitset(locs.nlocs));
   std::vector<DenseBitset> live_out(fn.blocks.size(), DenseBitset(locs.nlocs));

@@ -82,10 +82,8 @@ class Forwarder {
   explicit Forwarder(Function& fn) : fn_(fn), locs_(fn) {}
 
   bool run() {
-    CompileWorkspace& ws = this_thread_workspace();
-    auto rpo_lease = ws.u32_pool.lease();
-    rtl::reverse_postorder(fn_, ws, &*rpo_lease);
-    const std::vector<BlockId>& rpo = *rpo_lease;
+    thread_local std::vector<BlockId> rpo;
+    rtl::reverse_postorder(fn_, &rpo);
     out_.assign(fn_.blocks.size(), AvailState{});
 
     bool changed = true;
@@ -137,7 +135,7 @@ class Forwarder {
   /// Meet (intersection) of predecessor exit states; entry starts empty.
   AvailState entry_state(BlockId b, const std::vector<BlockId>& rpo) {
     if (preds_.empty())
-      rtl::predecessors(fn_, this_thread_workspace(), &preds_);
+      rtl::predecessors(fn_, &preds_);
     AvailState in;
     if (b == rpo.front()) {
       in.top = false;

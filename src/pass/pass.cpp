@@ -14,6 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Bound on the RTL round-group iteration; a group also stops earlier on
+/// convergence or a repeated round.
+constexpr int kRtlRounds = 4;
+
 std::int64_t ir_size(const FunctionState& state, Level level) {
   if (level == Level::Rtl)
     return static_cast<std::int64_t>(state.rtl.instruction_count());
@@ -229,7 +233,7 @@ void PassManager::run(FunctionState& state) const {
       // The steps are deterministic, so every round after one that ends
       // where it started would replay it: stop there, with the cap's output.
       rtl::Function round_input;
-      for (int round = 0; round < options_.rtl_rounds; ++round) {
+      for (int round = 0; round < kRtlRounds; ++round) {
         round_input = state.rtl;
         bool changed = false;
         for (std::size_t s = i; s < j; ++s)

@@ -24,7 +24,7 @@
 //   * consecutive RTL fixpoint steps form a round group. It stops after a
 //     round in which no step changed anything (convergence), after a round
 //     that ends with the function it started from (a repeated round), or
-//     after ManagerOptions::rtl_rounds rounds (the cap). The steps are
+//     after 4 rounds (the cap, kRtlRounds in pass.cpp). The steps are
 //     deterministic, so every round after a repeated one would replay it
 //     and end in the same function: the output is the cap's, and the cap is
 //     only a bound. Repeats are common: CSE rewrites a second `LdI c` into
@@ -179,9 +179,6 @@ struct ManagerOptions {
   /// `dump_after`, `dump` is called with the step name and current state.
   std::string dump_after;
   std::function<void(const std::string& pass, const FunctionState&)> dump;
-  /// Bound on the RTL round-group iteration (the old standard-pipeline 4);
-  /// a group also stops earlier on convergence or a repeated round.
-  int rtl_rounds = 4;
   /// Bound on any machine fixpoint step; exceeding it throws InternalError.
   int machine_fixpoint_cap = 64;
 };

@@ -63,7 +63,7 @@ void build_graph(const Function& fn, Scratch& s) {
   for (VReg v = 0; v < n; ++v)
     s.class_mask[fn.vregs[v] == RegClass::I32 ? 0 : 1].set(v);
 
-  rtl::compute_liveness(fn, this_thread_workspace(), &s.lv);
+  rtl::compute_liveness(fn, &s.lv);
 
   for (BlockId b = 0; b < fn.blocks.size(); ++b) {
     s.live = s.lv.live_out[b];

@@ -1,12 +1,14 @@
 #include "rtl/analysis.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <utility>
 
 namespace vc::rtl {
 namespace {
 
-/// Rewinds a pooled vector<DenseBitset> to `count` bitsets of `universe`
+/// Rewinds a reused vector<DenseBitset> to `count` bitsets of `universe`
 /// bits, all clear, reusing both the vector slots and each bitset's word
 /// storage.
 void reshape_bitsets(std::vector<DenseBitset>* sets, std::size_t count,
@@ -20,9 +22,7 @@ void reshape_bitsets(std::vector<DenseBitset>* sets, std::size_t count,
 
 }  // namespace
 
-void predecessors(const Function& fn, CompileWorkspace& ws,
-                  std::vector<std::vector<BlockId>>* out) {
-  (void)ws;  // result lists are caller-owned; nothing internal to pool
+void predecessors(const Function& fn, std::vector<std::vector<BlockId>>* out) {
   out->resize(fn.blocks.size());
   for (auto& lst : *out) lst.clear();
   for (BlockId b = 0; b < fn.blocks.size(); ++b) {
@@ -32,32 +32,32 @@ void predecessors(const Function& fn, CompileWorkspace& ws,
 
 std::vector<std::vector<BlockId>> predecessors(const Function& fn) {
   std::vector<std::vector<BlockId>> preds;
-  predecessors(fn, this_thread_workspace(), &preds);
+  predecessors(fn, &preds);
   return preds;
 }
 
-void reverse_postorder(const Function& fn, CompileWorkspace& ws,
-                       std::vector<BlockId>* out) {
-  auto visited = ws.u8_pool.lease();
-  visited->assign(fn.blocks.size(), 0);
+void reverse_postorder(const Function& fn, std::vector<BlockId>* out) {
+  thread_local std::vector<std::uint8_t> visited;
+  // Iterative DFS to avoid deep recursion on long block chains; each frame
+  // is (block, next successor index).
+  thread_local std::vector<std::pair<BlockId, std::size_t>> stack;
+  visited.assign(fn.blocks.size(), 0);
   out->clear();
   out->reserve(fn.blocks.size());
-  // Iterative DFS to avoid deep recursion on long block chains.
-  auto stack = ws.pair_pool.lease();  // (block, next successor index)
-  stack->emplace_back(0, 0);
-  (*visited)[0] = 1;
-  while (!stack->empty()) {
-    auto& [block, next_succ] = stack->back();
+  stack.assign(1, {0, 0});
+  visited[0] = 1;
+  while (!stack.empty()) {
+    auto& [block, next_succ] = stack.back();
     const Successors succs = fn.blocks[block].successors();
     if (next_succ < succs.size()) {
       const BlockId s = succs[next_succ++];
-      if (!(*visited)[s]) {
-        (*visited)[s] = 1;
-        stack->emplace_back(s, 0);
+      if (!visited[s]) {
+        visited[s] = 1;
+        stack.emplace_back(s, 0);
       }
     } else {
       out->push_back(block);
-      stack->pop_back();
+      stack.pop_back();
     }
   }
   std::reverse(out->begin(), out->end());
@@ -65,25 +65,27 @@ void reverse_postorder(const Function& fn, CompileWorkspace& ws,
 
 std::vector<BlockId> reverse_postorder(const Function& fn) {
   std::vector<BlockId> rpo;
-  reverse_postorder(fn, this_thread_workspace(), &rpo);
+  reverse_postorder(fn, &rpo);
   return rpo;
 }
 
-void compute_liveness(const Function& fn, CompileWorkspace& ws,
-                      Liveness* out) {
+void compute_liveness(const Function& fn, Liveness* out) {
+  thread_local std::vector<DenseBitset> gen, kill;
+  thread_local std::vector<std::vector<BlockId>> preds;
+  thread_local std::vector<BlockId> rpo, worklist;
+  thread_local std::vector<std::uint8_t> queued;
+  thread_local DenseBitset in;
   const std::size_t nblocks = fn.blocks.size();
   const std::size_t nvregs = fn.vregs.size();
   reshape_bitsets(&out->live_in, nblocks, nvregs);
   reshape_bitsets(&out->live_out, nblocks, nvregs);
 
   // Per-block gen (upward-exposed uses) and kill (defs).
-  auto gen = ws.bitset_vec_pool.lease();
-  auto kill = ws.bitset_vec_pool.lease();
-  reshape_bitsets(&*gen, nblocks, nvregs);
-  reshape_bitsets(&*kill, nblocks, nvregs);
+  reshape_bitsets(&gen, nblocks, nvregs);
+  reshape_bitsets(&kill, nblocks, nvregs);
   for (BlockId b = 0; b < nblocks; ++b) {
-    DenseBitset& g = (*gen)[b];
-    DenseBitset& k = (*kill)[b];
+    DenseBitset& g = gen[b];
+    DenseBitset& k = kill[b];
     for (const Instr& ins : fn.blocks[b].instrs) {
       for_each_use(ins, [&](VReg u) {
         if (!k.test(u)) g.set(u);
@@ -92,9 +94,7 @@ void compute_liveness(const Function& fn, CompileWorkspace& ws,
     }
   }
 
-  auto preds_lease = ws.u32_lists_pool.lease();
-  predecessors(fn, ws, &*preds_lease);
-  const auto& preds = *preds_lease;
+  predecessors(fn, &preds);
 
   // Backward worklist fixpoint. The list pops from the back, so it is
   // seeded with the unreachable blocks first and then the reachable ones in
@@ -102,43 +102,37 @@ void compute_liveness(const Function& fn, CompileWorkspace& ws,
   // predecessors, and most settle on the first visit. A block re-enters the
   // list only when a successor's live-in grows. Unreachable blocks still get
   // live sets (some callers iterate all blocks), after the rest settled.
-  auto worklist = ws.u32_pool.lease();
-  auto queued = ws.u8_pool.lease();
-  queued->assign(nblocks, 0);
-  {
-    auto rpo = ws.u32_pool.lease();
-    reverse_postorder(fn, ws, &*rpo);
-    for (BlockId b : *rpo) (*queued)[b] = 1;
-    for (BlockId b = 0; b < nblocks; ++b)
-      if (!(*queued)[b]) {
-        worklist->push_back(b);
-        (*queued)[b] = 1;
-      }
-    worklist->insert(worklist->end(), rpo->begin(), rpo->end());
-  }
+  queued.assign(nblocks, 0);
+  reverse_postorder(fn, &rpo);
+  for (BlockId b : rpo) queued[b] = 1;
+  worklist.clear();
+  for (BlockId b = 0; b < nblocks; ++b)
+    if (!queued[b]) {
+      worklist.push_back(b);
+      queued[b] = 1;
+    }
+  worklist.insert(worklist.end(), rpo.begin(), rpo.end());
 
-  auto in_lease = ws.bitset_pool.lease();
-  DenseBitset& in = *in_lease;
   in.clear();
   in.resize(nvregs);
-  while (!worklist->empty()) {
-    const BlockId b = worklist->back();
-    worklist->pop_back();
-    (*queued)[b] = 0;
+  while (!worklist.empty()) {
+    const BlockId b = worklist.back();
+    worklist.pop_back();
+    queued[b] = 0;
 
     DenseBitset& bout = out->live_out[b];
     for (BlockId s : fn.blocks[b].successors())
       bout.union_with(out->live_in[s]);
 
     in = bout;
-    in.subtract((*kill)[b]);
-    in.union_with((*gen)[b]);
+    in.subtract(kill[b]);
+    in.union_with(gen[b]);
     if (in != out->live_in[b]) {
       out->live_in[b] = in;
       for (BlockId p : preds[b])
-        if (!(*queued)[p]) {
-          (*queued)[p] = 1;
-          worklist->push_back(p);
+        if (!queued[p]) {
+          queued[p] = 1;
+          worklist.push_back(p);
         }
     }
   }
@@ -146,33 +140,30 @@ void compute_liveness(const Function& fn, CompileWorkspace& ws,
 
 Liveness compute_liveness(const Function& fn) {
   Liveness lv;
-  compute_liveness(fn, this_thread_workspace(), &lv);
+  compute_liveness(fn, &lv);
   return lv;
 }
 
-void immediate_dominators(const Function& fn, CompileWorkspace& ws,
-                          std::vector<BlockId>* out) {
+void immediate_dominators(const Function& fn, std::vector<BlockId>* out) {
   // Cooper-Harvey-Kennedy iterative algorithm over reverse postorder.
-  auto rpo_lease = ws.u32_pool.lease();
-  reverse_postorder(fn, ws, &*rpo_lease);
-  const auto& rpo = *rpo_lease;
-  auto rpo_index = ws.u32_pool.lease();
+  thread_local std::vector<BlockId> rpo;
+  thread_local std::vector<std::uint32_t> rpo_index;
+  thread_local std::vector<std::vector<BlockId>> preds;
+  reverse_postorder(fn, &rpo);
   constexpr std::uint32_t kNoIndex = 0xFFFFFFFF;
-  rpo_index->assign(fn.blocks.size(), kNoIndex);
+  rpo_index.assign(fn.blocks.size(), kNoIndex);
   for (std::size_t i = 0; i < rpo.size(); ++i)
-    (*rpo_index)[rpo[i]] = static_cast<std::uint32_t>(i);
+    rpo_index[rpo[i]] = static_cast<std::uint32_t>(i);
 
-  auto preds_lease = ws.u32_lists_pool.lease();
-  predecessors(fn, ws, &*preds_lease);
-  const auto& preds = *preds_lease;
+  predecessors(fn, &preds);
   std::vector<BlockId>& idom = *out;
   idom.assign(fn.blocks.size(), kNoBlock);
   idom[0] = 0;
 
   auto intersect = [&](BlockId a, BlockId b) {
     while (a != b) {
-      while ((*rpo_index)[a] > (*rpo_index)[b]) a = idom[a];
-      while ((*rpo_index)[b] > (*rpo_index)[a]) b = idom[b];
+      while (rpo_index[a] > rpo_index[b]) a = idom[a];
+      while (rpo_index[b] > rpo_index[a]) b = idom[b];
     }
     return a;
   };
@@ -184,7 +175,7 @@ void immediate_dominators(const Function& fn, CompileWorkspace& ws,
       if (b == 0) continue;
       BlockId new_idom = kNoBlock;
       for (BlockId p : preds[b]) {
-        if ((*rpo_index)[p] == kNoIndex || idom[p] == kNoBlock) continue;
+        if (rpo_index[p] == kNoIndex || idom[p] == kNoBlock) continue;
         new_idom = new_idom == kNoBlock ? p : intersect(p, new_idom);
       }
       if (new_idom != kNoBlock && idom[b] != new_idom) {
@@ -197,7 +188,7 @@ void immediate_dominators(const Function& fn, CompileWorkspace& ws,
 
 std::vector<BlockId> immediate_dominators(const Function& fn) {
   std::vector<BlockId> idom;
-  immediate_dominators(fn, this_thread_workspace(), &idom);
+  immediate_dominators(fn, &idom);
   return idom;
 }
 
@@ -223,29 +214,27 @@ std::vector<std::vector<BlockId>> dominator_children(
 }
 
 void remove_unreachable_blocks(Function& fn) {
-  CompileWorkspace& ws = this_thread_workspace();
-  auto reachable = ws.u8_pool.lease();
-  reachable->assign(fn.blocks.size(), 0);
-  auto worklist = ws.u32_pool.lease();
-  worklist->push_back(0);
-  (*reachable)[0] = 1;
-  while (!worklist->empty()) {
-    const BlockId b = worklist->back();
-    worklist->pop_back();
+  thread_local std::vector<std::uint8_t> reachable;
+  thread_local std::vector<BlockId> worklist, remap;
+  reachable.assign(fn.blocks.size(), 0);
+  worklist.assign(1, 0);
+  reachable[0] = 1;
+  while (!worklist.empty()) {
+    const BlockId b = worklist.back();
+    worklist.pop_back();
     for (BlockId s : fn.blocks[b].successors()) {
-      if (!(*reachable)[s]) {
-        (*reachable)[s] = 1;
-        worklist->push_back(s);
+      if (!reachable[s]) {
+        reachable[s] = 1;
+        worklist.push_back(s);
       }
     }
   }
 
-  auto remap = ws.u32_pool.lease();
-  remap->assign(fn.blocks.size(), kNoBlock);
+  remap.assign(fn.blocks.size(), kNoBlock);
   std::vector<BasicBlock> kept;
   for (BlockId b = 0; b < fn.blocks.size(); ++b) {
-    if ((*reachable)[b]) {
-      (*remap)[b] = static_cast<BlockId>(kept.size());
+    if (reachable[b]) {
+      remap[b] = static_cast<BlockId>(kept.size());
       kept.push_back(std::move(fn.blocks[b]));
     }
   }
@@ -253,8 +242,8 @@ void remove_unreachable_blocks(Function& fn) {
     Instr& t = bb.instrs.back();
     if (t.op == Opcode::Jump || t.op == Opcode::Branch ||
         t.op == Opcode::BranchCmp) {
-      t.target = (*remap)[t.target];
-      if (t.op != Opcode::Jump) t.target2 = (*remap)[t.target2];
+      t.target = remap[t.target];
+      if (t.op != Opcode::Jump) t.target2 = remap[t.target2];
     }
   }
   fn.blocks = std::move(kept);

@@ -2,33 +2,29 @@
 // liveness, dominators, and CFG cleanup. Used by the optimizer, the register
 // allocator, and the translation validators.
 //
-// Each analysis has two forms: a value-returning convenience (the original
-// API) and a workspace form that writes into a caller-owned result and draws
-// every internal table (gen/kill bitsets, worklists, DFS stacks) from
-// CompileWorkspace scratch pools. The convenience form delegates to the
-// workspace form via this_thread_workspace(), so all callers share the
-// pooled internals; hot callers that also want to reuse the *result* buffers
-// call the workspace form directly. Both compute identical results — the
-// fixpoints are deterministic regardless of where scratch memory lives.
+// Each analysis has two forms: a value-returning convenience and an
+// out-parameter form that writes into a caller-owned result, so hot callers
+// can keep the result buffers warm across calls. Internal tables (gen/kill
+// bitsets, worklists, DFS stacks) are function-local thread_local scratch:
+// no analysis re-enters itself, so one use is live per thread at a time.
+// Both forms compute identical results — the fixpoints are deterministic
+// regardless of where scratch memory lives.
 #pragma once
 
 #include <vector>
 
 #include "rtl/rtl.hpp"
 #include "support/bitset.hpp"
-#include "support/workspace.hpp"
 
 namespace vc::rtl {
 
 /// Predecessor lists for every block.
 std::vector<std::vector<BlockId>> predecessors(const Function& fn);
-void predecessors(const Function& fn, CompileWorkspace& ws,
-                  std::vector<std::vector<BlockId>>* out);
+void predecessors(const Function& fn, std::vector<std::vector<BlockId>>* out);
 
 /// Blocks reachable from entry, in reverse postorder.
 std::vector<BlockId> reverse_postorder(const Function& fn);
-void reverse_postorder(const Function& fn, CompileWorkspace& ws,
-                       std::vector<BlockId>* out);
+void reverse_postorder(const Function& fn, std::vector<BlockId>* out);
 
 /// Per-block live-in / live-out virtual register sets, as dense bitsets over
 /// the vreg universe (index = vreg number, size = fn.vregs.size()).
@@ -41,14 +37,13 @@ struct Liveness {
 /// handful of word ops and a block is revisited only when a successor's
 /// live-in actually grows.
 Liveness compute_liveness(const Function& fn);
-void compute_liveness(const Function& fn, CompileWorkspace& ws, Liveness* out);
+void compute_liveness(const Function& fn, Liveness* out);
 
 /// Immediate dominator of every reachable block (entry's idom is itself);
 /// unreachable blocks get kNoBlock.
 constexpr BlockId kNoBlock = 0xFFFFFFFF;
 std::vector<BlockId> immediate_dominators(const Function& fn);
-void immediate_dominators(const Function& fn, CompileWorkspace& ws,
-                          std::vector<BlockId>* out);
+void immediate_dominators(const Function& fn, std::vector<BlockId>* out);
 
 /// True if `a` dominates `b` given an idom array.
 bool dominates(const std::vector<BlockId>& idom, BlockId a, BlockId b);

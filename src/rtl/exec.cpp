@@ -1,7 +1,5 @@
 #include "rtl/exec.hpp"
 
-#include "support/workspace.hpp"
-
 namespace vc::rtl {
 
 using minic::Value;
@@ -83,13 +81,14 @@ Value Executor::call(const Function& fn, const std::vector<Value>& args) {
   // the same static instruction many times, and a name lookup per executed
   // load/store dominated this interpreter's profile. Unknown names stay
   // kNoSymbol and only fault if actually executed (matching the old
-  // execute-time map lookup). Scratch comes from the per-thread workspace.
-  CompileWorkspace& ws = this_thread_workspace();
-  auto block_base = ws.u32_pool.lease();   // first flat index of each block
-  auto flat_syms = ws.u32_pool.lease();    // SymbolId + 1 per instruction
-  block_base->reserve(fn.blocks.size());
+  // execute-time map lookup). The tables are per-thread scratch: RTL has no
+  // call opcode, so one call() is live per thread at a time.
+  thread_local std::vector<std::uint32_t> block_base;  // first flat index
+  thread_local std::vector<std::uint32_t> flat_syms;   // SymbolId + 1 each
+  block_base.clear();
+  flat_syms.clear();
   for (const BasicBlock& bb : fn.blocks) {
-    block_base->push_back(static_cast<std::uint32_t>(flat_syms->size()));
+    block_base.push_back(static_cast<std::uint32_t>(flat_syms.size()));
     for (const Instr& ins : bb.instrs) {
       std::uint32_t id = 0;  // 0 = no symbol / unknown
       if (ins.op == Opcode::LoadGlobal || ins.op == Opcode::StoreGlobal ||
@@ -98,11 +97,11 @@ Value Executor::call(const Function& fn, const std::vector<Value>& args) {
         const SymbolId sym = global_syms_.find(ins.sym);
         if (sym != kNoSymbol) id = static_cast<std::uint32_t>(sym) + 1;
       }
-      flat_syms->push_back(id);
+      flat_syms.push_back(id);
     }
   }
   const auto sym_at = [&](BlockId bb, std::size_t ip) {
-    const std::uint32_t id = (*flat_syms)[(*block_base)[bb] + ip];
+    const std::uint32_t id = flat_syms[block_base[bb] + ip];
     return id == 0 ? kNoSymbol : static_cast<SymbolId>(id - 1);
   };
 

@@ -192,7 +192,7 @@ CheckResult check_register_allocation(const rtl::Function& before,
   }
 
   thread_local rtl::Liveness lv;
-  rtl::compute_liveness(after, this_thread_workspace(), &lv);
+  rtl::compute_liveness(after, &lv);
   DenseBitset live(after.vregs.size());
   for (BlockId b = 0; b < after.blocks.size(); ++b) {
     live = lv.live_out[b];

@@ -494,8 +494,7 @@ WcetResult analyze_wcet(const mach::Image& image, const FlowFacts& facts,
   result.warnings = facts.warnings;
 
   const mach::TargetDesc& desc = target_of(image);
-  const mach::MachineConfig machine =
-      options.machine ? *options.machine : desc.machine;
+  const mach::MachineConfig& machine = desc.machine;
   const Cfg& cfg = facts.cfg;
   const ValueAnalysisResult& values = facts.values;
 

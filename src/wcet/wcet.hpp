@@ -49,9 +49,6 @@ inline constexpr const char* kWcetEngineNames[] = {"structural", "ipet",
 }
 
 struct WcetOptions {
-  /// Machine-configuration override (caches, penalties). Unset = use the
-  /// image target's configuration (the normal case); set for ablations.
-  std::optional<mach::MachineConfig> machine;
   /// Consult the image's annotation table (§3.4 flow). Disabling this is the
   /// ablation of bench_annotations.
   bool use_annotations = true;

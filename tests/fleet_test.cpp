@@ -94,10 +94,10 @@ TEST(FleetTest, ThreadCountInvariance) {
 TEST(FleetTest, ThreadCountInvarianceWithWorkspaceReuse) {
   // The campaign configuration the acceptance run uses: both WCET engines,
   // full translation validation, and the execution monitor armed. Every
-  // worker reuses its thread-local CompileWorkspace across jobs, so this is
-  // the determinism contract for the pooled-scratch paths specifically: a
-  // stale bitset or worklist surviving a reset() would show up here as a
-  // jobs=1 vs jobs=8 record divergence.
+  // worker reuses the analyses' and passes' thread_local scratch across
+  // jobs, so this is the determinism contract for those paths specifically:
+  // a stale bitset or worklist carried from one job into the next would show
+  // up here as a jobs=1 vs jobs=8 record divergence.
   const Suite suite = small_suite(5);
   driver::FleetOptions options = exec_and_wcet_options(1);
   options.wcet_engine = wcet::WcetEngine::Both;

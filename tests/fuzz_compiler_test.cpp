@@ -2,10 +2,16 @@
 // space than the ACG emits: nested control flow, integer bit-twiddling,
 // masked dynamic array indexing, conversions, guarded divisions) are
 // compiled under every configuration and cross-checked against the
-// interpreter over stateful call sequences, including trap parity.
+// interpreter over stateful call sequences, including trap parity. A
+// seeded byte-mutation lane feeds ill-formed source to the front end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string_view>
 
 #include "minic/printer.hpp"
 #include "minic/parser.hpp"
@@ -272,6 +278,91 @@ TEST_P(CompilerFuzz, FuzzedProgramsRoundTripThroughThePrinter) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompilerFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
                                            9u, 10u));
+
+// ------------------------------------------------------------ byte mutants
+
+/// The example programs and a few fuzzed programs' printed text: the
+/// sources the mutation lane corrupts.
+std::vector<std::string> mutation_corpus() {
+  std::vector<std::filesystem::path> examples;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VCFLIGHT_EXAMPLES_DIR))
+    if (entry.path().extension() == ".mc") examples.push_back(entry.path());
+  std::sort(examples.begin(), examples.end());
+  std::vector<std::string> corpus;
+  for (const std::filesystem::path& path : examples) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    corpus.push_back(text.str());
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    corpus.push_back(minic::print_program(ProgramFuzzer(seed).generate()));
+  return corpus;
+}
+
+/// `text` with 1-4 single-byte replacements, deletions or insertions. Half
+/// the new bytes are mini-C punctuation, digits, letters or whitespace (so
+/// mutants get past the lexer and reach the parser and type checker); the
+/// rest are any byte at all.
+std::string mutate(std::string text, Rng& rng) {
+  constexpr std::string_view kSyntax =
+      "(){}[];,=+-*/%<>!&|^~.0123456789 \nfiorw_elxy";
+  const int edits = 1 + static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < edits; ++e) {
+    const char byte = rng.next_bool()
+                          ? kSyntax[rng.next_below(kSyntax.size())]
+                          : static_cast<char>(rng.next_below(256));
+    const std::size_t at = rng.next_below(text.size() + 1);
+    const std::uint64_t kind = at == text.size() ? 2 : rng.next_below(3);
+    if (kind == 0)
+      text[at] = byte;
+    else if (kind == 1)
+      text.erase(at, 1);
+    else
+      text.insert(at, 1, byte);
+  }
+  return text;
+}
+
+// Ill-formed source must end in a CompileError: never an InternalError, a
+// ValidationError or a leaked library exception. A mutant that parses and
+// type-checks must compile under every configuration and target tried.
+TEST(ByteMutationFuzz, MutantsCompileOrRaiseCompileError) {
+  constexpr int kMutantsPerSource = 500;
+  const std::vector<std::string> corpus = mutation_corpus();
+  ASSERT_GE(corpus.size(), 6u);
+  Rng rng(0x6D757461);
+  int compiled = 0;
+  int rejected = 0;
+  for (std::size_t source = 0; source < corpus.size(); ++source)
+    for (int m = 0; m < kMutantsPerSource; ++m) {
+      const std::string text = mutate(corpus[source], rng);
+      for (driver::Config config : {driver::Config::O0Pattern,
+                                    driver::Config::Verified,
+                                    driver::Config::O2Full})
+        for (const char* target : {"ppc", "rv32"}) {
+          try {
+            minic::Program program = minic::parse_program(text, "mutant");
+            minic::type_check(program);
+            driver::CompileOptions options;
+            options.target = target;
+            (void)driver::compile_program(program, config, options);
+            ++compiled;
+          } catch (const CompileError&) {
+            ++rejected;
+          } catch (const std::exception& e) {
+            FAIL() << "source " << source << " mutant " << m << " config "
+                   << driver::to_string(config) << " target " << target
+                   << ": " << e.what() << "\n"
+                   << text;
+          }
+        }
+    }
+  // Both outcomes occur, so the lane reaches past the lexer.
+  EXPECT_GT(compiled, 0);
+  EXPECT_GT(rejected, 0);
+}
 
 }  // namespace
 }  // namespace vc

@@ -292,6 +292,9 @@ int step_tock(rtl::Function& fn) {
   return 1;
 }
 
+/// The round-group cap the manager applies (kRtlRounds in pass.cpp).
+constexpr int kRoundCap = 4;
+
 /// Runs `names` over the single function of `program` with the four test
 /// steps registered, recording the hook sequence and per-pass stats.
 rtl::Function run_round_group(const minic::Program& program,
@@ -336,7 +339,7 @@ TEST(PassManager, RoundGroupStopsOnARepeatedRound) {
   rtl::Function capped = rtl::lower_function(program, program.functions[0],
                                              rtl::LowerMode::Value);
   rtl::remove_unreachable_blocks(capped);
-  for (int round = 0; round < pass::ManagerOptions{}.rtl_rounds; ++round) {
+  for (int round = 0; round < kRoundCap; ++round) {
     step_up(capped);
     step_down(capped);
   }
@@ -350,7 +353,7 @@ TEST(PassManager, RoundGroupThatKeepsChangingRunsToTheCap) {
   pass::PipelineStats stats;
   rtl::Function out =
       run_round_group(program, {"lower", "tick", "tock"}, &fired, &stats);
-  const int rounds = pass::ManagerOptions{}.rtl_rounds;
+  const int rounds = kRoundCap;
   EXPECT_EQ(stats.find("tick")->runs, static_cast<std::uint64_t>(rounds));
   EXPECT_EQ(stats.find("tock")->runs, static_cast<std::uint64_t>(rounds));
   EXPECT_EQ(fired.size(), 1u + 2u * static_cast<std::size_t>(rounds));

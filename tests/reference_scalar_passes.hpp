@@ -146,10 +146,7 @@ inline bool dense_constant_propagation(rtl::Function& fn) {
 
   std::vector<State> in(n_blocks, initial);
   // Entry state: everything undef (GetParam makes parameters varying).
-  CompileWorkspace& ws = this_thread_workspace();
-  auto rpo_lease = ws.u32_pool.lease();
-  rtl::reverse_postorder(fn, ws, &*rpo_lease);
-  const std::vector<BlockId>& rpo = *rpo_lease;
+  const std::vector<BlockId> rpo = rtl::reverse_postorder(fn);
   std::vector<bool> seen(n_blocks, false);
   seen[0] = true;
 

@@ -1,7 +1,8 @@
 // The per-job scratch layer behind the fleet runner's steady-state
-// allocation behavior: the symbol interner, the workspace scratch pools,
-// the heap-allocation counters, and the allocation-regression pins that
-// keep the per-job compile path from quietly growing new heap traffic.
+// allocation behavior: the symbol interner, the per-thread workspace
+// accessor, the heap-allocation counters, and the allocation-regression
+// pins that keep the per-job compile path from quietly growing new heap
+// traffic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,35 +71,9 @@ TEST(SymbolTableTest, ClearRestartsIds) {
 
 // -------------------------------------------------------------- workspace
 
-TEST(ScratchPoolTest, LeaseClearsButKeepsCapacity) {
-  ScratchPool<std::vector<std::uint32_t>> pool;
-  std::size_t grown_capacity = 0;
-  {
-    auto v = pool.lease();
-    for (std::uint32_t i = 0; i < 1000; ++i) v->push_back(i);
-    grown_capacity = v->capacity();
-  }
-  EXPECT_EQ(pool.idle(), 1u);
-  auto v = pool.lease();
-  EXPECT_TRUE(v->empty());
-  EXPECT_GE(v->capacity(), grown_capacity);  // the asset the pool preserves
-  EXPECT_EQ(pool.idle(), 0u);
-}
-
-TEST(ScratchPoolTest, ConcurrentLeasesAreDistinct) {
-  ScratchPool<std::vector<std::uint32_t>> pool;
-  auto a = pool.lease();
-  auto b = pool.lease();
-  a->push_back(1);
-  b->push_back(2);
-  EXPECT_NE(&*a, &*b);
-  EXPECT_EQ((*a)[0], 1u);
-  EXPECT_EQ((*b)[0], 2u);
-}
-
 TEST(WorkspaceTest, ThreadWorkspaceIsStablePerThread) {
-  CompileWorkspace& a = this_thread_workspace();
-  CompileWorkspace& b = this_thread_workspace();
+  const auto& a = this_thread_workspace();
+  const auto& b = this_thread_workspace();
   EXPECT_EQ(&a, &b);
 }
 
@@ -114,7 +89,7 @@ TEST(AllocCountTest, ScopeSeesHeapTraffic) {
 }
 
 // Pins the steady-state heap-allocation count of a warm compile+WCET job.
-// This is the regression the whole workspace layer exists to protect: a
+// This is the regression the per-thread scratch exists to protect: a
 // copy-by-value or dropped reserve() on the per-job path shows up here as
 // a count jump long before it is visible in wall-clock noise. The bound is
 // ~2x the measured steady state, so it flags regressions of the "extra
@@ -139,15 +114,15 @@ TEST(AllocCountTest, WarmCompileJobAllocationBudget) {
     (void)wcet::analyze_wcet(compiled.image,
                              dataflow::step_function_name(node), wopts);
   };
-  job();  // warm the thread workspace, pools, and ILP scratch
+  job();  // warm every owner's thread_local scratch
   job();
   alloc::Scope scope;
   job();
   const std::uint64_t warm = scope.delta().allocations;
-  // Measured steady state on the default preset is ~64k allocations for
-  // this node (O2 compile + both WCET engines, IPET certificate included).
-  // 130k — roughly 2x — is the alarm line.
-  EXPECT_LT(warm, 130000u) << "per-job allocation count regressed";
+  // Measured steady state on the default preset is ~6k allocations for
+  // this node (5984: O2 compile + both WCET engines, IPET certificate
+  // included). 12k — roughly 2x — is the alarm line.
+  EXPECT_LT(warm, 12000u) << "per-job allocation count regressed";
 }
 
 // A simulated step allocates nothing, monitor included: the fetch check
